@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
@@ -15,7 +14,7 @@ from .config import RunConfig, config_from_mappings, load_config_file
 from .detector import CollisionDetector
 from .errors import ConfigError, DataError, InputError, UsageError
 from .layers import Frame
-from .pgm import list_sequence, read_pgm, write_sequence
+from .pgm import list_sequence, read_pgm, write_csv, write_sequence
 from .steering import select_escape
 from .stimulus import CameraModel, Direction, ScenarioSpec, generate_sequence
 from .flightsim import run_trial, write_trace_csv
@@ -48,6 +47,32 @@ def _load_run_config(args) -> RunConfig:
     return config_from_mappings(*mappings)
 
 
+def _detect_rows(paths, first, detector: CollisionDetector, steering):
+    """One CSV row per processed frame, read and detected as it is asked for."""
+    for index, path in enumerate(paths):
+        img = first if index == 0 else read_pgm(path)
+        try:
+            result = detector.process(Frame(index=index, luminance=img))
+        except InputError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        if result is None:
+            continue
+        p = result.potentials
+        escape = select_escape(p, steering)
+        yield (
+            result.frame_index,
+            p.kappa,
+            p.u,
+            p.d,
+            p.l,
+            p.r,
+            int(result.spike),
+            int(result.confirmed),
+            escape.axis.value,
+            escape.value,
+        )
+
+
 def cmd_detect(args) -> int:
     cfg = _load_run_config(args)
     paths = list_sequence(args.frames_dir)
@@ -56,36 +81,12 @@ def cmd_detect(args) -> int:
     detector = CollisionDetector(
         width, height, core=cfg.core_params(), norm=cfg.norm_params(width, height)
     )
-    steering = cfg.steering_params()
-    rows = 0
-    with open(args.out, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(DETECT_COLUMNS)
-        for index, path in enumerate(paths):
-            img = first if index == 0 else read_pgm(path)
-            try:
-                result = detector.process(Frame(index=index, luminance=img))
-            except InputError as exc:
-                raise DataError(f"{path}: {exc}") from exc
-            if result is None:
-                continue
-            p = result.potentials
-            escape = select_escape(p, steering)
-            writer.writerow(
-                [
-                    result.frame_index,
-                    f"{p.kappa:.6f}",
-                    f"{p.u:.6f}",
-                    f"{p.d:.6f}",
-                    f"{p.l:.6f}",
-                    f"{p.r:.6f}",
-                    int(result.spike),
-                    int(result.confirmed),
-                    escape.axis.value,
-                    f"{escape.value:.6f}",
-                ]
-            )
-            rows += 1
+    rows = write_csv(
+        args.out,
+        DETECT_COLUMNS,
+        _detect_rows(paths, first, detector, cfg.steering_params()),
+        verbatim=("frame", "spike", "confirmed", "escape_axis"),
+    )
     print(f"processed {len(paths)} frames, wrote {rows} rows to {args.out}")
     return 0
 
@@ -140,11 +141,9 @@ def build_parser() -> _Parser:
         "generate synthetic stimuli, or fly a closed-loop avoidance trial.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    detect = sub.add_parser("detect", help="run the detector over a PGM sequence")
-    detect.add_argument("frames_dir", help="directory of numbered P5 PGM frames")
-    detect.add_argument("--config", default=None, help="key=value config file")
-    detect.add_argument(
+    run_config = _Parser(add_help=False)
+    run_config.add_argument("--config", default=None, help="key=value config file")
+    run_config.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -152,6 +151,11 @@ def build_parser() -> _Parser:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
+
+    detect = sub.add_parser(
+        "detect", parents=[run_config], help="run the detector over a PGM sequence"
+    )
+    detect.add_argument("frames_dir", help="directory of numbered P5 PGM frames")
     detect.add_argument("--out", default="detections.csv", help="output CSV path")
     detect.set_defaults(func=cmd_detect)
 
@@ -175,15 +179,8 @@ def build_parser() -> _Parser:
     generate.add_argument("--hfov-deg", type=float, default=90.0)
     generate.set_defaults(func=cmd_generate)
 
-    simulate = sub.add_parser("simulate", help="run one closed-loop avoidance trial")
-    simulate.add_argument("--config", default=None, help="key=value config file")
-    simulate.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable)",
+    simulate = sub.add_parser(
+        "simulate", parents=[run_config], help="run one closed-loop avoidance trial"
     )
     simulate.add_argument("--out", default="trace.csv", help="trace CSV path")
     simulate.set_defaults(func=cmd_simulate)

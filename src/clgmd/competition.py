@@ -187,7 +187,6 @@ class DetectorState:
 
     spike_history: tuple[int, ...] = ()
     collision_confirmed: bool = False
-    frames_seen: int = 0
 
 
 def update_spike_state(
@@ -204,8 +203,4 @@ def update_spike_state(
     spike = 1 if kappa >= params.t_s else 0
     history = (state.spike_history + (spike,))[-params.n_sp :]
     confirmed = len(history) == params.n_sp and all(history)
-    return DetectorState(
-        spike_history=history,
-        collision_confirmed=confirmed,
-        frames_seen=state.frames_seen + 1,
-    )
+    return DetectorState(spike_history=history, collision_confirmed=confirmed)

@@ -4,12 +4,18 @@ One file configures the detector, the steering stage and the closed-loop
 trial.  Lines are `key=value`, `#` starts a comment line, blank lines are
 ignored.  Unknown keys are rejected by name so typos fail loudly.
 Command-line overrides are applied on top of file values.
+
+Every key, its default and its value type come from a field of the
+parameter dataclass that validates and uses it, so a new knob is one line
+there.  Only keys that are not a same-named field are mapped here.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import fields, make_dataclass
 
 from .competition import NormParams
 from .errors import ConfigError
@@ -18,127 +24,101 @@ from .layers import CoreParams
 from .steering import SteeringParams
 from .stimulus import CameraModel
 
+# Fields that are not flat keys: derived from the frame size (n_cell),
+# vehicle state (position, yaw), set in degrees (hfov), or built from the
+# other keys (the nested parameter objects).
+_NOT_KEYS = {"n_cell", "position", "yaw", "hfov", "camera", "core", "norm", "steering"}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Every tunable knob with its default, one flat namespace."""
+# Vector fields spread over one float key per component.
+_VECTOR_KEYS = {
+    "obstacle_velocity": tuple(f"obstacle_v{axis}" for axis in "xyz"),
+    "arena": tuple(f"arena_{axis}{end}" for axis in "xyz" for end in ("min", "max")),
+}
 
-    # excitation / inhibition / grouping
-    inhibition_delay: int = 0
-    delta_c: float = 0.5
-    c_w: float = 4.0
-    c_de: float = 0.5
-    t_de: float = 15.0
-    # normalization and spiking
-    c1: float = 0.005
-    c2: float | None = None
-    t_s: float = 150.0
-    n_sp: int = 4
-    # escape steering
-    speed_0: float = 0.6
-    hold_duration: float = 1.0
-    # camera
-    width: int = 100
-    height: int = 100
-    hfov_deg: float = 90.0
-    # closed-loop trial
-    cruise_speed: float = 1.0
-    placement: str = "left"
-    obstacle_distance: float = 4.0
-    obstacle_radius: float = 0.3
-    obstacle_offset: float = 0.25
-    obstacle_vx: float = 0.0
-    obstacle_vy: float = 0.0
-    obstacle_vz: float = 0.0
-    obstacle_luminance: float = 224.0
-    background: float = 32.0
-    noise_amplitude: float = 0.0
-    noise_seed: int = 0
-    arena_xmin: float = -1.0
-    arena_xmax: float = 6.0
-    arena_ymin: float = -3.0
-    arena_ymax: float = 3.0
-    arena_zmin: float = -3.0
-    arena_zmax: float = 3.0
-    dt: float = 0.02
-    max_duration: float = 20.0
-    margin: float = 0.1
-    tau: float = 0.3
-    seed: int = 0
+
+def _flat_keys() -> list[tuple[str, object, object]]:
+    """(key, value type, default) for every knob, in declaration order."""
+    keys = []
+    for cls in (CoreParams, NormParams, SteeringParams, CameraModel, TrialConfig):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if f.name == "hfov":
+                keys.append(("hfov_deg", float, math.degrees(f.default)))
+            elif f.name in _VECTOR_KEYS:
+                keys.extend((k, float, v) for k, v in zip(_VECTOR_KEYS[f.name], f.default))
+            elif f.name in _NOT_KEYS:
+                continue
+            elif isinstance(f.default, enum.Enum):
+                keys.append((f.name, str, f.default.value))
+            else:
+                keys.append((f.name, hints[f.name], f.default))
+    return keys
+
+
+class _Builders:
+    """Parameter objects built from the flat keys of a RunConfig."""
+
+    def _pick(self, cls) -> dict:
+        """Keyword arguments for ``cls`` from its same-named keys."""
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _TYPES}
+
+    def _vector(self, name: str) -> tuple:
+        return tuple(getattr(self, key) for key in _VECTOR_KEYS[name])
 
     def core_params(self) -> CoreParams:
-        return CoreParams(
-            inhibition_delay=self.inhibition_delay,
-            delta_c=self.delta_c,
-            c_w=self.c_w,
-            c_de=self.c_de,
-            t_de=self.t_de,
-        )
+        return CoreParams(**self._pick(CoreParams))
 
     def norm_params(self, width: int | None = None, height: int | None = None) -> NormParams:
         width = width if width is not None else self.width
         height = height if height is not None else self.height
-        return NormParams(
-            n_cell=width * height,
-            c1=self.c1,
-            c2=self.c2,
-            t_s=self.t_s,
-            n_sp=self.n_sp,
-        )
+        return NormParams(n_cell=width * height, **self._pick(NormParams))
 
     def steering_params(self) -> SteeringParams:
-        return SteeringParams(speed_0=self.speed_0, hold_duration=self.hold_duration)
+        return SteeringParams(**self._pick(SteeringParams))
 
     def camera_model(self) -> CameraModel:
-        return CameraModel(
-            hfov=math.radians(self.hfov_deg), width=self.width, height=self.height
-        )
+        return CameraModel(hfov=math.radians(self.hfov_deg), **self._pick(CameraModel))
 
     def trial_config(self) -> TrialConfig:
         return TrialConfig(
-            cruise_speed=self.cruise_speed,
-            placement=self.placement,
-            obstacle_distance=self.obstacle_distance,
-            obstacle_radius=self.obstacle_radius,
-            obstacle_offset=self.obstacle_offset,
-            obstacle_velocity=(self.obstacle_vx, self.obstacle_vy, self.obstacle_vz),
-            obstacle_luminance=self.obstacle_luminance,
-            background=self.background,
-            noise_amplitude=self.noise_amplitude,
-            noise_seed=self.noise_seed,
-            arena=(
-                self.arena_xmin,
-                self.arena_xmax,
-                self.arena_ymin,
-                self.arena_ymax,
-                self.arena_zmin,
-                self.arena_zmax,
-            ),
-            dt=self.dt,
-            max_duration=self.max_duration,
-            margin=self.margin,
-            tau=self.tau,
+            obstacle_velocity=self._vector("obstacle_velocity"),
+            arena=self._vector("arena"),
             camera=self.camera_model(),
             core=self.core_params(),
             norm=self.norm_params(),
             steering=self.steering_params(),
+            **self._pick(TrialConfig),
         )
 
 
-_INT_FIELDS = {"inhibition_delay", "n_sp", "width", "height", "noise_seed", "seed"}
-_STR_FIELDS = {"placement"}
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+RunConfig = make_dataclass(
+    "RunConfig",
+    _flat_keys(),
+    bases=(_Builders,),
+    frozen=True,
+    namespace={
+        "__doc__": "Every tunable knob with its default, one flat namespace.",
+        "__module__": __name__,
+    },
+)
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _convert(key: str, text: str):
+    kind = _TYPES[key]
+    if kind is str:
+        return text
+    if typing.get_args(kind):  # `float | None`: an empty value means None
+        if text == "":
+            return None
+        kind = typing.get_args(kind)[0]
     try:
-        if key in _INT_FIELDS:
-            return int(text)
-        if key in _STR_FIELDS:
-            return text
-        return float(text)
+        value = kind(text)
     except ValueError:
         raise ConfigError(f"invalid value for {key}: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -167,7 +147,7 @@ def config_from_mappings(*mappings: dict[str, str]) -> RunConfig:
         merged.update(mapping)
     values = {}
     for key, text in merged.items():
-        if key not in _KNOWN_KEYS:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _convert(key, text)
     return RunConfig(**values)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .competition import (
     CLgmdPotentials,
     DetectorState,
@@ -98,6 +96,3 @@ class CollisionDetector:
             spike=spike,
             confirmed=self.state.collision_confirmed,
         )
-
-    def process_array(self, index: int, luminance: np.ndarray) -> DetectionResult | None:
-        return self.process(Frame(index=index, luminance=luminance))

@@ -10,7 +10,6 @@ out of time.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -21,17 +20,11 @@ from .competition import NormParams
 from .detector import CollisionDetector
 from .errors import ConfigError, InputError
 from .layers import CoreParams
+from .pgm import write_csv
 from .steering import EscapeCommand, SteeringParams, command_to_setpoint, select_escape
-from .stimulus import Box, CameraModel, Scene, Sphere, render_frame
+from .stimulus import Box, CameraModel, Scene, Sphere, finite_vec3, render_frame
 
 Vec3 = tuple[float, float, float]
-
-
-def _finite_vec3(value, name: str) -> Vec3:
-    vec = tuple(float(v) for v in value)
-    if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
-        raise InputError(f"{name} must be a finite 3-vector, got {value!r}")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -42,9 +35,9 @@ class VehicleState:
     yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _finite_vec3(self.position, "position"))
-        object.__setattr__(self, "velocity", _finite_vec3(self.velocity, "velocity"))
-        object.__setattr__(self, "setpoint", _finite_vec3(self.setpoint, "setpoint"))
+        for name in ("position", "velocity", "setpoint"):
+            vec = finite_vec3(getattr(self, name), name, InputError)
+            object.__setattr__(self, name, vec)
         if not math.isfinite(self.yaw):
             raise InputError(f"yaw must be finite, got {self.yaw}")
 
@@ -62,7 +55,7 @@ def step_vehicle(
         raise InputError(f"dt must be positive, got {dt}")
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    sp = _finite_vec3(setpoint, "setpoint")
+    sp = finite_vec3(setpoint, "setpoint", InputError)
     alpha = min(dt / tau, 1.0)
     vel = tuple(v + (s - v) * alpha for v, s in zip(state.velocity, sp))
     pos = tuple(p + v * dt for p, v in zip(state.position, vel))
@@ -174,9 +167,8 @@ class TrialConfig:
             raise ConfigError(f"margin must be non-negative, got {self.margin}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        object.__setattr__(
-            self, "obstacle_velocity", _finite_vec3(self.obstacle_velocity, "obstacle_velocity")
-        )
+        velocity = finite_vec3(self.obstacle_velocity, "obstacle_velocity", InputError)
+        object.__setattr__(self, "obstacle_velocity", velocity)
         xmin, xmax, ymin, ymax, zmin, zmax = self.arena
         if not (xmin < xmax and ymin < ymax and zmin < zmax):
             raise ConfigError(f"arena bounds are inverted: {self.arena}")
@@ -357,29 +349,24 @@ TRACE_COLUMNS = (
 
 def write_trace_csv(trace: TrialTrace, path) -> None:
     """CSV trace, one row per frame, LF line endings, header included."""
-    with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow(
-                [
-                    rec.frame,
-                    f"{rec.t:.6f}",
-                    f"{rec.position[0]:.6f}",
-                    f"{rec.position[1]:.6f}",
-                    f"{rec.position[2]:.6f}",
-                    f"{rec.velocity[0]:.6f}",
-                    f"{rec.velocity[1]:.6f}",
-                    f"{rec.velocity[2]:.6f}",
-                    f"{rec.kappa:.6f}",
-                    f"{rec.u:.6f}",
-                    f"{rec.d:.6f}",
-                    f"{rec.l:.6f}",
-                    f"{rec.r:.6f}",
-                    rec.spike,
-                    rec.confirmed,
-                    rec.cmd_axis,
-                    f"{rec.cmd_value:.6f}",
-                    f"{rec.cmd_remaining:.6f}",
-                ]
-            )
+    rows = (
+        (
+            rec.frame,
+            rec.t,
+            *rec.position,
+            *rec.velocity,
+            rec.kappa,
+            rec.u,
+            rec.d,
+            rec.l,
+            rec.r,
+            rec.spike,
+            rec.confirmed,
+            rec.cmd_axis,
+            rec.cmd_value,
+            rec.cmd_remaining,
+        )
+        for rec in trace.records
+    )
+    verbatim = ("frame", "spike", "confirmed", "cmd_axis")
+    write_csv(path, TRACE_COLUMNS, rows, verbatim=verbatim)

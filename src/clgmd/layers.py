@@ -96,7 +96,6 @@ class CoreParams:
     """
 
     inhibition_delay: int = 0
-    grouping_kernel_size: int = 3
     delta_c: float = 0.5
     c_w: float = 4.0
     c_de: float = 0.5
@@ -107,8 +106,6 @@ class CoreParams:
             raise ConfigError(
                 f"inhibition_delay must be 0 or 1, got {self.inhibition_delay}"
             )
-        if self.grouping_kernel_size != 3:
-            raise ConfigError("grouping kernel size is fixed at 3")
         if not self.c_w > 0:
             raise ConfigError(f"c_w must be positive, got {self.c_w}")
         if self.t_de < 0:
@@ -154,6 +151,9 @@ def compute_s_layer(e: Grid, i: Grid) -> Grid:
     return e - i
 
 
+_MEAN_3X3 = np.full((3, 3), 1.0 / 9.0)
+
+
 def compute_g_layer(s: Grid, params: CoreParams) -> Grid:
     """Boost clustered excitation and decay sporadic change to zero.
 
@@ -161,9 +161,7 @@ def compute_g_layer(s: Grid, params: CoreParams) -> Grid:
     scale is ``delta_c + max|Ce| / c_w``; each cell becomes
     ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
     """
-    k = params.grouping_kernel_size
-    mean_kernel = np.full((k, k), 1.0 / (k * k))
-    ce = signal.convolve2d(s, mean_kernel, mode="same", boundary="fill", fillvalue=0.0)
+    ce = signal.convolve2d(s, _MEAN_3X3, mode="same", boundary="fill", fillvalue=0.0)
     omega = params.delta_c + float(np.abs(ce).max()) / params.c_w
     if omega <= 0:
         raise ConfigError(

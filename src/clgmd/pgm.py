@@ -1,4 +1,4 @@
-"""Binary PGM (P5) sequence I/O.
+"""Binary PGM (P5) sequence I/O, plus the CSV dialect of the output tables.
 
 Frames are 8-bit grayscale, max value 255, written as frame_000000.pgm,
 frame_000001.pgm, ... next to a manifest.txt recording the generating
@@ -8,6 +8,7 @@ the header, as the format allows.
 
 from __future__ import annotations
 
+import csv
 import os
 from pathlib import Path
 
@@ -125,3 +126,21 @@ def read_sequence(directory) -> list[np.ndarray]:
             )
         frames.append(img)
     return frames
+
+
+def write_csv(path, columns, rows, verbatim=()) -> int:
+    """Header plus one line per row, LF line endings; returns the row count.
+
+    Values in the ``verbatim`` columns are written as they are, all others
+    as ``%.6f``.  Rows are written as they are produced, so an error raised
+    while producing one leaves the rows before it on disk.
+    """
+    fixed = [column not in verbatim for column in columns]
+    count = 0
+    with open(path, "w", newline="\n") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.6f}" if f else v for f, v in zip(fixed, row)])
+            count += 1
+    return count

@@ -31,10 +31,11 @@ class Direction(enum.Enum):
     HEAD_ON = "head_on"
 
 
-def _as_vec3(value, name: str) -> tuple[float, float, float]:
+def finite_vec3(value, name: str, error=ConfigError) -> tuple[float, float, float]:
+    """``value`` as a tuple of three finite floats, else ``error``."""
     vec = tuple(float(v) for v in value)
     if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
-        raise ConfigError(f"{name} must be a finite 3-vector, got {value!r}")
+        raise error(f"{name} must be a finite 3-vector, got {value!r}")
     return vec
 
 
@@ -50,7 +51,7 @@ class Sphere:
     luminance: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _as_vec3(self.center, "center"))
+        object.__setattr__(self, "center", finite_vec3(self.center, "center"))
         if self.radius <= 0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         _check_luminance(self.luminance, "luminance")
@@ -81,8 +82,8 @@ class Box:
     luminance: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _as_vec3(self.center, "center"))
-        object.__setattr__(self, "size", _as_vec3(self.size, "size"))
+        object.__setattr__(self, "center", finite_vec3(self.center, "center"))
+        object.__setattr__(self, "size", finite_vec3(self.size, "size"))
         if any(s <= 0 for s in self.size):
             raise ConfigError(f"box size must be positive, got {self.size}")
         _check_luminance(self.luminance, "luminance")
@@ -143,7 +144,7 @@ class CameraModel:
     height: int = 100
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _as_vec3(self.position, "position"))
+        object.__setattr__(self, "position", finite_vec3(self.position, "position"))
         if not 0.0 < self.hfov < math.pi:
             raise ConfigError(f"hfov must lie in (0, pi), got {self.hfov}")
         if self.width < 5 or self.height < 5:

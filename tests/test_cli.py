@@ -129,6 +129,23 @@ class TestDetect:
         assert code == 1
         assert "t_sx" in err
 
+    def test_empty_c2_is_the_default(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        run(["generate", str(seq), "--frames", "20", "--direction", "left"], capsys)
+        default, empty = tmp_path / "default.csv", tmp_path / "empty.csv"
+        assert run(["detect", str(seq), "--out", str(default)], capsys)[0] == 0
+        code, _, _ = run(["detect", str(seq), "--set", "c2=", "--out", str(empty)], capsys)
+        assert code == 0
+        assert empty.read_bytes() == default.read_bytes()
+
+    def test_trial_keys_not_validated(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        write_pgm(seq / "frame_000000.pgm", np.zeros((9, 9), dtype=np.uint8))
+        out = tmp_path / "o.csv"
+        argv = ["detect", str(seq), "--set", "obstacle_distance=10", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         seq.mkdir()
@@ -223,6 +240,35 @@ class TestSimulate:
         assert "OUTCOME=AVOIDED" in stdout
         rows = read_rows(out)
         assert float(rows[-1]["py"]) > 0  # dodged leftward away from a right obstacle
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("simulate", "dt=nan"),
+            ("simulate", "max_duration=inf"),
+            ("simulate", "t_s=nan"),
+            ("simulate", "obstacle_vx=nan"),
+            ("simulate", "tau=nan"),
+            ("detect", "t_s=-inf"),
+        ],
+    )
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, command, setting):
+        argv = [command, "--set", setting, "--out", str(tmp_path / "o.csv")]
+        if command == "detect":
+            argv.insert(1, str(tmp_path))
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert f"{setting.split('=')[0]} must be finite" in err
+        assert "OUTCOME" not in stdout
+
+    def test_seed_key_rejected(self, tmp_path, capsys):
+        code, _, err = run(
+            ["simulate", "--set", "seed=1", "--out", str(tmp_path / "t.csv")], capsys
+        )
+        assert code == 1
+        assert "unknown config key: seed" in err
 
 
 class TestUsage:

@@ -1,9 +1,13 @@
 """Flat key=value configuration parsing and parameter building."""
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from clgmd.competition import NormParams
 from clgmd.config import (
     RunConfig,
     config_from_mappings,
@@ -11,7 +15,9 @@ from clgmd.config import (
     parse_config_text,
 )
 from clgmd.errors import ConfigError
-from clgmd.flightsim import Placement
+from clgmd.flightsim import Placement, TrialConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParsing:
@@ -48,6 +54,21 @@ class TestParsing:
         cfg = config_from_mappings({"width": "64", "n_sp": "3"})
         assert cfg.width == 64 and isinstance(cfg.width, int)
         assert cfg.n_sp == 3
+
+    def test_empty_optional_value_is_none(self):
+        cfg = config_from_mappings({"c2": ""})
+        assert cfg.c2 is None
+        assert cfg.norm_params().c2 == pytest.approx(1.0 / 10000)
+
+    @pytest.mark.parametrize("key", ["dt", "max_duration", "t_s", "obstacle_vx", "c2"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_floats_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            config_from_mappings({key: text})
+
+    def test_seed_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config key: seed"):
+            config_from_mappings({"seed": "1"})
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -105,3 +126,27 @@ class TestBuilders:
         cfg = config_from_mappings({"c_w": "0"})
         with pytest.raises(ConfigError):
             cfg.core_params()
+
+
+class TestSingleSource:
+    def test_defaults_are_the_parameter_defaults(self):
+        expected = TrialConfig(norm=NormParams.for_resolution(100, 100))
+        assert config_from_mappings({}).trial_config() == expected
+
+    def test_key_types(self):
+        kinds = {f.name: f.type for f in fields(RunConfig)}
+        assert len(kinds) == 36
+        ints = {"inhibition_delay", "n_sp", "width", "height", "noise_seed"}
+        assert {k for k, t in kinds.items() if t is int} == ints
+        assert {k for k, t in kinds.items() if t is str} == {"placement"}
+        assert all(kinds[k] is float for k in kinds.keys() - ints - {"placement", "c2"})
+        assert RunConfig().placement == "left"
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        documented = dict(re.findall(r"`([a-z0-9_]+)=([^`]*)`", "\n".join(rows)))
+        expected = {
+            f.name: "" if f.default is None else str(f.default) for f in fields(RunConfig)
+        }
+        assert documented == expected

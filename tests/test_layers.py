@@ -1,6 +1,7 @@
 """Layer stack: frame differencing, inhibition kernel, grouping."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -258,8 +259,9 @@ class TestCoreParams:
         with pytest.raises(ConfigError):
             CoreParams(inhibition_delay=2)
 
-    def test_grouping_kernel_fixed(self):
-        assert CoreParams().grouping_kernel_size == 3
+    def test_grouping_kernel_not_a_parameter(self):
+        # The G-layer mean is a fixed 3x3 window, checked against naive_group.
+        assert "grouping_kernel_size" not in {f.name for f in fields(CoreParams)}
 
 
 def test_static_scene_silent_through_core():
