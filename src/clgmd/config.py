@@ -25,9 +25,9 @@ from .steering import SteeringParams
 from .stimulus import CameraModel
 
 # Fields that are not flat keys: derived from the frame size (n_cell),
-# vehicle state (position, yaw), set in degrees (hfov), or built from the
-# other keys (the nested parameter objects).
-_NOT_KEYS = {"n_cell", "position", "yaw", "hfov", "camera", "core", "norm", "steering"}
+# vehicle state (position), set in degrees (hfov), or built from the other
+# keys (the nested parameter objects).
+_NOT_KEYS = {"n_cell", "position", "hfov", "camera", "core", "norm", "steering"}
 
 # Vector fields spread over one float key per component.
 _VECTOR_KEYS = {

@@ -64,11 +64,6 @@ class CollisionDetector:
         self._prev_p: Grid | None = None
         self.state = DetectorState()
 
-    def reset(self) -> None:
-        self._prev_frame = None
-        self._prev_p = None
-        self.state = DetectorState()
-
     def process(self, frame: Frame) -> DetectionResult | None:
         """Feed one frame; returns None for the very first frame."""
         if frame.width != self.width or frame.height != self.height:

@@ -4,15 +4,16 @@ The vehicle cruises along +x toward a spherical obstacle while rendering
 the scene from its own camera every step.  A confirmed collision picks an
 escape setpoint that replaces cruise for a fixed hold; re-confirmation
 during the hold restarts it with the freshly selected direction.  The
-trial ends when the vehicle hits the obstacle, leaves the arena, or runs
-out of time.
+camera keeps its +x heading, so body-frame setpoints are world-frame
+velocities.  The trial ends when the vehicle hits the obstacle, leaves
+the arena, or runs out of time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import ConfigError, InputError
 from .layers import CoreParams
 from .pgm import write_csv
 from .steering import EscapeCommand, SteeringParams, command_to_setpoint, select_escape
-from .stimulus import Box, CameraModel, Scene, Sphere, finite_vec3, render_frame
+from .stimulus import CameraModel, Scene, Sphere, finite_vec3, render_frame
 
 Vec3 = tuple[float, float, float]
 
@@ -31,15 +32,11 @@ Vec3 = tuple[float, float, float]
 class VehicleState:
     position: Vec3 = (0.0, 0.0, 0.0)
     velocity: Vec3 = (0.0, 0.0, 0.0)
-    setpoint: Vec3 = (0.0, 0.0, 0.0)
-    yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("position", "velocity", "setpoint"):
+        for name in ("position", "velocity"):
             vec = finite_vec3(getattr(self, name), name, InputError)
             object.__setattr__(self, name, vec)
-        if not math.isfinite(self.yaw):
-            raise InputError(f"yaw must be finite, got {self.yaw}")
 
 
 def step_vehicle(
@@ -59,7 +56,7 @@ def step_vehicle(
     alpha = min(dt / tau, 1.0)
     vel = tuple(v + (s - v) * alpha for v, s in zip(state.velocity, sp))
     pos = tuple(p + v * dt for p, v in zip(state.position, vel))
-    return VehicleState(position=pos, velocity=vel, setpoint=sp, yaw=state.yaw)
+    return VehicleState(position=pos, velocity=vel)
 
 
 def check_collision(state: VehicleState, scene: Scene, margin: float) -> bool:
@@ -67,19 +64,7 @@ def check_collision(state: VehicleState, scene: Scene, margin: float) -> bool:
     if margin < 0:
         raise InputError(f"margin must be non-negative, got {margin}")
     point = np.asarray(state.position, dtype=np.float64)
-    for obj in scene.objects:
-        if isinstance(obj, Sphere):
-            clearance = float(np.linalg.norm(np.asarray(obj.center) - point))
-            clearance -= obj.radius
-        elif isinstance(obj, Box):
-            rel = np.abs(np.asarray(obj.center) - point)
-            outside = np.maximum(rel - np.asarray(obj.size) / 2.0, 0.0)
-            clearance = float(np.linalg.norm(outside))
-        else:
-            raise InputError(f"unsupported obstacle type: {type(obj).__name__}")
-        if clearance <= margin:
-            return True
-    return False
+    return any(obj.clearance(point) <= margin for obj in scene.objects)
 
 
 class Placement(enum.Enum):
@@ -149,6 +134,11 @@ class TrialConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.max_duration <= self.dt:
             raise ConfigError("max_duration must exceed the time step")
+        if not math.isfinite(self.max_duration / self.dt):
+            raise ConfigError(
+                f"max_duration must be finite in steps of dt, got "
+                f"{self.max_duration} / {self.dt}"
+            )
         if self.cruise_speed <= 0:
             raise ConfigError(f"cruise_speed must be positive, got {self.cruise_speed}")
         if self.obstacle_distance <= 0:
@@ -252,19 +242,11 @@ class TrialTrace:
 def run_trial(config: TrialConfig) -> TrialTrace:
     """Render, detect, steer and integrate until the trial resolves."""
     camera0 = config.camera
-    norm = (
-        config.norm
-        if config.norm is not None
-        else NormParams.for_resolution(camera0.width, camera0.height)
-    )
     detector = CollisionDetector(
-        camera0.width, camera0.height, core=config.core, norm=norm
+        camera0.width, camera0.height, core=config.core, norm=config.norm
     )
     state = VehicleState(
-        position=camera0.position,
-        velocity=(config.cruise_speed, 0.0, 0.0),
-        setpoint=(config.cruise_speed, 0.0, 0.0),
-        yaw=camera0.yaw,
+        position=camera0.position, velocity=(config.cruise_speed, 0.0, 0.0)
     )
     records: list[TrialRecord] = []
     outcome = Outcome.TIMEOUT
@@ -276,13 +258,7 @@ def run_trial(config: TrialConfig) -> TrialTrace:
     for i in range(steps):
         t = i * config.dt
         scene = config.scene_at(t)
-        camera = CameraModel(
-            position=state.position,
-            yaw=state.yaw,
-            hfov=camera0.hfov,
-            width=camera0.width,
-            height=camera0.height,
-        )
+        camera = replace(camera0, position=state.position)
         frame = render_frame(scene, camera, index=i, seed=config.noise_seed)
         result = detector.process(frame)
         # A new confirmation is the flag rising, not merely staying set:
@@ -298,10 +274,10 @@ def run_trial(config: TrialConfig) -> TrialTrace:
             if elapsed >= command.duration:
                 command = None
         if command is not None:
-            body_sp = command_to_setpoint(command, t - command_started)
+            setpoint = command_to_setpoint(command, t - command_started)
             remaining = command.duration - (t - command_started)
         else:
-            body_sp = (config.cruise_speed, 0.0, 0.0)
+            setpoint = (config.cruise_speed, 0.0, 0.0)
             remaining = 0.0
         if result is None:
             kappa = u = d = l = r = 0.0
@@ -328,7 +304,7 @@ def run_trial(config: TrialConfig) -> TrialTrace:
                 cmd_remaining=remaining,
             )
         )
-        state = step_vehicle(state, body_sp, config.dt, tau=config.tau)
+        state = step_vehicle(state, setpoint, config.dt, tau=config.tau)
         scene_after = config.scene_at(t + config.dt)
         if check_collision(state, scene_after, config.margin):
             outcome = Outcome.COLLIDED

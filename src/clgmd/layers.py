@@ -47,7 +47,7 @@ class Frame:
         if self.index < 0:
             raise InputError(f"frame index must be >= 0, got {self.index}")
         if lum.dtype != np.uint8:
-            if np.any(lum < 0) or np.any(lum > 255):
+            if not np.all((lum >= 0) & (lum <= 255)):
                 raise InputError("luminance values must lie in [0, 255]")
             lum = lum.astype(np.uint8)
         object.__setattr__(self, "luminance", lum)
@@ -65,22 +65,19 @@ class Frame:
 class InhibitionKernel:
     """5x5 lateral-inhibition weights, reciprocal to distance from center.
 
-    The center weight is zero; every other weight is ``scale / r`` where
+    The center weight is zero; every other weight is ``0.25 / r`` where
     ``r`` is the Euclidean distance to the center cell.  The two-pixel
     radius suits fast image motion.
     """
 
-    scale: float = 0.25
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ConfigError(f"kernel scale must be positive, got {self.scale}")
         ys, xs = np.mgrid[-2:3, -2:3]
         dist = np.hypot(xs, ys)
         w = np.zeros((5, 5))
         off = dist > 0
-        w[off] = self.scale / dist[off]
+        w[off] = 0.25 / dist[off]
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

@@ -1,6 +1,6 @@
 """Synthetic grayscale stimuli: looming, receding and side-entry approaches.
 
-A pinhole camera looks along +body-x (+y left, +z up).  Scenes hold flat
+A pinhole camera looks along +x (+y left, +z up).  Scenes hold flat
 shaded primitives; a pixel takes an object's luminance exactly when the
 ray through the pixel center hits it, nearest object first.  Scenario
 builders move a sphere along a straight constant-bearing line toward the
@@ -56,8 +56,9 @@ class Sphere:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         _check_luminance(self.luminance, "luminance")
 
-    def contains(self, point: np.ndarray) -> bool:
-        return float(np.linalg.norm(np.asarray(self.center) - point)) < self.radius
+    def clearance(self, point: np.ndarray) -> float:
+        """Signed distance from ``point`` to the surface, negative inside."""
+        return float(np.linalg.norm(np.asarray(self.center) - point)) - self.radius
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Ray parameter of the nearest forward hit per pixel, inf on miss."""
@@ -88,9 +89,11 @@ class Box:
             raise ConfigError(f"box size must be positive, got {self.size}")
         _check_luminance(self.luminance, "luminance")
 
-    def contains(self, point: np.ndarray) -> bool:
-        rel = np.abs(np.asarray(self.center) - point)
-        return bool(np.all(rel < np.asarray(self.size) / 2.0))
+    def clearance(self, point: np.ndarray) -> float:
+        """Signed distance from ``point`` to the surface, negative inside."""
+        excess = np.abs(np.asarray(self.center) - point) - np.asarray(self.size) / 2.0
+        outside = float(np.linalg.norm(np.maximum(excess, 0.0)))
+        return outside + min(float(excess.max()), 0.0)
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.center) - np.asarray(self.size) / 2.0
@@ -126,6 +129,9 @@ class Scene:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
+        for obj in self.objects:
+            if not isinstance(obj, Primitive):
+                raise ConfigError(f"unsupported obstacle type: {type(obj).__name__}")
         _check_luminance(self.background, "background")
         if self.noise_amplitude < 0:
             raise ConfigError(
@@ -135,10 +141,9 @@ class Scene:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: +body-x forward, +y left, +z up, yaw about world z."""
+    """Pinhole camera looking along +x, with +y left and +z up."""
 
     position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    yaw: float = 0.0
     hfov: float = math.radians(90.0)
     width: int = 100
     height: int = 100
@@ -156,16 +161,10 @@ class CameraModel:
     def focal_px(self) -> float:
         return (self.width / 2.0) / math.tan(self.hfov / 2.0)
 
-    def rotation(self) -> np.ndarray:
-        """Body-to-world rotation matrix for the camera yaw."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
     def project(self, point_world) -> tuple[float, float] | None:
         """(column, row) of a world point, or None if it is not in front."""
         rel = np.asarray(point_world, dtype=np.float64) - np.asarray(self.position)
-        body = self.rotation().T @ rel
-        x, y, z = body
+        x, y, z = rel
         if x <= 0:
             return None
         cx, cy = (self.width - 1) / 2.0, (self.height - 1) / 2.0
@@ -174,7 +173,7 @@ class CameraModel:
 
 @functools.lru_cache(maxsize=8)
 def _ray_grid(width: int, height: int, hfov: float) -> np.ndarray:
-    """Per-pixel body-frame ray directions (unit forward component)."""
+    """Per-pixel ray directions (unit forward component)."""
     f = (width / 2.0) / math.tan(hfov / 2.0)
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     cols = np.arange(width, dtype=np.float64)
@@ -195,11 +194,9 @@ def render_frame(
     """Render one frame; noise (if any) is keyed by (seed, index)."""
     origin = np.asarray(camera.position, dtype=np.float64)
     for obj in scene.objects:
-        if obj.contains(origin):
+        if obj.clearance(origin) < 0:
             raise InputError(f"camera at {camera.position} is inside {obj!r}")
     dirs = _ray_grid(camera.width, camera.height, camera.hfov)
-    if camera.yaw != 0.0:
-        dirs = dirs @ camera.rotation().T
     img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
     best_t = np.full(img.shape, np.inf)
     for obj in scene.objects:
@@ -308,14 +305,13 @@ def make_scenario(
             f"start distance {spec.distance} is inside the standoff {standoff:.3f}"
         )
     origin = np.asarray(camera.position, dtype=np.float64)
-    rot = camera.rotation()
     span = float(np.linalg.norm(start))
     toward = -start / span
     scenes = []
     for i in range(spec.frames):
         travel = speed * i / spec.fps
         travel = min(travel, span - standoff)
-        center = origin + rot @ (start + toward * travel)
+        center = origin + (start + toward * travel)
         sphere = Sphere(
             center=tuple(center),
             radius=spec.object_radius,

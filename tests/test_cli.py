@@ -248,6 +248,7 @@ class TestConfigValues:
         [
             ("simulate", "dt=nan"),
             ("simulate", "max_duration=inf"),
+            ("simulate", "max_duration=1e308"),
             ("simulate", "t_s=nan"),
             ("simulate", "obstacle_vx=nan"),
             ("simulate", "tau=nan"),

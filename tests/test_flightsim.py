@@ -26,7 +26,7 @@ from oracles import first_order_response
 
 class TestStepVehicle:
     def test_setpoint_equal_velocity_integrates_linearly(self):
-        state = VehicleState(velocity=(1.0, 0.0, 0.0), setpoint=(1.0, 0.0, 0.0))
+        state = VehicleState(velocity=(1.0, 0.0, 0.0))
         out = step_vehicle(state, (1.0, 0.0, 0.0), dt=0.5)
         assert out.velocity == (1.0, 0.0, 0.0)
         assert out.position == (0.5, 0.0, 0.0)

@@ -38,10 +38,9 @@ class TestFrame:
         assert f.luminance.dtype == np.uint8
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InputError):
-            Frame(index=0, luminance=np.full((5, 5), 300))
-        with pytest.raises(InputError):
-            Frame(index=0, luminance=np.full((5, 5), -1))
+        for value in (300, -1, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError):
+                Frame(index=0, luminance=np.full((5, 5), value))
 
     def test_rejects_small_and_non_2d(self):
         with pytest.raises(InputError):

@@ -1,9 +1,12 @@
 """Renderer geometry, scenario trajectories, determinism and mirrors."""
 
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clgmd.competition import Quadrant, build_quadrant_mask
 from clgmd.errors import ConfigError, InputError
@@ -130,6 +133,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Scene(noise_amplitude=-1.0)
 
+    def test_scene_rejects_non_primitive(self):
+        lookalike = types.SimpleNamespace(center=(2.0, 0.0, 0.0), radius=0.3, luminance=200.0)
+        with pytest.raises(ConfigError, match="unsupported obstacle type: SimpleNamespace"):
+            Scene(objects=(Sphere((4.0, 0.0, 0.0), 0.3, 200.0), lookalike))
+
     def test_scenario_spec(self):
         with pytest.raises(ConfigError):
             ScenarioSpec(speed=0.0)
@@ -247,3 +255,42 @@ class TestScenarios:
         scenes = make_scenario(spec, CAM)
         closest = min(np.linalg.norm(s.objects[0].center) for s in scenes)
         assert closest >= spec.object_radius * 1.05 - 1e-9
+
+
+# Coordinates on a quarter-unit grid make points land exactly on surfaces;
+# arbitrary floats cover the rest.
+_COORD = st.one_of(st.integers(-16, 16).map(lambda k: k / 4.0), st.floats(-4.0, 4.0))
+_EXTENT = st.one_of(st.integers(1, 8).map(lambda k: k / 4.0), st.floats(0.01, 4.0))
+_VEC3 = st.tuples(_COORD, _COORD, _COORD)
+_PRIMITIVE = st.one_of(
+    st.builds(Sphere, _VEC3, _EXTENT, st.just(200.0)),
+    st.builds(Box, _VEC3, st.tuples(_EXTENT, _EXTENT, _EXTENT), st.just(200.0)),
+)
+
+
+def reference_inside_and_gap(obj, point):
+    """Strict containment and the unsigned distance to the solid, per primitive."""
+    if isinstance(obj, Sphere):
+        dist = float(np.linalg.norm(np.asarray(obj.center) - point))
+        return dist < obj.radius, dist - obj.radius
+    rel = np.abs(np.asarray(obj.center) - point)
+    half = np.asarray(obj.size) / 2.0
+    gap = float(np.linalg.norm(np.maximum(rel - half, 0.0)))
+    return bool(np.all(rel < half)), gap
+
+
+class TestClearance:
+    @given(obj=_PRIMITIVE, point=_VEC3)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_formulas(self, obj, point):
+        point = np.asarray(point)
+        inside, gap = reference_inside_and_gap(obj, point)
+        clearance = obj.clearance(point)
+        assert (clearance < 0) == inside
+        if not inside:
+            assert clearance == gap
+
+    def test_box_inside_is_distance_to_nearest_face(self):
+        box = Box((0.0, 0.0, 0.0), (2.0, 4.0, 6.0), 100.0)
+        assert box.clearance(np.array([0.5, 0.0, 0.0])) == -0.5
+        assert box.clearance(np.array([0.0, 0.0, 0.0])) == -1.0
