@@ -27,6 +27,10 @@ from .stimulus import CameraModel, Scene, Sphere, finite_vec3, render_frame
 
 Vec3 = tuple[float, float, float]
 
+# A trial renders and detects one frame per step, so the step count bounds
+# its run time; a tiny dt would otherwise run for hours and write nothing.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class VehicleState:
@@ -138,6 +142,11 @@ class TrialConfig:
             raise ConfigError(
                 f"max_duration must be finite in steps of dt, got "
                 f"{self.max_duration} / {self.dt}"
+            )
+        steps = round(self.max_duration / self.dt)
+        if steps > MAX_STEPS:
+            raise ConfigError(
+                f"max_duration / dt is {steps} steps; at most {MAX_STEPS} allowed"
             )
         if self.cruise_speed <= 0:
             raise ConfigError(f"cruise_speed must be positive, got {self.cruise_speed}")

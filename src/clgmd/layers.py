@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .errors import ConfigError, InputError
 
@@ -30,7 +29,10 @@ Grid = np.ndarray
 
 @dataclass(frozen=True)
 class Frame:
-    """One 8-bit grayscale frame and its position in the stream."""
+    """One 8-bit grayscale frame and its position in the stream.
+
+    Luminance in [0, 255] of any other dtype is rounded half to even.
+    """
 
     index: int
     luminance: np.ndarray
@@ -49,7 +51,7 @@ class Frame:
         if lum.dtype != np.uint8:
             if not np.all((lum >= 0) & (lum <= 255)):
                 raise InputError("luminance values must lie in [0, 255]")
-            lum = lum.astype(np.uint8)
+            lum = np.rint(lum).astype(np.uint8)
         object.__setattr__(self, "luminance", lum)
 
     @property
@@ -114,6 +116,17 @@ def _require_same_shape(a: Grid, b: Grid, what: str) -> None:
         raise InputError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
 
 
+def _correlate(grid: Grid, weights: np.ndarray) -> Grid:
+    """Zero-padded 'same' correlation with a square kernel, taps summed row-major."""
+    # Both kernels are symmetric, so correlation equals convolution.
+    h, w = grid.shape
+    padded = np.pad(grid, weights.shape[0] // 2)
+    out = np.zeros((h, w))
+    for (j, i), weight in np.ndenumerate(weights):
+        out += weight * padded[j : j + h, i : i + w]
+    return out
+
+
 def compute_p_layer(prev: Frame, curr: Frame) -> Grid:
     """Luminance change per pixel between two consecutive frames."""
     if prev.luminance.shape != curr.luminance.shape:
@@ -137,9 +150,7 @@ def compute_inhibition(
     """
     _require_same_shape(p, p_delayed, "inhibition input")
     source = p if params.inhibition_delay == 0 else p_delayed
-    return signal.convolve2d(
-        source, kernel.weights, mode="same", boundary="fill", fillvalue=0.0
-    )
+    return _correlate(source, kernel.weights)
 
 
 def compute_s_layer(e: Grid, i: Grid) -> Grid:
@@ -158,7 +169,7 @@ def compute_g_layer(s: Grid, params: CoreParams) -> Grid:
     scale is ``delta_c + max|Ce| / c_w``; each cell becomes
     ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
     """
-    ce = signal.convolve2d(s, _MEAN_3X3, mode="same", boundary="fill", fillvalue=0.0)
+    ce = _correlate(s, _MEAN_3X3)
     omega = params.delta_c + float(np.abs(ce).max()) / params.c_w
     if omega <= 0:
         raise ConfigError(

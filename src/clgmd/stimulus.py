@@ -209,7 +209,7 @@ def render_frame(
         img += rng.uniform(
             -scene.noise_amplitude, scene.noise_amplitude, size=img.shape
         )
-    return Frame(index=index, luminance=np.clip(np.rint(img), 0.0, 255.0))
+    return Frame(index=index, luminance=np.clip(img, 0.0, 255.0))
 
 
 @dataclass(frozen=True)

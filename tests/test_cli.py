@@ -271,6 +271,14 @@ class TestConfigValues:
         assert code == 1
         assert "unknown config key: seed" in err
 
+    def test_step_count_above_cap_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(["simulate", "--set", "dt=1e-9", "--out", str(out)], capsys)
+        assert code == 1
+        assert "at most 1000000" in err
+        assert "OUTCOME" not in stdout
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_arguments_exits_1(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from clgmd.competition import NormParams
 from clgmd.errors import ConfigError, InputError
 from clgmd.flightsim import (
+    MAX_STEPS,
     Outcome,
     Placement,
     TRACE_COLUMNS,
@@ -119,6 +120,13 @@ class TestTrialConfig:
             TrialConfig(placement="sideways")
         with pytest.raises(ConfigError):
             TrialConfig(cruise_speed=0.0)
+
+    def test_step_cap(self):
+        # 20 s / 2e-5 s rounds to exactly MAX_STEPS, the largest trial accepted.
+        assert round(TrialConfig().max_duration / 2e-5) == MAX_STEPS
+        TrialConfig(dt=2e-5)
+        with pytest.raises(ConfigError):
+            TrialConfig(dt=1.9e-5)
 
     def test_placement_accepts_strings(self):
         assert TrialConfig(placement="up").placement is Placement.UP

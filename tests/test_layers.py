@@ -1,7 +1,11 @@
 """Layer stack: frame differencing, inhibition kernel, grouping."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import clgmd
 from clgmd.errors import ConfigError, InputError
 from clgmd.layers import (
     CoreParams,
@@ -24,6 +29,17 @@ from oracles import kernel_weights_by_formula, naive_convolve, naive_group
 
 KERNEL_SUM = 3.4550873627797367  # hand-summed from the 24 reciprocal distances
 
+# The smallest frame the detector accepts, and thin strips in either
+# orientation, where most kernel taps fall in the zero padding.
+EDGE_SHAPES = ((5, 5), (5, 64), (64, 5))
+
+
+def stencil_shapes(rng, count, high):
+    """``count`` random (h, w) shapes in [5, high), then the fixed EDGE_SHAPES."""
+    for _ in range(count):
+        yield int(rng.integers(5, high)), int(rng.integers(5, high))
+    yield from EDGE_SHAPES
+
 
 def frame_pair(rng, h=8, w=8):
     a = rng.integers(0, 256, (h, w))
@@ -36,6 +52,10 @@ class TestFrame:
         f = Frame(index=3, luminance=np.full((5, 7), 128))
         assert (f.width, f.height) == (7, 5)
         assert f.luminance.dtype == np.uint8
+        # Float luminance rounds half to even, so 254.5 stores 254.
+        for value, stored in ((3.7, 4), (254.5, 254)):
+            f = Frame(index=0, luminance=np.full((5, 5), value))
+            assert np.all(f.luminance == stored)
 
     def test_rejects_out_of_range(self):
         for value in (300, -1, math.nan, math.inf, -math.inf):
@@ -141,8 +161,7 @@ class TestInhibition:
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(42)
         k, params = InhibitionKernel(), CoreParams()
-        for _ in range(10):
-            h, w = int(rng.integers(5, 20)), int(rng.integers(5, 20))
+        for h, w in stencil_shapes(rng, 10, 20):
             src = rng.uniform(-255.0, 255.0, (h, w))
             got = compute_inhibition(src, src, k, params)
             assert np.max(np.abs(got - naive_convolve(src, k.weights))) <= 1e-12
@@ -225,8 +244,7 @@ class TestGLayer:
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(13)
         params = CoreParams()
-        for _ in range(8):
-            h, w = int(rng.integers(5, 16)), int(rng.integers(5, 16))
+        for h, w in stencil_shapes(rng, 8, 16):
             s = rng.uniform(-120.0, 120.0, (h, w))
             got = compute_g_layer(s, params)
             want = naive_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
@@ -271,3 +289,20 @@ def test_static_scene_silent_through_core():
     i = compute_inhibition(p, p, InhibitionKernel(), CoreParams())
     g = compute_g_layer(compute_s_layer(p, i), CoreParams())
     assert np.all(g == 0.0)
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(clgmd.__file__).resolve().parents[1])
+    code = (
+        "import sys, clgmd, clgmd.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
