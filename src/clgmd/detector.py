@@ -2,12 +2,16 @@
 
 Wires the layer stack, the four-field competition and the spike logic
 into a single object that consumes frames one at a time.  The first
-frame only primes the differencing buffer and yields no result.
+frame only primes the differencing buffer and yields no result.  Every
+layer grid and stencil buffer is allocated once, when the detector is
+built, and reused for each frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .competition import (
     CLgmdPotentials,
@@ -25,6 +29,7 @@ from .layers import (
     Frame,
     Grid,
     InhibitionKernel,
+    StencilScratch,
     compute_g_layer,
     compute_inhibition,
     compute_p_layer,
@@ -61,7 +66,15 @@ class CollisionDetector:
         self.kernel = InhibitionKernel()
         self.mask: QuadrantMask = build_quadrant_mask(width, height)
         self._prev_frame: Frame | None = None
+        # P is double-buffered: each frame writes P into the first grid and
+        # then swaps them, so the previous P, which inhibition reads when
+        # inhibition_delay is 1, survives in the other.
+        self._p_grids = [np.empty((height, width)), np.empty((height, width))]
         self._prev_p: Grid | None = None
+        self._i: Grid = np.empty((height, width))
+        self._s: Grid = np.empty((height, width))
+        self._g: Grid = np.empty((height, width))
+        self._scratch = StencilScratch(height, width)
         self.state = DetectorState()
 
     def process(self, frame: Frame) -> DetectionResult | None:
@@ -74,16 +87,19 @@ class CollisionDetector:
         if self._prev_frame is None:
             self._prev_frame = frame
             return None
-        p = compute_p_layer(self._prev_frame, frame)
+        p = compute_p_layer(self._prev_frame, frame, out=self._p_grids[0])
         delayed = self._prev_p if self._prev_p is not None else p
-        i = compute_inhibition(p, delayed, self.kernel, self.core)
-        s = compute_s_layer(p, i)
-        g = compute_g_layer(s, self.core)
+        i = compute_inhibition(
+            p, delayed, self.kernel, self.core, out=self._i, scratch=self._scratch
+        )
+        s = compute_s_layer(p, i, out=self._s)
+        g = compute_g_layer(s, self.core, out=self._g, scratch=self._scratch)
         u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self.mask)
         potentials = normalize(u0, d0, l0, r0, k_f0, self.norm)
         self.state = update_spike_state(potentials.kappa, self.norm, self.state)
         spike = bool(self.state.spike_history and self.state.spike_history[-1])
         self._prev_frame = frame
+        self._p_grids.reverse()
         self._prev_p = p
         return DetectionResult(
             frame_index=frame.index,

@@ -10,9 +10,23 @@ excitation grid:
     G  clustered excitation boosted, sporadic isolated change decayed to zero
 
 Grids are float64 numpy arrays shaped (height, width) with row 0 at the top
-of the image.  Every convolution zero-pads the border so output dimensions
-match the input.  All functions here are pure; streaming state (previous
-frame buffers) lives in :class:`clgmd.detector.CollisionDetector`.
+of the image.  Both stencils zero-pad the border so output dimensions match
+the input, and both are built from shifted slices of one zero-bordered
+copy of the source:
+
+- the 5x5 inhibition kernel is symmetric, so it has five distinct weights
+  (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8).  The taps of each weight group
+  are summed from shared horizontal pair sums at x+-1 and x+-2, and each
+  group sum is multiplied by its weight once;
+- the 3x3 G-layer mean is a separable box sum, a row sum then a column
+  sum, divided by 9.
+
+``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
+``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
+the two stencils a ``scratch=`` :class:`StencilScratch` of work buffers.
+Omitted, each is allocated fresh.  The functions keep no state between
+calls; streaming state (previous frame, previous P grid) and the reused
+buffers belong to :class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
@@ -116,18 +130,30 @@ def _require_same_shape(a: Grid, b: Grid, what: str) -> None:
         raise InputError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
 
 
-def _correlate(grid: Grid, weights: np.ndarray) -> Grid:
-    """Zero-padded 'same' correlation with a square kernel, taps summed row-major."""
-    # Both kernels are symmetric, so correlation equals convolution.
-    h, w = grid.shape
-    padded = np.pad(grid, weights.shape[0] // 2)
-    out = np.zeros((h, w))
-    for (j, i), weight in np.ndenumerate(weights):
-        out += weight * padded[j : j + h, i : i + w]
-    return out
+class StencilScratch:
+    """Work buffers for the two stencils on grids of one shape.
+
+    ``padded`` holds the source grid inside a two-cell zero border.  No
+    stencil writes the border, so one allocation serves every call.
+    """
+
+    def __init__(self, height: int, width: int) -> None:
+        self.padded = np.zeros((height + 4, width + 4))
+        self.near = np.empty((height + 4, width))  # pair sums at x-1, x+1
+        self.far = np.empty((height + 4, width))  # pair sums at x-2, x+2
+        self.tmp = np.empty((height, width))
+        self.drop = np.empty((height, width), dtype=bool)
 
 
-def compute_p_layer(prev: Frame, curr: Frame) -> Grid:
+def _load(grid: Grid, scratch: StencilScratch | None) -> StencilScratch:
+    """Copy ``grid`` into the middle of the zero-bordered scratch."""
+    if scratch is None:
+        scratch = StencilScratch(*grid.shape)
+    scratch.padded[2:-2, 2:-2] = grid
+    return scratch
+
+
+def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Grid:
     """Luminance change per pixel between two consecutive frames."""
     if prev.luminance.shape != curr.luminance.shape:
         raise InputError(
@@ -137,11 +163,17 @@ def compute_p_layer(prev: Frame, curr: Frame) -> Grid:
         raise InputError(
             f"frames must be consecutive, got indices {prev.index} -> {curr.index}"
         )
-    return curr.luminance.astype(np.float64) - prev.luminance.astype(np.float64)
+    return np.subtract(curr.luminance, prev.luminance, out=out, dtype=np.float64)
 
 
 def compute_inhibition(
-    p: Grid, p_delayed: Grid, kernel: InhibitionKernel, params: CoreParams
+    p: Grid,
+    p_delayed: Grid,
+    kernel: InhibitionKernel,
+    params: CoreParams,
+    *,
+    out: Grid | None = None,
+    scratch: StencilScratch | None = None,
 ) -> Grid:
     """Spread excitation into inhibition by convolving with the 5x5 kernel.
 
@@ -150,30 +182,73 @@ def compute_inhibition(
     """
     _require_same_shape(p, p_delayed, "inhibition input")
     source = p if params.inhibition_delay == 0 else p_delayed
-    return _correlate(source, kernel.weights)
+    h, w = source.shape
+    scratch = _load(source, scratch)
+    out = np.empty((h, w)) if out is None else out
+    q, near, far = scratch.padded, scratch.near, scratch.far
+    np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=near)
+    np.add(q[:, 0:w], q[:, 4 : w + 4], out=far)
+    centre = q[:, 2 : w + 2]
+    weights = kernel.weights
+    # (weight, taps): a tap (rows, dy) reads rows[y + dy], x-shifts folded in.
+    groups = (
+        (weights[2, 3], ((near, 0), (centre, -1), (centre, 1))),
+        (weights[3, 3], ((near, -1), (near, 1))),
+        (weights[2, 4], ((far, 0), (centre, -2), (centre, 2))),
+        (weights[3, 4], ((far, -1), (far, 1), (near, -2), (near, 2))),
+        (weights[4, 4], ((far, -2), (far, 2))),
+    )
+    for n, (weight, taps) in enumerate(groups):
+        acc = out if n == 0 else scratch.tmp
+        (first, dy0), (second, dy1), *rest = taps
+        np.add(first[2 + dy0 : 2 + dy0 + h], second[2 + dy1 : 2 + dy1 + h], out=acc)
+        for rows, dy in rest:
+            acc += rows[2 + dy : 2 + dy + h]
+        acc *= weight
+        if n:
+            out += acc
+    return out
 
 
-def compute_s_layer(e: Grid, i: Grid) -> Grid:
+def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
     """Combine excitation and inhibition by linear subtraction, sign kept."""
     _require_same_shape(e, i, "summing input")
-    return e - i
+    return np.subtract(e, i, out=out)
 
 
-_MEAN_3X3 = np.full((3, 3), 1.0 / 9.0)
-
-
-def compute_g_layer(s: Grid, params: CoreParams) -> Grid:
+def compute_g_layer(
+    s: Grid,
+    params: CoreParams,
+    *,
+    out: Grid | None = None,
+    scratch: StencilScratch | None = None,
+) -> Grid:
     """Boost clustered excitation and decay sporadic change to zero.
 
     Steps: a 3x3 mean of S gives the passing coefficient Ce; the adaptive
     scale is ``delta_c + max|Ce| / c_w``; each cell becomes
     ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
     """
-    ce = _correlate(s, _MEAN_3X3)
-    omega = params.delta_c + float(np.abs(ce).max()) / params.c_w
+    h, w = s.shape
+    scratch = _load(s, scratch)
+    out = np.empty((h, w)) if out is None else out
+    # The inner ring of the two-cell border is the 3x3 mean's zero padding.
+    q, rows, ce = scratch.padded[1:-1], scratch.near[1:-1], scratch.tmp
+    np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=rows)
+    rows += q[:, 2 : w + 2]
+    np.add(rows[0:h], rows[1 : h + 1], out=ce)
+    ce += rows[2 : h + 2]
+    ce /= 9.0
+    omega = params.delta_c + max(float(ce.max()), -float(ce.min())) / params.c_w
     if omega <= 0:
         raise ConfigError(
             f"grouping scale is {omega}; delta_c must keep it positive when Ce is zero"
         )
-    g = s * ce / omega
-    return np.where(np.abs(g) * params.c_de >= params.t_de, g, 0.0)
+    np.multiply(s, ce, out=out)
+    out /= omega
+    np.abs(out, out=ce)
+    ce *= params.c_de
+    np.greater_equal(ce, params.t_de, out=scratch.drop)
+    np.logical_not(scratch.drop, out=scratch.drop)
+    np.copyto(out, 0.0, where=scratch.drop)
+    return out

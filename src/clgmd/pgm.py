@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import DataError
 
 FRAME_PATTERN = "frame_{:06d}.pgm"
+_FRAME_NAME = re.compile(r"frame_(\d+)\.pgm")
 MANIFEST_NAME = "manifest.txt"
 
 
@@ -100,14 +102,35 @@ def write_sequence(directory, images, manifest: dict[str, object] | None = None)
 
 
 def list_sequence(directory) -> list[Path]:
-    """Numbered frame files in index order; any *.pgm names are accepted."""
+    """Numbered frame files in index order.
+
+    Every ``*.pgm`` file must be named by ``FRAME_PATTERN`` and the indices
+    must run from 0 without a gap, because frames are numbered by position
+    and P is the change between neighbours: a stray name or a missing
+    frame raises ``DataError``.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise DataError(f"{directory}: not a directory")
-    paths = sorted(p for p in directory.iterdir() if p.suffix == ".pgm")
+    paths = {}
+    for path in directory.iterdir():
+        if path.suffix != ".pgm":
+            continue
+        match = _FRAME_NAME.fullmatch(path.name)
+        if match is None or path.name != FRAME_PATTERN.format(int(match[1])):
+            raise DataError(
+                f"{path}: not a frame name, expected {FRAME_PATTERN.format(0)}, "
+                f"{FRAME_PATTERN.format(1)}, ..."
+            )
+        paths[int(match[1])] = path
     if not paths:
         raise DataError(f"{directory}: no frames found (*.pgm)")
-    return paths
+    for index in range(len(paths)):
+        if index not in paths:
+            raise DataError(
+                f"{frame_path(directory, index)}: missing, the sequence has a gap"
+            )
+    return [paths[index] for index in range(len(paths))]
 
 
 def read_sequence(directory) -> list[np.ndarray]:

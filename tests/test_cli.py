@@ -109,6 +109,26 @@ class TestDetect:
         assert code == 3
         assert "frame_000001" in err
 
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["frame_000000.pgm", "frame_000001.pgm", "frame_000003.pgm"],
+             "frame_000002.pgm: missing"),
+            (["frame_000000.pgm", "frame_000001.pgm", "frame_2.pgm"],
+             "frame_2.pgm: not a frame name"),
+        ],
+    )
+    def test_gap_or_stray_name_exits_3(self, tmp_path, capsys, names, message):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for name in names:
+            write_pgm(seq / name, np.zeros((9, 9), dtype=np.uint8))
+        out = tmp_path / "o.csv"
+        code, _, err = run(["detect", str(seq), "--out", str(out)], capsys)
+        assert code == 3
+        assert message in err
+        assert not out.exists()
+
     def test_dimension_drift_exits_3(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         seq.mkdir()

@@ -1,0 +1,77 @@
+"""CollisionDetector: reused layer buffers and per-frame allocations."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from clgmd.competition import accumulate_quadrants, normalize
+from clgmd.detector import CollisionDetector
+from clgmd.layers import (
+    CoreParams,
+    Frame,
+    compute_g_layer,
+    compute_inhibition,
+    compute_p_layer,
+    compute_s_layer,
+)
+
+
+def stress_frames(height, width, count=40):
+    """Noise frames of varying contrast, with all-0 and all-255 frames among
+    them, so a stale pad border or a wrongly swapped P buffer changes the
+    potentials."""
+    rng = np.random.default_rng(height * 1000 + width)
+    frames = []
+    for index in range(count):
+        if index in (7, 21, 22):
+            lum = np.zeros((height, width), dtype=np.uint8)
+        elif index in (8, 9, 30):
+            lum = np.full((height, width), 255, dtype=np.uint8)
+        else:
+            amplitude = int(rng.integers(8, 256))
+            lum = rng.integers(0, amplitude, (height, width)).astype(np.uint8)
+        frames.append(Frame(index, lum))
+    return frames
+
+
+@pytest.mark.parametrize("delay", [0, 1])
+@pytest.mark.parametrize("height,width", [(100, 100), (23, 37)])
+def test_reused_buffers_match_fresh_layers(height, width, delay):
+    core = CoreParams(inhibition_delay=delay)
+    detector = CollisionDetector(width, height, core=core)
+    frames = stress_frames(height, width)
+    assert detector.process(frames[0]) is None
+    prev_p = None
+    for prev, curr in zip(frames, frames[1:]):
+        p = compute_p_layer(prev, curr)
+        i = compute_inhibition(p, p if prev_p is None else prev_p, detector.kernel, core)
+        g = compute_g_layer(compute_s_layer(p, i), core)
+        want = normalize(*accumulate_quadrants(g, detector.mask), detector.norm)
+        got = detector.process(curr).potentials
+        assert got == want, f"frame {curr.index}"
+        prev_p = p
+
+
+@pytest.mark.parametrize("height,width", [(100, 100), (240, 320)])
+def test_steady_state_frame_allocates_under_three_grids(height, width):
+    rng = np.random.default_rng(0)
+    frames = [
+        Frame(i, rng.integers(0, 256, (height, width), dtype=np.uint8)) for i in range(8)
+    ]
+    detector = CollisionDetector(width, height, core=CoreParams(inhibition_delay=1))
+    for frame in frames[:4]:
+        detector.process(frame)
+    grid_bytes = height * width * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for frame in frames[4:]:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            detector.process(frame)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / grid_bytes)
+    finally:
+        tracemalloc.stop()
+    print(f"peak new allocation per frame, in grids: {max(peaks):.2f}")
+    assert max(peaks) < 3.0

@@ -109,3 +109,22 @@ class TestSequence:
             )
         frames = read_sequence(tmp_path)
         assert [int(f[0, 0]) for f in frames] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "indices,missing", [((0, 1, 3), "frame_000002.pgm"), ((1, 2), "frame_000000.pgm")]
+    )
+    def test_gap_names_missing_frame(self, tmp_path, indices, missing):
+        for i in indices:
+            write_pgm(frame_path(tmp_path, i), np.zeros((5, 5), dtype=np.uint8))
+        with pytest.raises(DataError, match=f"{missing}: missing"):
+            list_sequence(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name", ["background.pgm", "frame_1.pgm", "frame_0000001.pgm", "frame_00000a.pgm"]
+    )
+    def test_stray_pgm_name_rejected(self, tmp_path, name):
+        for i in (0, 1):
+            write_pgm(frame_path(tmp_path, i), np.zeros((5, 5), dtype=np.uint8))
+        write_pgm(tmp_path / name, np.zeros((5, 5), dtype=np.uint8))
+        with pytest.raises(DataError, match=f"{name}: not a frame name"):
+            list_sequence(tmp_path)
