@@ -11,7 +11,6 @@ from .competition import (
     DetectorState,
     NormParams,
     Quadrant,
-    QuadrantMask,
     accumulate_quadrants,
     build_quadrant_mask,
     normalize,
@@ -49,8 +48,6 @@ from .steering import (
     select_quietest,
 )
 from .stimulus import (
-    DEFAULT_NOISE_AMPLITUDE,
-    Box,
     CameraModel,
     Direction,
     ScenarioSpec,
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "Box",
     "CLgmdPotentials",
     "CameraModel",
     "ClgmdError",
@@ -76,7 +72,6 @@ __all__ = [
     "DetectionResult",
     "DetectorState",
     "Direction",
-    "DEFAULT_NOISE_AMPLITUDE",
     "EscapeCommand",
     "Frame",
     "InhibitionKernel",
@@ -85,7 +80,6 @@ __all__ = [
     "Outcome",
     "Placement",
     "Quadrant",
-    "QuadrantMask",
     "ScenarioSpec",
     "Scene",
     "Sphere",

@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a non-finite value is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _override_mapping(pairs: list[str]) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for pair in pairs:
@@ -166,17 +177,24 @@ def build_parser() -> _Parser:
         choices=[d.value for d in Direction],
         default=Direction.HEAD_ON.value,
     )
-    generate.add_argument("--speed", type=float, default=1.2, help="m/s, <0 recedes")
-    generate.add_argument("--distance", type=float, default=4.0, help="start distance m")
+    generate.add_argument(
+        "--speed", type=_finite_float, default=1.2, help="m/s, <0 recedes"
+    )
+    generate.add_argument(
+        "--distance", type=_finite_float, default=4.0, help="start distance m"
+    )
     generate.add_argument("--frames", type=int, default=120)
-    generate.add_argument("--fps", type=float, default=50.0)
+    generate.add_argument("--fps", type=_finite_float, default=50.0)
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument(
-        "--noise", type=float, default=0.0, help="uniform noise amplitude, try 5.0"
+        "--noise",
+        type=_finite_float,
+        default=0.0,
+        help="uniform noise amplitude, try 5.0",
     )
     generate.add_argument("--width", type=int, default=100)
     generate.add_argument("--height", type=int, default=100)
-    generate.add_argument("--hfov-deg", type=float, default=90.0)
+    generate.add_argument("--hfov-deg", type=_finite_float, default=90.0)
     generate.set_defaults(func=cmd_generate)
 
     simulate = sub.add_parser(

@@ -27,35 +27,7 @@ class Quadrant(enum.IntEnum):
     RIGHT = 3
 
 
-@dataclass(frozen=True)
-class QuadrantMask:
-    """Per-pixel assignment of the frame to the four diagonal fields."""
-
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        lab = np.asarray(self.labels)
-        if lab.ndim != 2:
-            raise InputError(f"labels must be 2-D, got shape {lab.shape}")
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    def region(self, quadrant: Quadrant) -> np.ndarray:
-        """Boolean mask of the pixels labelled with ``quadrant``."""
-        return self.labels == int(quadrant)
-
-    def counts(self) -> dict[Quadrant, int]:
-        return {q: int(np.count_nonzero(self.labels == int(q))) for q in Quadrant}
-
-
-def build_quadrant_mask(width: int, height: int) -> QuadrantMask:
+def build_quadrant_mask(width: int, height: int) -> np.ndarray:
     """Label every pixel UP, DOWN, LEFT or RIGHT along the image diagonals.
 
     In normalized coordinates u = x/(width-1), v = y/(height-1) with v = 0
@@ -63,7 +35,8 @@ def build_quadrant_mask(width: int, height: int) -> QuadrantMask:
     DOWN strictly below both, LEFT is the closed band between them on the
     left half (u < 0.5), and RIGHT is everything else.  The comparisons
     are done with integer cross-multiplication, so boundary pixels land
-    deterministically and symmetric pixels compare exactly.
+    deterministically and symmetric pixels compare exactly.  The labels
+    are a (height, width) uint8 array of ``Quadrant`` values.
     """
     if width < 5 or height < 5:
         raise InputError(f"mask needs at least 5x5 pixels, got {width}x{height}")
@@ -79,23 +52,23 @@ def build_quadrant_mask(width: int, height: int) -> QuadrantMask:
     labels[~(up | down) & left_half] = int(Quadrant.LEFT)
     labels[up] = int(Quadrant.UP)
     labels[down] = int(Quadrant.DOWN)
-    return QuadrantMask(labels)
+    return labels
 
 
 def accumulate_quadrants(
-    g: Grid, mask: QuadrantMask
+    g: Grid, labels: np.ndarray
 ) -> tuple[float, float, float, float, float]:
-    """Sum |G| per field and return (u0, d0, l0, r0, k_f0).
+    """Sum |G| per field of ``labels`` and return (u0, d0, l0, r0, k_f0).
 
     The whole-field sum k_f0 is formed as the sum of the four field sums,
     so the decomposition identity holds exactly.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != mask.labels.shape:
+    if g.shape != labels.shape:
         raise InputError(
-            f"grid shape {g.shape} does not match mask shape {mask.labels.shape}"
+            f"grid shape {g.shape} does not match mask shape {labels.shape}"
         )
-    sums = np.bincount(mask.labels.ravel(), weights=np.abs(g).ravel(), minlength=4)
+    sums = np.bincount(labels.ravel(), weights=np.abs(g).ravel(), minlength=4)
     u0 = float(sums[int(Quadrant.UP)])
     d0 = float(sums[int(Quadrant.DOWN)])
     l0 = float(sums[int(Quadrant.LEFT)])
@@ -153,10 +126,6 @@ class CLgmdPotentials:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.u, self.d, self.l, self.r)
 
-    def leading(self) -> Quadrant:
-        """Field with the largest potential (first wins on ties)."""
-        return Quadrant(int(np.argmax(self.as_tuple())))
-
 
 def normalize(
     u0: float, d0: float, l0: float, r0: float, k_f0: float, params: NormParams
@@ -183,24 +152,22 @@ def normalize(
 
 @dataclass(frozen=True)
 class DetectorState:
-    """Rolling spike window and the confirmation flag for one stream."""
+    """Length of the current spike run and the confirmation flag."""
 
-    spike_history: tuple[int, ...] = ()
+    spike_run: int = 0
     collision_confirmed: bool = False
 
 
 def update_spike_state(
     kappa: float, params: NormParams, state: DetectorState
 ) -> DetectorState:
-    """Push this frame's spike bit and re-evaluate collision confirmation.
+    """Extend or reset the spike run and re-evaluate collision confirmation.
 
     A spike fires when kappa >= t_s; the collision flag is set exactly when
-    the last n_sp bits are all spikes, so any sub-threshold frame resets
-    the run.
+    the last n_sp frames all spiked, so any sub-threshold frame resets the
+    run.
     """
     if not 0.0 <= kappa <= 255.0:
         raise InputError(f"kappa must lie in [0, 255], got {kappa}")
-    spike = 1 if kappa >= params.t_s else 0
-    history = (state.spike_history + (spike,))[-params.n_sp :]
-    confirmed = len(history) == params.n_sp and all(history)
-    return DetectorState(spike_history=history, collision_confirmed=confirmed)
+    run = state.spike_run + 1 if kappa >= params.t_s else 0
+    return DetectorState(spike_run=run, collision_confirmed=run >= params.n_sp)

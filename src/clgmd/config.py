@@ -71,7 +71,7 @@ class _Builders:
     def norm_params(self, width: int | None = None, height: int | None = None) -> NormParams:
         width = width if width is not None else self.width
         height = height if height is not None else self.height
-        return NormParams(n_cell=width * height, **self._pick(NormParams))
+        return NormParams.for_resolution(width, height, **self._pick(NormParams))
 
     def steering_params(self) -> SteeringParams:
         return SteeringParams(**self._pick(SteeringParams))

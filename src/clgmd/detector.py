@@ -17,7 +17,6 @@ from .competition import (
     CLgmdPotentials,
     DetectorState,
     NormParams,
-    QuadrantMask,
     accumulate_quadrants,
     build_quadrant_mask,
     normalize,
@@ -64,7 +63,7 @@ class CollisionDetector:
             norm if norm is not None else NormParams.for_resolution(width, height)
         )
         self.kernel = InhibitionKernel()
-        self.mask: QuadrantMask = build_quadrant_mask(width, height)
+        self.mask = build_quadrant_mask(width, height)
         self._prev_frame: Frame | None = None
         # P is double-buffered: each frame writes P into the first grid and
         # then swaps them, so the previous P, which inhibition reads when
@@ -97,7 +96,7 @@ class CollisionDetector:
         u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self.mask)
         potentials = normalize(u0, d0, l0, r0, k_f0, self.norm)
         self.state = update_spike_state(potentials.kappa, self.norm, self.state)
-        spike = bool(self.state.spike_history and self.state.spike_history[-1])
+        spike = self.state.spike_run > 0
         self._prev_frame = frame
         self._p_grids.reverse()
         self._prev_p = p

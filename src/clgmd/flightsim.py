@@ -237,16 +237,6 @@ class TrialTrace:
         last = self.final_state.position
         return (last[0] - first[0], last[1] - first[1], last[2] - first[2])
 
-    def escape_count(self) -> int:
-        """Number of fresh confirmations (confirmed flag rising edges)."""
-        count = 0
-        previous = 0
-        for rec in self.records:
-            if rec.confirmed and not previous:
-                count += 1
-            previous = rec.confirmed
-        return count
-
 
 def run_trial(config: TrialConfig) -> TrialTrace:
     """Render, detect, steer and integrate until the trial resolves."""

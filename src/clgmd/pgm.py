@@ -23,13 +23,14 @@ MANIFEST_NAME = "manifest.txt"
 
 
 def write_pgm(path, image: np.ndarray) -> None:
+    """Write one P5 frame; values of any other dtype are rounded half to even."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise DataError(f"image must be 2-D, got shape {img.shape}")
     if img.dtype != np.uint8:
-        if img.min() < 0 or img.max() > 255:
-            raise DataError("image values must fit in [0, 255]")
-        img = img.astype(np.uint8)
+        if not np.all((img >= 0) & (img <= 255)):
+            raise DataError("image values must be finite and fit in [0, 255]")
+        img = np.rint(img).astype(np.uint8)
     height, width = img.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
@@ -131,24 +132,6 @@ def list_sequence(directory) -> list[Path]:
                 f"{frame_path(directory, index)}: missing, the sequence has a gap"
             )
     return [paths[index] for index in range(len(paths))]
-
-
-def read_sequence(directory) -> list[np.ndarray]:
-    """All frames in order; dimension drift mid-sequence is rejected."""
-    paths = list_sequence(directory)
-    frames = []
-    shape = None
-    for path in paths:
-        img = read_pgm(path)
-        if shape is None:
-            shape = img.shape
-        elif img.shape != shape:
-            raise DataError(
-                f"{path}: frame is {img.shape[1]}x{img.shape[0]}, "
-                f"sequence started at {shape[1]}x{shape[0]}"
-            )
-        frames.append(img)
-    return frames
 
 
 def write_csv(path, columns, rows, verbatim=()) -> int:

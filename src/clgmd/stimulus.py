@@ -1,7 +1,7 @@
 """Synthetic grayscale stimuli: looming, receding and side-entry approaches.
 
 A pinhole camera looks along +x (+y left, +z up).  Scenes hold flat
-shaded primitives; a pixel takes an object's luminance exactly when the
+shaded spheres; a pixel takes an object's luminance exactly when the
 ray through the pixel center hits it, nearest object first.  Scenario
 builders move a sphere along a straight constant-bearing line toward the
 camera so the silhouette expands in place inside one quadrant of the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,60 +77,17 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class Box:
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    luminance: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", finite_vec3(self.center, "center"))
-        object.__setattr__(self, "size", finite_vec3(self.size, "size"))
-        if any(s <= 0 for s in self.size):
-            raise ConfigError(f"box size must be positive, got {self.size}")
-        _check_luminance(self.luminance, "luminance")
-
-    def clearance(self, point: np.ndarray) -> float:
-        """Signed distance from ``point`` to the surface, negative inside."""
-        excess = np.abs(np.asarray(self.center) - point) - np.asarray(self.size) / 2.0
-        outside = float(np.linalg.norm(np.maximum(excess, 0.0)))
-        return outside + min(float(excess.max()), 0.0)
-
-    def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.center) - np.asarray(self.size) / 2.0
-        hi = np.asarray(self.center) + np.asarray(self.size) / 2.0
-        t_near = np.full(dirs.shape[:2], -np.inf)
-        t_far = np.full(dirs.shape[:2], np.inf)
-        ok = np.ones(dirs.shape[:2], dtype=bool)
-        for axis in range(3):
-            d = dirs[..., axis]
-            nonzero = d != 0.0
-            if not lo[axis] <= origin[axis] <= hi[axis]:
-                ok &= nonzero
-            safe = np.where(nonzero, d, 1.0)
-            t1 = (lo[axis] - origin[axis]) / safe
-            t2 = (hi[axis] - origin[axis]) / safe
-            t_near = np.maximum(t_near, np.where(nonzero, np.minimum(t1, t2), -np.inf))
-            t_far = np.minimum(t_far, np.where(nonzero, np.maximum(t1, t2), np.inf))
-        hit = ok & (t_near <= t_far) & (t_far > 0.0)
-        t = np.where(t_near > 0.0, t_near, t_far)
-        return np.where(hit, t, np.inf)
-
-
-Primitive = Sphere | Box
-
-
-@dataclass(frozen=True)
 class Scene:
-    """Flat-shaded primitives over a uniform background."""
+    """Flat-shaded spheres over a uniform background."""
 
-    objects: tuple[Primitive, ...] = ()
+    objects: tuple[Sphere, ...] = ()
     background: float = 32.0
     noise_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
         for obj in self.objects:
-            if not isinstance(obj, Primitive):
+            if not isinstance(obj, Sphere):
                 raise ConfigError(f"unsupported obstacle type: {type(obj).__name__}")
         _check_luminance(self.background, "background")
         if self.noise_amplitude < 0:

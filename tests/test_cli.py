@@ -52,6 +52,17 @@ class TestGenerate:
         assert code == 1
         assert "distance" in err
 
+    @pytest.mark.parametrize(
+        "option", ["--speed", "--distance", "--fps", "--noise", "--hfov-deg"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_exits_1(self, tmp_path, capsys, option, value):
+        out = tmp_path / "x"
+        code, _, err = run(["generate", str(out), f"{option}={value}"], capsys)
+        assert code == 1
+        assert f"argument {option}: must be finite, got '{value}'" in err
+        assert not out.exists()
+
     def test_bad_direction_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
             ["generate", str(tmp_path / "x"), "--direction", "diagonal"], capsys

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clgmd.competition import (
-    CLgmdPotentials,
     DetectorState,
     NormParams,
     Quadrant,
@@ -22,45 +21,50 @@ from clgmd.errors import ConfigError, InputError
 from oracles import region_sums
 
 
+def counts(width, height):
+    labels = build_quadrant_mask(width, height)
+    return {q: int(np.count_nonzero(labels == q)) for q in Quadrant}
+
+
 class TestMask:
     def test_known_pixels_100x100(self):
-        mask = build_quadrant_mask(100, 100)
-        assert mask.labels[5, 50] == Quadrant.UP  # (x=50, y=5)
-        assert mask.labels[50, 5] == Quadrant.LEFT  # (x=5, y=50)
-        assert mask.labels[95, 50] == Quadrant.DOWN
-        assert mask.labels[50, 95] == Quadrant.RIGHT
+        labels = build_quadrant_mask(100, 100)
+        assert labels.dtype == np.uint8 and labels.shape == (100, 100)
+        assert labels[5, 50] == Quadrant.UP  # (x=50, y=5)
+        assert labels[50, 5] == Quadrant.LEFT  # (x=5, y=50)
+        assert labels[95, 50] == Quadrant.DOWN
+        assert labels[50, 95] == Quadrant.RIGHT
 
     def test_partition_is_total_7x7(self):
-        counts = build_quadrant_mask(7, 7).counts()
-        assert sum(counts.values()) == 49
+        assert sum(counts(7, 7).values()) == 49
 
     def test_up_down_counts_always_equal(self):
         for w, h in ((6, 6), (7, 7), (100, 100), (13, 9), (10, 11)):
-            counts = build_quadrant_mask(w, h).counts()
-            assert counts[Quadrant.UP] == counts[Quadrant.DOWN]
+            n = counts(w, h)
+            assert n[Quadrant.UP] == n[Quadrant.DOWN]
 
     def test_left_right_counts_equal_for_even_width(self):
         for w, h in ((6, 6), (100, 100), (8, 11), (20, 7)):
-            counts = build_quadrant_mask(w, h).counts()
-            assert counts[Quadrant.LEFT] == counts[Quadrant.RIGHT]
+            n = counts(w, h)
+            assert n[Quadrant.LEFT] == n[Quadrant.RIGHT]
 
     def test_odd_width_center_column_goes_right(self):
         # the u = 0.5 column cannot split evenly; its band pixels land RIGHT
-        counts = build_quadrant_mask(7, 7).counts()
-        assert counts[Quadrant.RIGHT] == counts[Quadrant.LEFT] + 1
+        n = counts(7, 7)
+        assert n[Quadrant.RIGHT] == n[Quadrant.LEFT] + 1
 
     def test_rotation_maps_quadrants_even_dims(self):
-        lab = build_quadrant_mask(100, 100).labels
+        lab = build_quadrant_mask(100, 100)
         swap = np.array([Quadrant.DOWN, Quadrant.UP, Quadrant.RIGHT, Quadrant.LEFT])
         assert np.array_equal(swap[np.rot90(lab, 2)], lab)
 
     def test_mirror_swaps_left_right_even_width(self):
-        lab = build_quadrant_mask(64, 48).labels
+        lab = build_quadrant_mask(64, 48)
         swap = np.array([Quadrant.UP, Quadrant.DOWN, Quadrant.RIGHT, Quadrant.LEFT])
         assert np.array_equal(swap[lab[:, ::-1]], lab)
 
     def test_rotation_odd_dims_exact_off_center(self):
-        lab = build_quadrant_mask(9, 9).labels
+        lab = build_quadrant_mask(9, 9)
         swap = np.array([Quadrant.DOWN, Quadrant.UP, Quadrant.RIGHT, Quadrant.LEFT])
         mapped = swap[np.rot90(lab, 2)]
         mismatch = np.argwhere(mapped != lab)
@@ -81,12 +85,12 @@ class TestAccumulate:
     def test_ones_give_region_counts(self):
         mask = build_quadrant_mask(16, 16)
         u0, d0, l0, r0, k = accumulate_quadrants(np.ones((16, 16)), mask)
-        counts = mask.counts()
+        n = counts(16, 16)
         assert (u0, d0, l0, r0) == (
-            counts[Quadrant.UP],
-            counts[Quadrant.DOWN],
-            counts[Quadrant.LEFT],
-            counts[Quadrant.RIGHT],
+            n[Quadrant.UP],
+            n[Quadrant.DOWN],
+            n[Quadrant.LEFT],
+            n[Quadrant.RIGHT],
         )
         assert k == 256.0
 
@@ -95,7 +99,7 @@ class TestAccumulate:
         mask = build_quadrant_mask(16, 16)
         g = rng.uniform(-90.0, 90.0, (16, 16))
         u0, d0, l0, r0, k = accumulate_quadrants(g, mask)
-        want = region_sums(g, mask.labels)
+        want = region_sums(g, mask)
         assert (u0, d0, l0, r0) == pytest.approx(want, rel=1e-12)
 
     def test_uses_magnitudes(self):
@@ -132,7 +136,7 @@ class TestAccumulate:
         g = np.zeros((10, 10))
         base = accumulate_quadrants(g, mask)
         g2 = g.copy()
-        g2[mask.region(Quadrant.LEFT)] += 5.0
+        g2[mask == Quadrant.LEFT] += 5.0
         bumped = accumulate_quadrants(g2, mask)
         assert bumped[2] > base[2]
         assert bumped[0] == base[0] and bumped[1] == base[1] and bumped[3] == base[3]
@@ -259,9 +263,6 @@ class TestSpikeState:
                 run += 1
             else:
                 break
+        assert state.spike_run == run
         assert state.collision_confirmed == (run >= 3)
 
-
-def test_potentials_leading_field():
-    p = CLgmdPotentials(k_f0=10, kappa=100, u=10, d=50, l=30, r=10)
-    assert p.leading() == Quadrant.DOWN

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from clgmd.competition import NormParams
@@ -20,7 +19,7 @@ from clgmd.flightsim import (
     step_vehicle,
     write_trace_csv,
 )
-from clgmd.stimulus import Box, CameraModel, Scene, Sphere
+from clgmd.stimulus import Scene, Sphere
 
 from oracles import first_order_response
 
@@ -86,17 +85,6 @@ class TestCheckCollision:
         assert check_collision(state, self.SCENE, margin=0.1)
         state = VehicleState(position=(4.0 - 0.41, 0.0, 0.0))
         assert not check_collision(state, self.SCENE, margin=0.1)
-
-    def test_box_clearance(self):
-        scene = Scene(objects=(Box((2.0, 0.0, 0.0), (1.0, 1.0, 1.0), 100.0),))
-        inside = VehicleState(position=(2.2, 0.1, -0.2))
-        surface = VehicleState(position=(2.5, 0.0, 0.0))
-        near = VehicleState(position=(2.55, 0.0, 0.0))
-        far = VehicleState(position=(3.0, 0.0, 0.0))
-        assert check_collision(inside, scene, margin=0.0)
-        assert check_collision(surface, scene, margin=0.0)
-        assert check_collision(near, scene, margin=0.1)
-        assert not check_collision(far, scene, margin=0.1)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(InputError):
@@ -178,7 +166,6 @@ class TestRunTrial:
         )
         trace = run_trial(cfg)
         assert trace.outcome == Outcome.AVOIDED
-        assert trace.escape_count() == 0
         assert all(rec.cmd_axis == "" for rec in trace.records)
 
     def test_disabled_detector_collides_centered(self):

@@ -9,7 +9,6 @@ from clgmd.pgm import (
     frame_path,
     list_sequence,
     read_pgm,
-    read_sequence,
     write_pgm,
     write_sequence,
 )
@@ -63,8 +62,19 @@ class TestSingleFile:
             read_pgm(path)
 
     def test_write_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(DataError):
-            write_pgm(tmp_path / "x.pgm", np.full((5, 5), 300.0))
+        path = tmp_path / "x.pgm"
+        for value in (300.0, np.nan, np.inf, -np.inf, -0.5, 255.5):
+            img = np.full((5, 5), 7.0)
+            img[2, 3] = value
+            with pytest.raises(DataError, match="finite and fit in"):
+                write_pgm(path, img)
+            assert not path.exists()
+
+    def test_write_rounds_floats_half_to_even(self, tmp_path):
+        values = np.array([[3.7, 3.2, 254.5, 0.5, 1.5]] * 5)
+        path = tmp_path / "x.pgm"
+        write_pgm(path, values)
+        assert read_pgm(path)[0].tolist() == [4, 3, 254, 0, 2]
 
 
 class TestSequence:
@@ -80,7 +90,7 @@ class TestSequence:
             "frame_000003.pgm",
         ]
         assert (out / MANIFEST_NAME).read_text() == "speed=1.2\nframes=4\n"
-        back = read_sequence(out)
+        back = [read_pgm(path) for path in list_sequence(out)]
         assert len(back) == 4
         assert all(np.array_equal(a, b) for a, b in zip(imgs, back))
 
@@ -95,19 +105,13 @@ class TestSequence:
         with pytest.raises(DataError, match="not a directory"):
             list_sequence(tmp_path / "nope")
 
-    def test_dimension_drift_names_offender(self, tmp_path):
-        write_pgm(tmp_path / "frame_000000.pgm", np.zeros((8, 8), dtype=np.uint8))
-        write_pgm(tmp_path / "frame_000001.pgm", np.zeros((8, 9), dtype=np.uint8))
-        with pytest.raises(DataError, match="frame_000001"):
-            read_sequence(tmp_path)
-
     def test_frames_sorted_by_name(self, tmp_path):
         for i in (2, 0, 1):
             write_pgm(
                 tmp_path / f"frame_{i:06d}.pgm",
                 np.full((5, 5), i, dtype=np.uint8),
             )
-        frames = read_sequence(tmp_path)
+        frames = [read_pgm(path) for path in list_sequence(tmp_path)]
         assert [int(f[0, 0]) for f in frames] == [0, 1, 2]
 
     @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from clgmd.competition import Quadrant, build_quadrant_mask
 from clgmd.errors import ConfigError, InputError
 from clgmd.stimulus import (
-    Box,
     CameraModel,
     Direction,
     ScenarioSpec,
@@ -61,7 +60,7 @@ class TestRenderFrame:
         assert obj.any()
         ys, xs = np.nonzero(obj)
         col, row = xs.mean(), ys.mean()
-        assert mask.labels[int(round(row)), int(round(col))] == Quadrant.LEFT
+        assert mask[int(round(row)), int(round(col))] == Quadrant.LEFT
         col_pred, row_pred = CAM.project((3.0, 1.8, 0.0))
         assert col == pytest.approx(col_pred, abs=1.0)
         assert row == pytest.approx(row_pred, abs=1.0)
@@ -76,23 +75,6 @@ class TestRenderFrame:
         far = Sphere((4.0, 0.0, 0.0), 0.3, 90.0)
         frame = render_frame(Scene(objects=(far, near)), CAM)
         assert frame.luminance[50, 50] == 200
-
-    def test_box_occludes_sphere_behind(self):
-        box = Box((2.0, 0.0, 0.0), (0.4, 0.8, 0.8), 150.0)
-        sphere = Sphere((5.0, 0.0, 0.0), 0.3, 220.0)
-        frame = render_frame(Scene(objects=(sphere, box)), CAM)
-        assert frame.luminance[50, 50] == 150
-
-    def test_box_silhouette_is_rectangular(self):
-        box = Box((2.0, 0.0, 0.0), (0.4, 1.0, 0.5), 150.0)
-        frame = render_frame(Scene(objects=(box,)), CAM)
-        obj = object_pixels(frame, 32.0)
-        ys, xs = np.nonzero(obj)
-        # the bounding rectangle is fully painted
-        assert np.all(obj[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1])
-        width = xs.max() - xs.min() + 1
-        height = ys.max() - ys.min() + 1
-        assert width / height == pytest.approx(2.0, abs=0.1)
 
     def test_deterministic_with_noise(self):
         scene = Scene(objects=(Sphere((3.0, 0.0, 0.0), 0.3, 200.0),), noise_amplitude=5.0)
@@ -126,8 +108,6 @@ class TestValidation:
             Sphere((1, 0, 0), -0.1, 100.0)
         with pytest.raises(ConfigError):
             Sphere((1, 0, 0), 0.1, 300.0)
-        with pytest.raises(ConfigError):
-            Box((1, 0, 0), (0.1, -0.1, 0.1), 100.0)
         with pytest.raises(ConfigError):
             Scene(background=-5.0)
         with pytest.raises(ConfigError):
@@ -193,7 +173,7 @@ class TestScenarios:
             total = int(np.count_nonzero(obj))
             if total == 0:
                 continue
-            inside = int(np.count_nonzero(obj & mask.region(Quadrant.LEFT)))
+            inside = int(np.count_nonzero(obj & (mask == Quadrant.LEFT)))
             assert inside / total >= 0.8
             checked += 1
         assert checked > 0
@@ -214,7 +194,7 @@ class TestScenarios:
                 if obj.any():
                     ys, xs = np.nonzero(obj)
                     row, col = int(round(ys.mean())), int(round(xs.mean()))
-                    assert mask.labels[row, col] == quadrant
+                    assert mask[row, col] == quadrant
                     break
             else:
                 pytest.fail(f"object never appeared for {direction}")
@@ -262,25 +242,17 @@ class TestScenarios:
 _COORD = st.one_of(st.integers(-16, 16).map(lambda k: k / 4.0), st.floats(-4.0, 4.0))
 _EXTENT = st.one_of(st.integers(1, 8).map(lambda k: k / 4.0), st.floats(0.01, 4.0))
 _VEC3 = st.tuples(_COORD, _COORD, _COORD)
-_PRIMITIVE = st.one_of(
-    st.builds(Sphere, _VEC3, _EXTENT, st.just(200.0)),
-    st.builds(Box, _VEC3, st.tuples(_EXTENT, _EXTENT, _EXTENT), st.just(200.0)),
-)
+_SPHERE = st.builds(Sphere, _VEC3, _EXTENT, st.just(200.0))
 
 
-def reference_inside_and_gap(obj, point):
-    """Strict containment and the unsigned distance to the solid, per primitive."""
-    if isinstance(obj, Sphere):
-        dist = float(np.linalg.norm(np.asarray(obj.center) - point))
-        return dist < obj.radius, dist - obj.radius
-    rel = np.abs(np.asarray(obj.center) - point)
-    half = np.asarray(obj.size) / 2.0
-    gap = float(np.linalg.norm(np.maximum(rel - half, 0.0)))
-    return bool(np.all(rel < half)), gap
+def reference_inside_and_gap(sphere, point):
+    """Strict containment and the unsigned distance to the solid sphere."""
+    dist = float(np.linalg.norm(np.asarray(sphere.center) - point))
+    return dist < sphere.radius, dist - sphere.radius
 
 
 class TestClearance:
-    @given(obj=_PRIMITIVE, point=_VEC3)
+    @given(obj=_SPHERE, point=_VEC3)
     @settings(max_examples=500, deadline=None)
     def test_matches_reference_formulas(self, obj, point):
         point = np.asarray(point)
@@ -289,8 +261,3 @@ class TestClearance:
         assert (clearance < 0) == inside
         if not inside:
             assert clearance == gap
-
-    def test_box_inside_is_distance_to_nearest_face(self):
-        box = Box((0.0, 0.0, 0.0), (2.0, 4.0, 6.0), 100.0)
-        assert box.clearance(np.array([0.5, 0.0, 0.0])) == -0.5
-        assert box.clearance(np.array([0.0, 0.0, 0.0])) == -1.0
