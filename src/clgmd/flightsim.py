@@ -23,7 +23,14 @@ from .errors import ConfigError, InputError
 from .layers import CoreParams
 from .pgm import write_csv
 from .steering import EscapeCommand, SteeringParams, command_to_setpoint, select_escape
-from .stimulus import CameraModel, Scene, Sphere, finite_vec3, render_frame
+from .stimulus import (
+    CameraModel,
+    Scene,
+    Sphere,
+    check_reach,
+    finite_vec3,
+    render_frame,
+)
 
 Vec3 = tuple[float, float, float]
 
@@ -179,6 +186,12 @@ class TrialConfig:
         start_gap = self.obstacle_distance - self.obstacle_radius - self.margin
         if self.placement is Placement.CENTERED and start_gap <= 0:
             raise ConfigError("obstacle overlaps the start position")
+        # The obstacle moves linearly, so its offset from the start is
+        # largest at one end of the trial.
+        for t in (0.0, self.max_duration):
+            center = self.obstacle_center(t)
+            offset = tuple(c - p for c, p in zip(center, self.camera.position))
+            check_reach(offset, self.obstacle_radius, self.camera)
 
     def obstacle_center(self, t: float = 0.0) -> Vec3:
         """Obstacle center at time t, placed relative to the start position."""

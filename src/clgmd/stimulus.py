@@ -113,6 +113,11 @@ class CameraModel:
             raise ConfigError(
                 f"resolution must be at least 5x5, got {self.width}x{self.height}"
             )
+        tan_half = math.tan(self.hfov / 2.0)
+        if tan_half == 0.0 or math.isinf(self.width / 2.0 / tan_half):
+            raise ConfigError(
+                f"hfov {self.hfov} is too narrow for a finite focal length"
+            )
 
     @property
     def focal_px(self) -> float:
@@ -124,8 +129,30 @@ class CameraModel:
         x, y, z = rel
         if x <= 0:
             return None
-        cx, cy = (self.width - 1) / 2.0, (self.height - 1) / 2.0
-        return (cx - self.focal_px * y / x, cy - self.focal_px * z / x)
+        return self._pixel(y / x, z / x)
+
+    def _pixel(self, y_slope: float, z_slope: float) -> tuple[float, float]:
+        """(column, row) where the ray (1, y_slope, z_slope) meets the image."""
+        cx, cy, f = (self.width - 1) / 2.0, (self.height - 1) / 2.0, self.focal_px
+        return cx - f * y_slope, cy - f * z_slope
+
+
+def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -> None:
+    """Raise ``error`` unless ray-casting a sphere at ``offset`` stays finite.
+
+    Every term of the ray quadratic in :meth:`Sphere.intersect` is at most
+    4·|d|²·(|offset|² + radius²) for the camera's longest ray direction d,
+    so twice that must be a finite float.
+    """
+    x, y, z = (float(v) for v in offset)
+    r = float(radius)
+    f2 = 4.0 * camera.focal_px * camera.focal_px
+    corner = ((camera.width - 1) ** 2 + (camera.height - 1) ** 2) / f2
+    if not math.isfinite(8.0 * (1.0 + corner) * (x * x + y * y + z * z + r * r)):
+        raise error(
+            f"a sphere of radius {r} at offset {(x, y, z)} from the camera "
+            "is too large to ray-cast"
+        )
 
 
 @functools.lru_cache(maxsize=8)
@@ -145,22 +172,70 @@ def _ray_grid(width: int, height: int, hfov: float) -> np.ndarray:
     return dirs
 
 
+def _slopes(x: float, v: float, radius: float, den: float) -> tuple[float, float]:
+    """Least and greatest s for which the line through the origin along
+    (1, s) passes within ``radius`` of (x, v), given den = x² − radius² > 0.
+
+    These are the roots of den·s² − 2·x·v·s + v² − radius², taken in the
+    form that subtracts no nearly equal terms.
+    """
+    b = x * v
+    q = b + math.copysign(radius * math.sqrt(den + v * v), b)
+    if q == 0.0:  # radius·sqrt(...) underflowed: no usable bound
+        return -math.inf, math.inf
+    s1, s2 = q / den, (v - radius) * (v + radius) / q
+    return min(s1, s2), max(s1, s2)
+
+
+def _span(lo: float, hi: float, n: int) -> slice:
+    """Indices in [lo, hi], either of which may be infinite, padded by one
+    on each side and clamped to range(n)."""
+    start = math.floor(min(max(lo, -2.0), n + 1.0)) - 1
+    stop = math.ceil(min(max(hi, -2.0), n + 1.0)) + 2
+    return slice(max(start, 0), min(stop, n))
+
+
+def _window(offset, radius: float, camera: CameraModel) -> tuple[slice, slice]:
+    """Rows and columns that hold every ray able to hit a sphere at ``offset``.
+
+    A ray (1, s, u) meets the sphere only if its shadows on the xy- and the
+    xz-plane pass within ``radius`` of the center's shadows, which bounds s
+    and u.  The one-pixel pad absorbs rounding in these bounds and in the
+    ray quadratic.  A sphere that reaches the camera plane bounds no slope,
+    so its window is the full grid.
+    """
+    x, y, z = offset
+    den = (x - radius) * (x + radius)
+    if not den > 0.0:
+        return slice(0, camera.height), slice(0, camera.width)
+    y_lo, y_hi = _slopes(x, y, radius, den)
+    z_lo, z_hi = _slopes(x, z, radius, den)
+    col_lo, row_lo = camera._pixel(y_hi, z_hi)
+    col_hi, row_hi = camera._pixel(y_lo, z_lo)
+    return _span(row_lo, row_hi, camera.height), _span(col_lo, col_hi, camera.width)
+
+
 def render_frame(
     scene: Scene, camera: CameraModel, index: int = 0, seed: int | None = None
 ) -> Frame:
-    """Render one frame; noise (if any) is keyed by (seed, index)."""
+    """Render one frame; noise (if any) is keyed by (seed, index).
+
+    Each sphere is ray-cast only over the window of pixels it can cover.
+    """
     origin = np.asarray(camera.position, dtype=np.float64)
-    for obj in scene.objects:
-        if obj.clearance(origin) < 0:
-            raise InputError(f"camera at {camera.position} is inside {obj!r}")
     dirs = _ray_grid(camera.width, camera.height, camera.hfov)
     img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
     best_t = np.full(img.shape, np.inf)
     for obj in scene.objects:
-        t = obj.intersect(origin, dirs)
-        closer = t < best_t
-        img[closer] = obj.luminance
-        best_t = np.minimum(best_t, t)
+        offset = tuple(c - o for c, o in zip(obj.center, camera.position))
+        check_reach(offset, obj.radius, camera, InputError)
+        if obj.clearance(origin) < 0:
+            raise InputError(f"camera at {camera.position} is inside {obj!r}")
+        rows, cols = _window(offset, obj.radius, camera)
+        t = obj.intersect(origin, dirs[rows, cols])
+        window_t = best_t[rows, cols]
+        img[rows, cols][t < window_t] = obj.luminance
+        np.minimum(window_t, t, out=window_t)
     if scene.noise_amplitude > 0.0:
         rng = np.random.default_rng((seed if seed is not None else 0, index))
         img += rng.uniform(
@@ -261,6 +336,7 @@ def make_scenario(
         raise InputError(
             f"start distance {spec.distance} is inside the standoff {standoff:.3f}"
         )
+    check_reach(start, spec.object_radius, camera)
     origin = np.asarray(camera.position, dtype=np.float64)
     span = float(np.linalg.norm(start))
     toward = -start / span

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from clgmd.layers import Frame
+from clgmd.stimulus import _ray_grid
+
 
 def naive_convolve(src: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Quadruple-loop 'same' convolution with zero padding."""
@@ -94,3 +97,21 @@ def first_order_response(setpoint: float, tau: float, t: float) -> tuple[float, 
 def sphere_projected_radius(f_px: float, radius: float, distance: float) -> float:
     """Analytic pinhole image radius of a sphere silhouette."""
     return f_px * radius / math.sqrt(distance * distance - radius * radius)
+
+
+def naive_render(scene, camera, index: int = 0, seed: int | None = None) -> np.ndarray:
+    """Luminance of a frame ray-cast over the full pixel grid, object by object."""
+    origin = np.asarray(camera.position, dtype=np.float64)
+    dirs = _ray_grid(camera.width, camera.height, camera.hfov)
+    img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
+    best_t = np.full(img.shape, np.inf)
+    for obj in scene.objects:
+        t = obj.intersect(origin, dirs)
+        closer = t < best_t
+        img[closer] = obj.luminance
+        best_t = np.minimum(best_t, t)
+    if scene.noise_amplitude > 0.0:
+        rng = np.random.default_rng((seed if seed is not None else 0, index))
+        amplitude = scene.noise_amplitude
+        img += rng.uniform(-amplitude, amplitude, size=img.shape)
+    return Frame(index=index, luminance=np.clip(img, 0.0, 255.0)).luminance

@@ -63,6 +63,16 @@ class TestGenerate:
         assert f"argument {option}: must be finite, got '{value}'" in err
         assert not out.exists()
 
+    def test_distance_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run(
+            ["generate", str(out), "--frames", "3", "--distance", "1e200"],
+            capsys,
+        )
+        assert code == 1
+        assert "too large to ray-cast" in err
+        assert not out.exists()
+
     def test_bad_direction_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
             ["generate", str(tmp_path / "x"), "--direction", "diagonal"], capsys
@@ -294,6 +304,15 @@ class TestConfigValues:
         assert code == 1
         assert f"{setting.split('=')[0]} must be finite" in err
         assert "OUTCOME" not in stdout
+
+    def test_obstacle_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        overrides = ["--set", "obstacle_distance=1e200", "--set", "arena_xmax=1e201"]
+        code, stdout, err = run(["simulate", *overrides, "--out", str(out)], capsys)
+        assert code == 1
+        assert "too large to ray-cast" in err
+        assert "OUTCOME" not in stdout
+        assert not out.exists()
 
     def test_seed_key_rejected(self, tmp_path, capsys):
         code, _, err = run(

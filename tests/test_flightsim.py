@@ -116,6 +116,17 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             TrialConfig(dt=1.9e-5)
 
+    def test_obstacle_too_far_to_ray_cast(self):
+        arena = (-1.0, 1e301, -3.0, 3.0, -3.0, 3.0)
+        with pytest.raises(ConfigError, match="too large to ray-cast"):
+            TrialConfig(obstacle_distance=1e200, arena=arena)
+        # in range at the start, out of range by the end of the trial
+        TrialConfig(obstacle_distance=1e150, arena=arena)
+        with pytest.raises(ConfigError, match="too large to ray-cast"):
+            TrialConfig(
+                obstacle_distance=1e150, obstacle_velocity=(1e300, 0, 0), arena=arena
+            )
+
     def test_placement_accepts_strings(self):
         assert TrialConfig(placement="up").placement is Placement.UP
 

@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clgmd.competition import Quadrant, build_quadrant_mask
@@ -17,11 +17,13 @@ from clgmd.stimulus import (
     Scene,
     Sphere,
     generate_sequence,
+    _ray_grid,
+    _window,
     make_scenario,
     render_frame,
 )
 
-from oracles import sphere_projected_radius
+from oracles import naive_render, sphere_projected_radius
 
 CAM = CameraModel()  # 100x100, 90 degree horizontal field of view
 
@@ -88,6 +90,11 @@ class TestRenderFrame:
         b = render_frame(scene, CAM, index=1, seed=9)
         assert not np.array_equal(a.luminance, b.luminance)
 
+    def test_sphere_too_far_to_ray_cast_rejected(self):
+        scene = Scene(objects=(Sphere((1e200, 0.0, 0.0), 0.3, 200.0),))
+        with pytest.raises(InputError, match="too large to ray-cast"):
+            render_frame(scene, CAM)
+
     def test_noise_stays_in_range(self):
         scene = Scene(noise_amplitude=30.0, background=250.0)
         frame = render_frame(scene, CAM, index=0, seed=1)
@@ -102,6 +109,8 @@ class TestValidation:
             CameraModel(hfov=math.pi)
         with pytest.raises(ConfigError):
             CameraModel(width=4)
+        with pytest.raises(ConfigError, match="finite focal length"):
+            CameraModel(hfov=1e-322)  # width / 2 / tan(hfov / 2) overflows
 
     def test_scene_primitives(self):
         with pytest.raises(ConfigError):
@@ -129,6 +138,10 @@ class TestValidation:
             ScenarioSpec(frames=-1)
         with pytest.raises(ConfigError):
             ScenarioSpec(entry_fraction=1.0)
+
+    def test_start_too_far_to_ray_cast_rejected(self):
+        with pytest.raises(ConfigError, match="too large to ray-cast"):
+            make_scenario(ScenarioSpec(distance=1e200, frames=1))
 
     def test_start_inside_standoff_rejected(self):
         with pytest.raises(InputError):
@@ -261,3 +274,71 @@ class TestClearance:
         assert (clearance < 0) == inside
         if not inside:
             assert clearance == gap
+
+
+# Spheres from behind the camera to well in front of it, across the camera
+# plane and off screen; quarter-unit values make rays graze silhouettes.
+_DEPTH = st.one_of(st.integers(-12, 32).map(lambda k: k / 4.0), st.floats(-3.0, 8.0))
+_SIDE = st.one_of(st.integers(-24, 24).map(lambda k: k / 4.0), st.floats(-6.0, 6.0))
+_RADIUS = st.one_of(st.integers(1, 8).map(lambda k: k / 4.0), st.floats(0.02, 2.0))
+_SPHERES = st.lists(
+    st.builds(Sphere, st.tuples(_DEPTH, _SIDE, _SIDE), _RADIUS, st.just(200.0)),
+    min_size=1,
+    max_size=3,
+)
+_CAMERAS = st.builds(
+    CameraModel,
+    position=st.tuples(*[st.integers(-4, 4).map(lambda k: k / 4.0)] * 3),
+    hfov=st.floats(0.2, 3.0),
+    width=st.integers(5, 64),
+    height=st.integers(5, 64),
+)
+
+
+class TestWindowedRender:
+    @given(
+        spheres=_SPHERES,
+        camera=_CAMERAS,
+        occluder=st.one_of(st.none(), st.floats(0.3, 0.9)),
+        noise=st.sampled_from([0.0, 5.0]),
+    )
+    @example(  # behind the camera
+        spheres=[Sphere((-2.0, 0.5, 0.0), 0.5, 200.0)],
+        camera=CAM,
+        occluder=None,
+        noise=0.0,
+    )
+    @example(  # across the camera plane: the full grid
+        spheres=[Sphere((0.0, 2.0, 1.0), 1.0, 200.0)],
+        camera=CAM,
+        occluder=None,
+        noise=0.0,
+    )
+    @example(  # partly off screen, partly hidden behind a nearer sphere
+        spheres=[Sphere((2.0, 2.0, 0.5), 0.75, 200.0)],
+        camera=CAM,
+        occluder=0.5,
+        noise=0.0,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_byte_equal_to_full_grid(self, spheres, camera, occluder, noise):
+        """The frame matches a full-grid cast, and the window holds every hit."""
+        origin = np.asarray(camera.position)
+        if occluder is not None:
+            # a smaller sphere part way along the line of sight to the first
+            center = origin + occluder * (np.asarray(spheres[0].center) - origin)
+            spheres = [*spheres, Sphere(center, 0.5 * spheres[0].radius, 90.0)]
+        assume(all(obj.clearance(origin) >= 0 for obj in spheres))
+        scene = Scene(objects=tuple(spheres), noise_amplitude=noise)
+        frame = render_frame(scene, camera, index=3, seed=1)
+        assert np.array_equal(frame.luminance, naive_render(scene, camera, 3, seed=1))
+        dirs = _ray_grid(camera.width, camera.height, camera.hfov)
+        for obj in spheres:
+            offset = tuple(c - p for c, p in zip(obj.center, camera.position))
+            rows, cols = _window(offset, obj.radius, camera)
+            t = obj.intersect(origin, dirs)
+            outside = np.ones(t.shape, dtype=bool)
+            outside[rows, cols] = False
+            assert not np.any(np.isfinite(t) & outside)
+            windowed = obj.intersect(origin, dirs[rows, cols])
+            assert np.array_equal(windowed, t[rows, cols])
