@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 from .config import RunConfig, config_from_mappings, load_config_file
 from .detector import CollisionDetector
@@ -117,20 +118,11 @@ def cmd_generate(args) -> int:
     )
     frames = generate_sequence(spec, camera)
     manifest = {
+        **asdict(spec),
         "direction": spec.direction.value,
-        "speed": spec.speed,
-        "distance": spec.distance,
-        "fps": spec.fps,
-        "frames": spec.frames,
-        "seed": spec.seed,
-        "noise_amplitude": spec.noise_amplitude,
-        "object_radius": spec.object_radius,
-        "object_luminance": spec.object_luminance,
-        "background": spec.background,
-        "entry_fraction": spec.entry_fraction,
         "width": camera.width,
         "height": camera.height,
-        "hfov_deg": args.hfov_deg,
+        "hfov_deg": args.hfov_deg,  # as given: the radians round-trip can drift
     }
     write_sequence(args.out_dir, (f.luminance for f in frames), manifest)
     print(f"wrote {len(frames)} frames to {args.out_dir}")
@@ -175,26 +167,21 @@ def build_parser() -> _Parser:
     generate.add_argument(
         "--direction",
         choices=[d.value for d in Direction],
-        default=Direction.HEAD_ON.value,
+        default=ScenarioSpec.direction.value,
     )
-    generate.add_argument(
-        "--speed", type=_finite_float, default=1.2, help="m/s, <0 recedes"
-    )
-    generate.add_argument(
-        "--distance", type=_finite_float, default=4.0, help="start distance m"
-    )
-    generate.add_argument("--frames", type=int, default=120)
-    generate.add_argument("--fps", type=_finite_float, default=50.0)
-    generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument(
-        "--noise",
-        type=_finite_float,
-        default=0.0,
-        help="uniform noise amplitude, try 5.0",
-    )
-    generate.add_argument("--width", type=int, default=100)
-    generate.add_argument("--height", type=int, default=100)
-    generate.add_argument("--hfov-deg", type=_finite_float, default=90.0)
+    for flag, default, help_text in (
+        ("--speed", ScenarioSpec.speed, "m/s, <0 recedes"),
+        ("--distance", ScenarioSpec.distance, "start distance m"),
+        ("--frames", ScenarioSpec.frames, None),
+        ("--fps", ScenarioSpec.fps, None),
+        ("--seed", ScenarioSpec.seed, None),
+        ("--noise", ScenarioSpec.noise_amplitude, "uniform noise amplitude, try 5.0"),
+        ("--width", CameraModel.width, None),
+        ("--height", CameraModel.height, None),
+        ("--hfov-deg", math.degrees(CameraModel.hfov), None),
+    ):
+        kind = int if isinstance(default, int) else _finite_float
+        generate.add_argument(flag, type=kind, default=default, help=help_text)
     generate.set_defaults(func=cmd_generate)
 
     simulate = sub.add_parser(

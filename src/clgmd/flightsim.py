@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,15 +184,21 @@ class TrialConfig:
             raise ConfigError(
                 f"obstacle center {(cx, cy, cz)} lies outside the arena {self.arena}"
             )
-        start_gap = self.obstacle_distance - self.obstacle_radius - self.margin
-        if self.placement is Placement.CENTERED and start_gap <= 0:
-            raise ConfigError("obstacle overlaps the start position")
+        if self.noise_seed < 0:
+            raise ConfigError(f"noise_seed must be non-negative, got {self.noise_seed}")
         # The obstacle moves linearly, so its offset from the start is
         # largest at one end of the trial.
         for t in (0.0, self.max_duration):
             center = self.obstacle_center(t)
             offset = tuple(c - p for c, p in zip(center, self.camera.position))
             check_reach(offset, self.obstacle_radius, self.camera)
+        (sphere,) = self.scene_at(0.0).objects
+        gap = sphere.clearance(np.asarray(self.camera.position))
+        if gap <= self.margin:
+            raise ConfigError(
+                f"obstacle overlaps the start position: its clearance {gap:.3f} "
+                f"is within the margin {self.margin}"
+            )
 
     def obstacle_center(self, t: float = 0.0) -> Vec3:
         """Obstacle center at time t, placed relative to the start position."""
@@ -217,14 +224,18 @@ class TrialConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One row of the closed-loop trace (state at render time)."""
+class TrialRecord(NamedTuple):
+    """One row of the closed-loop trace (state at render time); the field
+    names are the trace CSV columns."""
 
     frame: int
     t: float
-    position: Vec3
-    velocity: Vec3
+    px: float
+    py: float
+    pz: float
+    vx: float
+    vy: float
+    vz: float
     kappa: float
     u: float
     d: float
@@ -237,6 +248,9 @@ class TrialRecord:
     cmd_remaining: float
 
 
+TRACE_COLUMNS = TrialRecord._fields
+
+
 @dataclass(frozen=True)
 class TrialTrace:
     records: tuple[TrialRecord, ...]
@@ -246,13 +260,17 @@ class TrialTrace:
     def net_displacement(self) -> Vec3:
         if not self.records:
             return (0.0, 0.0, 0.0)
-        first = self.records[0].position
-        last = self.final_state.position
-        return (last[0] - first[0], last[1] - first[1], last[2] - first[2])
+        first = self.records[0]
+        x, y, z = self.final_state.position
+        return (x - first.px, y - first.py, z - first.pz)
 
 
 def run_trial(config: TrialConfig) -> TrialTrace:
-    """Render, detect, steer and integrate until the trial resolves."""
+    """Render, detect, steer and integrate until the trial resolves.
+
+    The obstacle scene at the end of step i is the one for t = (i+1)·dt: it
+    decides the collision and the arena exit, and step i+1 renders it.
+    """
     camera0 = config.camera
     detector = CollisionDetector(
         camera0.width, camera0.height, core=config.core, norm=config.norm
@@ -265,11 +283,11 @@ def run_trial(config: TrialConfig) -> TrialTrace:
     command: EscapeCommand | None = None
     command_started = 0.0
     was_confirmed = False
+    scene = config.scene_at(0.0)
     steps = int(round(config.max_duration / config.dt))
     xmin, xmax, ymin, ymax, zmin, zmax = config.arena
     for i in range(steps):
         t = i * config.dt
-        scene = config.scene_at(t)
         camera = replace(camera0, position=state.position)
         frame = render_frame(scene, camera, index=i, seed=config.noise_seed)
         result = detector.process(frame)
@@ -281,80 +299,36 @@ def run_trial(config: TrialConfig) -> TrialTrace:
             command = select_escape(result.potentials, config.steering)
             command_started = t
         was_confirmed = now_confirmed
-        if command is not None:
-            elapsed = t - command_started
-            if elapsed >= command.duration:
-                command = None
-        if command is not None:
-            setpoint = command_to_setpoint(command, t - command_started)
-            remaining = command.duration - (t - command_started)
+        elapsed = t - command_started
+        if command is not None and elapsed < command.duration:
+            setpoint = command_to_setpoint(command, elapsed)
+            held = (command.axis.value, command.value, command.duration - elapsed)
         else:
+            command = None
             setpoint = (config.cruise_speed, 0.0, 0.0)
-            remaining = 0.0
+            held = ("", 0.0, 0.0)
         if result is None:
-            kappa = u = d = l = r = 0.0
-            spike = confirmed = 0
+            potentials, flags = (0.0,) * 5, (0, 0)
         else:
             p = result.potentials
-            kappa, (u, d, l, r) = p.kappa, p.as_tuple()
-            spike, confirmed = int(result.spike), int(result.confirmed)
-        records.append(
-            TrialRecord(
-                frame=i,
-                t=t,
-                position=state.position,
-                velocity=state.velocity,
-                kappa=kappa,
-                u=u,
-                d=d,
-                l=l,
-                r=r,
-                spike=spike,
-                confirmed=confirmed,
-                cmd_axis=command.axis.value if command is not None else "",
-                cmd_value=command.value if command is not None else 0.0,
-                cmd_remaining=remaining,
-            )
-        )
+            potentials = (p.kappa, *p.as_tuple())
+            flags = (int(result.spike), int(result.confirmed))
+        row = (i, t, *state.position, *state.velocity, *potentials, *flags, *held)
+        records.append(TrialRecord(*row))
         state = step_vehicle(state, setpoint, config.dt, tau=config.tau)
-        scene_after = config.scene_at(t + config.dt)
-        if check_collision(state, scene_after, config.margin):
+        scene = config.scene_at((i + 1) * config.dt)
+        if check_collision(state, scene, config.margin):
             outcome = Outcome.COLLIDED
             break
         px, py, pz = state.position
         if not (xmin <= px <= xmax and ymin <= py <= ymax and zmin <= pz <= zmax):
-            obstacle_x = config.obstacle_center(t + config.dt)[0]
-            outcome = Outcome.AVOIDED if px > obstacle_x else Outcome.TIMEOUT
+            passed = px > scene.objects[0].center[0]
+            outcome = Outcome.AVOIDED if passed else Outcome.TIMEOUT
             break
     return TrialTrace(records=tuple(records), outcome=outcome, final_state=state)
 
 
-TRACE_COLUMNS = (
-    "frame,t,px,py,pz,vx,vy,vz,kappa,u,d,l,r,spike,confirmed,"
-    "cmd_axis,cmd_value,cmd_remaining"
-).split(",")
-
-
 def write_trace_csv(trace: TrialTrace, path) -> None:
     """CSV trace, one row per frame, LF line endings, header included."""
-    rows = (
-        (
-            rec.frame,
-            rec.t,
-            *rec.position,
-            *rec.velocity,
-            rec.kappa,
-            rec.u,
-            rec.d,
-            rec.l,
-            rec.r,
-            rec.spike,
-            rec.confirmed,
-            rec.cmd_axis,
-            rec.cmd_value,
-            rec.cmd_remaining,
-        )
-        for rec in trace.records
-    )
     verbatim = ("frame", "spike", "confirmed", "cmd_axis")
-    write_csv(path, TRACE_COLUMNS, rows, verbatim=verbatim)
+    write_csv(path, TRACE_COLUMNS, trace.records, verbatim=verbatim)

@@ -21,6 +21,8 @@ from .errors import ConfigError, InputError
 from .layers import Frame
 
 DEFAULT_NOISE_AMPLITUDE = 5.0
+# A scenario's sphere stops approaching at this many of its radii.
+_STANDOFF_RADII = 1.05
 
 
 class Direction(enum.Enum):
@@ -260,10 +262,10 @@ class ScenarioSpec:
     fps: float = 50.0
     frames: int = 120
     seed: int = 0
+    noise_amplitude: float = 0.0
     object_radius: float = 0.35
     object_luminance: float = 224.0
     background: float = 32.0
-    noise_amplitude: float = 0.0
     entry_fraction: float = 0.8
 
     def __post_init__(self) -> None:
@@ -277,8 +279,15 @@ class ScenarioSpec:
             raise ConfigError(f"fps must be positive, got {self.fps}")
         if self.frames < 0:
             raise ConfigError(f"frames must be non-negative, got {self.frames}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.object_radius <= 0:
             raise ConfigError(f"object_radius must be positive, got {self.object_radius}")
+        standoff = self.object_radius * _STANDOFF_RADII
+        if self.distance <= standoff:
+            raise ConfigError(
+                f"start distance {self.distance} is inside the standoff {standoff:.3f}"
+            )
         _check_luminance(self.object_luminance, "object_luminance")
         _check_luminance(self.background, "background")
         if self.noise_amplitude < 0:
@@ -331,11 +340,7 @@ def make_scenario(
     rng = np.random.default_rng(spec.seed)
     start = _start_position(spec, camera, rng)
     speed = spec.speed * rng.uniform(0.9, 1.1)
-    standoff = spec.object_radius * 1.05
-    if spec.distance <= standoff:
-        raise InputError(
-            f"start distance {spec.distance} is inside the standoff {standoff:.3f}"
-        )
+    standoff = spec.object_radius * _STANDOFF_RADII
     check_reach(start, spec.object_radius, camera)
     origin = np.asarray(camera.position, dtype=np.float64)
     span = float(np.linalg.norm(start))

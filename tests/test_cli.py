@@ -73,6 +73,20 @@ class TestGenerate:
         assert "too large to ray-cast" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--distance", "0.3"], "start distance 0.3 is inside the standoff 0.367"),
+        ],
+    )
+    def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        code, _, err = run(["generate", str(out), *flags], capsys)
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
     def test_bad_direction_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
             ["generate", str(tmp_path / "x"), "--direction", "diagonal"], capsys
@@ -311,6 +325,29 @@ class TestConfigValues:
         code, stdout, err = run(["simulate", *overrides, "--out", str(out)], capsys)
         assert code == 1
         assert "too large to ray-cast" in err
+        assert "OUTCOME" not in stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["noise_seed=-1", "noise_amplitude=5"], "noise_seed must be non-negative"),
+            (
+                ["obstacle_distance=0.2", "placement=left", "obstacle_offset=0.1"],
+                "overlaps the start position",
+            ),
+            (
+                ["obstacle_distance=0.35", "placement=up", "obstacle_offset=0.1"],
+                "overlaps the start position",
+            ),
+        ],
+    )
+    def test_bad_trial_writes_nothing(self, tmp_path, capsys, settings, message):
+        out = tmp_path / "t.csv"
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        code, stdout, err = run(["simulate", *overrides, "--out", str(out)], capsys)
+        assert code == 1
+        assert message in err
         assert "OUTCOME" not in stdout
         assert not out.exists()
 

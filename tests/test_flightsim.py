@@ -108,6 +108,8 @@ class TestTrialConfig:
             TrialConfig(placement="sideways")
         with pytest.raises(ConfigError):
             TrialConfig(cruise_speed=0.0)
+        with pytest.raises(ConfigError, match="noise_seed must be non-negative"):
+            TrialConfig(noise_seed=-1)
 
     def test_step_cap(self):
         # 20 s / 2e-5 s rounds to exactly MAX_STEPS, the largest trial accepted.
@@ -129,6 +131,22 @@ class TestTrialConfig:
 
     def test_placement_accepts_strings(self):
         assert TrialConfig(placement="up").placement is Placement.UP
+
+    def test_centered_start_inside_margin_rejected(self):
+        # clearance 0.38 - 0.3 = 0.08 from the start, inside the 0.1 margin
+        with pytest.raises(ConfigError, match="overlaps the start position"):
+            TrialConfig(placement="centered", obstacle_distance=0.38)
+        TrialConfig(placement="centered", obstacle_distance=0.41)
+
+    @pytest.mark.parametrize("placement", ["left", "right", "up", "down"])
+    def test_offset_start_inside_margin_rejected(self, placement):
+        # |(0.35, 0.1)| - 0.3 = 0.064 from the start, inside the 0.1 margin
+        with pytest.raises(ConfigError, match="overlaps the start position"):
+            TrialConfig(placement=placement, obstacle_distance=0.35, obstacle_offset=0.1)
+        # |(0.2, 0.1)| - 0.3 < 0: the start is inside the obstacle
+        with pytest.raises(ConfigError, match="overlaps the start position"):
+            TrialConfig(placement=placement, obstacle_distance=0.2, obstacle_offset=0.1)
+        TrialConfig(placement=placement, obstacle_distance=0.4, obstacle_offset=0.1)
 
     def test_moving_obstacle_center(self):
         cfg = TrialConfig(placement="centered", obstacle_velocity=(0.0, 0.5, 0.0))
@@ -158,16 +176,16 @@ class TestRunTrial:
         assert left.outcome == right.outcome
         assert len(left.records) == len(right.records)
         for lr, rr in zip(left.records, right.records):
-            assert lr.position[0] == rr.position[0]
-            assert lr.position[1] == -rr.position[1]
-            assert lr.position[2] == rr.position[2]
+            assert lr.px == rr.px
+            assert lr.py == -rr.py
+            assert lr.pz == rr.pz
 
     def test_speed_never_exceeds_envelope(self):
         cfg = TrialConfig(placement="left")
         trace = run_trial(cfg)
         limit = max(cfg.cruise_speed, cfg.steering.speed_0) + 1e-9
         for rec in trace.records:
-            assert math.hypot(*rec.velocity) <= limit
+            assert math.hypot(rec.vx, rec.vy, rec.vz) <= limit
 
     def test_obstacle_outside_view_cruises_through(self):
         cfg = TrialConfig(

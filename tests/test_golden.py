@@ -1,5 +1,5 @@
 """Seed-0 outputs of every benchmark workload equal the stored reference,
-and thirteen CLI runs write byte-identical CSVs.
+and fifteen CLI runs write byte-identical CSVs.
 
 The benchmark check uses the benchmark's own inputs, commands and
 comparison (``bench/run.py`` ``prepare``, ``check`` and
@@ -36,7 +36,8 @@ def test_seed0_outputs_match_reference(name, tmp_path):
 # sha256 of the CSV each CLI run writes.  Detection runs on
 # `generate --direction D --seed 0 --noise 5 --frames 120`, at 100x100 with
 # the defaults and at 320x240 with `--set inhibition_delay=1`; a simulation
-# is `simulate --set placement=P`, the centered one with spiking disabled.
+# is `simulate` with the settings in SIMULATE_SETTINGS.  Only the two
+# moving-obstacle runs see the obstacle's time base.
 QVGA_DETECTIONS = "fc2d4258ee31eb1ac326c36a1bf20c087e8fcee82cbd66663268e91a448e88f9"
 GOLDEN_SHA256 = {
     "detect-100-up": "ec78db0501c5b132163934c24d97f92b5d9aa38901ae4850420d592db65078de",
@@ -52,16 +53,26 @@ GOLDEN_SHA256 = {
     "simulate-up": "c97b94ef92d1002db230527d208a12c80adfc6cc37ff8eaa52c0493ba2311fc8",
     "simulate-down": "5e88cd020591702e39395bc7dffeaa82182200a63f49bb45351284c59d765b17",
     "simulate-centered": "58c13ea1f0146b48df1d434cb5d11a1f65347a6b1f399665aeaa288a907a457d",
+    "simulate-moving-vx": "c6a120a7751681aa2484fe6455fd849d1629d22de106811777c0146506018565",
+    "simulate-moving-vz-down-noise": (
+        "c95e06ea8a422fdeaf4ef5f6ce83f1ca600af9aadda72948b32b99e768132a16"
+    ),
+}
+SIMULATE_SETTINGS = {
+    **{p: [f"placement={p}"] for p in ("left", "right", "up", "down")},
+    "centered": ["placement=centered", "t_s=256"],  # spiking disabled
+    "moving-vx": ["obstacle_vx=-1.0"],
+    "moving-vz-down-noise": ["obstacle_vz=0.37", "placement=down", "noise_amplitude=5"],
 }
 GOLDEN_OUTCOME = {"centered": "COLLIDED"}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
 def test_cli_output_is_byte_identical(case, tmp_path, capsys):
-    command, *rest = case.split("-")
+    command, _, name = case.partition("-")
     out = tmp_path / "out.csv"
     if command == "detect":
-        size, direction = rest
+        size, direction = name.split("-")
         frames = tmp_path / "frames"
         generate = ["generate", str(frames), "--direction", direction, "--seed", "0"]
         generate += ["--noise", "5", "--frames", "120"]
@@ -72,12 +83,11 @@ def test_cli_output_is_byte_identical(case, tmp_path, capsys):
         assert cli.main(generate) == 0
         assert cli.main(detect) == 0
     else:
-        (placement,) = rest
-        simulate = ["simulate", "--set", f"placement={placement}", "--out", str(out)]
-        if placement == "centered":
-            simulate += ["--set", "t_s=256"]
+        simulate = ["simulate", "--out", str(out)]
+        for setting in SIMULATE_SETTINGS[name]:
+            simulate += ["--set", setting]
         capsys.readouterr()
         assert cli.main(simulate) == 0
-        outcome = GOLDEN_OUTCOME.get(placement, "AVOIDED")
+        outcome = GOLDEN_OUTCOME.get(name, "AVOIDED")
         assert capsys.readouterr().out == f"OUTCOME={outcome}\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case]

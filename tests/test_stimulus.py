@@ -136,6 +136,8 @@ class TestValidation:
             ScenarioSpec(fps=0.0)
         with pytest.raises(ConfigError):
             ScenarioSpec(frames=-1)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            ScenarioSpec(seed=-1)
         with pytest.raises(ConfigError):
             ScenarioSpec(entry_fraction=1.0)
 
@@ -144,7 +146,7 @@ class TestValidation:
             make_scenario(ScenarioSpec(distance=1e200, frames=1))
 
     def test_start_inside_standoff_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             make_scenario(ScenarioSpec(distance=0.3, object_radius=0.35))
 
 
