@@ -69,20 +69,8 @@ def _detect_rows(paths, first, detector: CollisionDetector, steering):
             raise DataError(f"{path}: {exc}") from exc
         if result is None:
             continue
-        p = result.potentials
-        escape = select_escape(p, steering)
-        yield (
-            result.frame_index,
-            p.kappa,
-            p.u,
-            p.d,
-            p.l,
-            p.r,
-            int(result.spike),
-            int(result.confirmed),
-            escape.axis.value,
-            escape.value,
-        )
+        escape = select_escape(result.potentials, steering)
+        yield (result.frame_index, *result.cells(), escape.axis.value, escape.value)
 
 
 def cmd_detect(args) -> int:

@@ -27,6 +27,16 @@ class Quadrant(enum.IntEnum):
     RIGHT = 3
 
 
+# Body-frame unit vector toward each side (+y left, +z up): where an
+# obstacle placed on that side sits, and where an escape toward it goes.
+SIDE_UNIT: dict[Quadrant, tuple[float, float, float]] = {
+    Quadrant.UP: (0.0, 0.0, 1.0),
+    Quadrant.DOWN: (0.0, 0.0, -1.0),
+    Quadrant.LEFT: (0.0, 1.0, 0.0),
+    Quadrant.RIGHT: (0.0, -1.0, 0.0),
+}
+
+
 def build_quadrant_mask(width: int, height: int) -> np.ndarray:
     """Label every pixel UP, DOWN, LEFT or RIGHT along the image diagonals.
 
@@ -69,10 +79,7 @@ def accumulate_quadrants(
             f"grid shape {g.shape} does not match mask shape {labels.shape}"
         )
     sums = np.bincount(labels.ravel(), weights=np.abs(g).ravel(), minlength=4)
-    u0 = float(sums[int(Quadrant.UP)])
-    d0 = float(sums[int(Quadrant.DOWN)])
-    l0 = float(sums[int(Quadrant.LEFT)])
-    r0 = float(sums[int(Quadrant.RIGHT)])
+    u0, d0, l0, r0 = sums[:4].tolist()  # in Quadrant order
     return u0, d0, l0, r0, u0 + d0 + l0 + r0
 
 

@@ -45,6 +45,12 @@ class DetectionResult:
     spike: bool
     confirmed: bool
 
+    def cells(self) -> tuple[float, float, float, float, float, int, int]:
+        """(kappa, u, d, l, r, spike, confirmed): the detection's CSV cells,
+        shared by the detect and the trace rows."""
+        p = self.potentials
+        return (p.kappa, p.u, p.d, p.l, p.r, int(self.spike), int(self.confirmed))
+
 
 class CollisionDetector:
     """Runs the full pipeline over a stream of same-sized frames."""

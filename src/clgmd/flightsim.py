@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .competition import NormParams
+from .competition import SIDE_UNIT, NormParams, Quadrant
 from .detector import CollisionDetector
 from .errors import ConfigError, InputError
 from .layers import CoreParams
@@ -52,7 +52,7 @@ class VehicleState:
 
 
 def step_vehicle(
-    state: VehicleState, setpoint: Vec3, dt: float, tau: float = 0.3
+    state: VehicleState, setpoint: Vec3, dt: float, tau: float
 ) -> VehicleState:
     """First-order velocity tracking followed by position integration.
 
@@ -87,15 +87,6 @@ class Placement(enum.Enum):
     CENTERED = "centered"
 
 
-_PLACEMENT_DIRS: dict[Placement, Vec3] = {
-    Placement.LEFT: (0.0, 1.0, 0.0),
-    Placement.RIGHT: (0.0, -1.0, 0.0),
-    Placement.UP: (0.0, 0.0, 1.0),
-    Placement.DOWN: (0.0, 0.0, -1.0),
-    Placement.CENTERED: (0.0, 0.0, 0.0),
-}
-
-
 class Outcome(enum.Enum):
     AVOIDED = "AVOIDED"
     COLLIDED = "COLLIDED"
@@ -113,7 +104,7 @@ class TrialConfig:
     obstacle_offset: float = 0.25
     obstacle_velocity: Vec3 = (0.0, 0.0, 0.0)
     obstacle_luminance: float = 224.0
-    background: float = 32.0
+    background: float = Scene.background
     noise_amplitude: float = 0.0
     noise_seed: int = 0
     arena: tuple[float, float, float, float, float, float] = (
@@ -174,8 +165,10 @@ class TrialConfig:
             raise ConfigError(f"margin must be non-negative, got {self.margin}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        velocity = finite_vec3(self.obstacle_velocity, "obstacle_velocity", InputError)
+        velocity = finite_vec3(self.obstacle_velocity, "obstacle_velocity")
         object.__setattr__(self, "obstacle_velocity", velocity)
+        if len(self.arena) != 6 or not all(math.isfinite(v) for v in self.arena):
+            raise ConfigError(f"arena must be six finite bounds, got {self.arena!r}")
         xmin, xmax, ymin, ymax, zmin, zmax = self.arena
         if not (xmin < xmax and ymin < ymax and zmin < zmax):
             raise ConfigError(f"arena bounds are inverted: {self.arena}")
@@ -202,7 +195,10 @@ class TrialConfig:
 
     def obstacle_center(self, t: float = 0.0) -> Vec3:
         """Obstacle center at time t, placed relative to the start position."""
-        ox, oy, oz = _PLACEMENT_DIRS[self.placement]
+        if self.placement is Placement.CENTERED:
+            ox, oy, oz = 0.0, 0.0, 0.0
+        else:
+            ox, oy, oz = SIDE_UNIT[Quadrant[self.placement.name]]
         vx, vy, vz = self.obstacle_velocity
         sx, sy, sz = self.camera.position
         return (
@@ -307,13 +303,8 @@ def run_trial(config: TrialConfig) -> TrialTrace:
             command = None
             setpoint = (config.cruise_speed, 0.0, 0.0)
             held = ("", 0.0, 0.0)
-        if result is None:
-            potentials, flags = (0.0,) * 5, (0, 0)
-        else:
-            p = result.potentials
-            potentials = (p.kappa, *p.as_tuple())
-            flags = (int(result.spike), int(result.confirmed))
-        row = (i, t, *state.position, *state.velocity, *potentials, *flags, *held)
+        cells = (0.0,) * 5 + (0, 0) if result is None else result.cells()
+        row = (i, t, *state.position, *state.velocity, *cells, *held)
         records.append(TrialRecord(*row))
         state = step_vehicle(state, setpoint, config.dt, tau=config.tau)
         scene = config.scene_at((i + 1) * config.dt)

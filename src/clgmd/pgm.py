@@ -3,7 +3,7 @@
 Frames are 8-bit grayscale, max value 255, written as frame_000000.pgm,
 frame_000001.pgm, ... next to a manifest.txt recording the generating
 parameters.  The reader tolerates comments and arbitrary whitespace in
-the header, as the format allows.
+the header, as the format allows; the header numbers must be ASCII digits.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .errors import DataError
 FRAME_PATTERN = "frame_{:06d}.pgm"
 _FRAME_NAME = re.compile(r"frame_(\d+)\.pgm")
 MANIFEST_NAME = "manifest.txt"
+# Whitespace and comments (``#`` to the end of the line), then one token.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -43,24 +45,17 @@ def _header_tokens(data: bytes, path) -> tuple[list[int], int]:
         raise DataError(f"{path}: not a binary PGM (missing P5 magic)")
     pos = 2
     tokens: list[int] = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(3):
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
             raise DataError(f"{path}: truncated PGM header")
         try:
-            tokens.append(int(data[start:pos]))
+            if not token.isdigit():  # int() would also take b"+1" and b"1_0"
+                raise ValueError
+            tokens.append(int(token))  # or ValueError past int()'s digit limit
         except ValueError:
-            raise DataError(
-                f"{path}: bad header token {data[start:pos]!r}"
-            ) from None
+            raise DataError(f"{path}: bad header token {token!r}") from None
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise DataError(f"{path}: missing whitespace after PGM header")
     return tokens, pos + 1

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .competition import CLgmdPotentials, Quadrant
+from .competition import SIDE_UNIT, CLgmdPotentials, Quadrant
 from .errors import ConfigError, InputError
 
 
@@ -56,9 +56,8 @@ def select_quietest(potentials: CLgmdPotentials) -> Quadrant:
     values = potentials.as_tuple()
     if not all(math.isfinite(v) for v in values):
         raise InputError(f"potentials must be finite, got {values}")
-    u, d, l, r = values
-    best, best_value = Quadrant.UP, u
-    for quadrant, value in ((Quadrant.DOWN, d), (Quadrant.LEFT, l), (Quadrant.RIGHT, r)):
+    best, best_value = Quadrant.UP, values[0]
+    for quadrant, value in zip(Quadrant, values):
         if best_value >= value:
             best, best_value = quadrant, value
     return best
@@ -67,20 +66,16 @@ def select_quietest(potentials: CLgmdPotentials) -> Quadrant:
 def select_escape(
     potentials: CLgmdPotentials, params: SteeringParams
 ) -> EscapeCommand:
-    """Map the quietest field to a setpoint: UP climbs (+z), DOWN descends
-    (-z), LEFT slides left (+y), RIGHT slides right (-y), all at speed_0.
+    """Move toward the quietest field at speed_0, along its ``SIDE_UNIT``:
+    UP climbs, DOWN descends, LEFT slides left and RIGHT slides right.
     """
     quadrant = select_quietest(potentials)
-    if quadrant is Quadrant.UP:
-        axis, value = Axis.VERTICAL_Z, +params.speed_0
-    elif quadrant is Quadrant.DOWN:
-        axis, value = Axis.VERTICAL_Z, -params.speed_0
-    elif quadrant is Quadrant.LEFT:
-        axis, value = Axis.LATERAL_Y, +params.speed_0
-    else:
-        axis, value = Axis.LATERAL_Y, -params.speed_0
+    _, y, z = SIDE_UNIT[quadrant]
     return EscapeCommand(
-        axis=axis, value=value, duration=params.hold_duration, quadrant=quadrant
+        axis=Axis.VERTICAL_Z if z else Axis.LATERAL_Y,
+        value=(y + z) * params.speed_0,
+        duration=params.hold_duration,
+        quadrant=quadrant,
     )
 
 

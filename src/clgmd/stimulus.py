@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .competition import SIDE_UNIT, Quadrant
 from .errors import ConfigError, InputError
 from .layers import Frame
 
@@ -125,14 +126,6 @@ class CameraModel:
     def focal_px(self) -> float:
         return (self.width / 2.0) / math.tan(self.hfov / 2.0)
 
-    def project(self, point_world) -> tuple[float, float] | None:
-        """(column, row) of a world point, or None if it is not in front."""
-        rel = np.asarray(point_world, dtype=np.float64) - np.asarray(self.position)
-        x, y, z = rel
-        if x <= 0:
-            return None
-        return self._pixel(y / x, z / x)
-
     def _pixel(self, y_slope: float, z_slope: float) -> tuple[float, float]:
         """(column, row) where the ray (1, y_slope, z_slope) meets the image."""
         cx, cy, f = (self.width - 1) / 2.0, (self.height - 1) / 2.0, self.focal_px
@@ -218,7 +211,7 @@ def _window(offset, radius: float, camera: CameraModel) -> tuple[slice, slice]:
 
 
 def render_frame(
-    scene: Scene, camera: CameraModel, index: int = 0, seed: int | None = None
+    scene: Scene, camera: CameraModel, index: int = 0, seed: int = 0
 ) -> Frame:
     """Render one frame; noise (if any) is keyed by (seed, index).
 
@@ -239,7 +232,7 @@ def render_frame(
         img[rows, cols][t < window_t] = obj.luminance
         np.minimum(window_t, t, out=window_t)
     if scene.noise_amplitude > 0.0:
-        rng = np.random.default_rng((seed if seed is not None else 0, index))
+        rng = np.random.default_rng((seed, index))
         img += rng.uniform(
             -scene.noise_amplitude, scene.noise_amplitude, size=img.shape
         )
@@ -265,7 +258,7 @@ class ScenarioSpec:
     noise_amplitude: float = 0.0
     object_radius: float = 0.35
     object_luminance: float = 224.0
-    background: float = 32.0
+    background: float = Scene.background
     entry_fraction: float = 0.8
 
     def __post_init__(self) -> None:
@@ -316,15 +309,14 @@ def _start_position(
     x = spec.distance
     if spec.direction is Direction.HEAD_ON:
         return np.array([x, 0.0, 0.0])
-    if spec.direction in (Direction.LEFT, Direction.RIGHT):
+    _, y, z = SIDE_UNIT[Quadrant[spec.direction.name]]
+    if y:
         lateral = x * half_h * bearing_jitter
         ortho = x * math.tan(vfov_half) * 0.25 * ortho_jitter
-        sign = 1.0 if spec.direction is Direction.LEFT else -1.0
-        return np.array([x, sign * lateral, ortho])
+        return np.array([x, y * lateral, ortho])
     vertical = x * half_v * bearing_jitter
     ortho = x * math.tan(camera.hfov / 2.0) * 0.25 * ortho_jitter
-    sign = 1.0 if spec.direction is Direction.UP else -1.0
-    return np.array([x, ortho, sign * vertical])
+    return np.array([x, ortho, z * vertical])
 
 
 def make_scenario(

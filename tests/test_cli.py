@@ -144,6 +144,15 @@ class TestDetect:
         assert code == 3
         assert "frame_000001" in err
 
+    def test_non_digit_header_token_exits_3(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        write_pgm(seq / "frame_000000.pgm", np.zeros((10, 10), dtype=np.uint8))
+        (seq / "frame_000001.pgm").write_bytes(b"P5\n1_0 +10\n2_55\n" + bytes(100))
+        code, _, err = run(["detect", str(seq), "--out", str(tmp_path / "o.csv")], capsys)
+        assert code == 3
+        assert "frame_000001.pgm: bad header token b'1_0'" in err
+
     @pytest.mark.parametrize(
         "names,message",
         [

@@ -27,7 +27,7 @@ from oracles import first_order_response
 class TestStepVehicle:
     def test_setpoint_equal_velocity_integrates_linearly(self):
         state = VehicleState(velocity=(1.0, 0.0, 0.0))
-        out = step_vehicle(state, (1.0, 0.0, 0.0), dt=0.5)
+        out = step_vehicle(state, (1.0, 0.0, 0.0), dt=0.5, tau=0.3)
         assert out.velocity == (1.0, 0.0, 0.0)
         assert out.position == (0.5, 0.0, 0.0)
 
@@ -59,11 +59,11 @@ class TestStepVehicle:
 
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
-            step_vehicle(VehicleState(), (0.0, 0.0, 0.0), dt=0.0)
+            step_vehicle(VehicleState(), (0.0, 0.0, 0.0), dt=0.0, tau=0.3)
         with pytest.raises(ConfigError):
             step_vehicle(VehicleState(), (0.0, 0.0, 0.0), dt=0.1, tau=0.0)
         with pytest.raises(InputError):
-            step_vehicle(VehicleState(), (float("nan"), 0.0, 0.0), dt=0.1)
+            step_vehicle(VehicleState(), (float("nan"), 0.0, 0.0), dt=0.1, tau=0.3)
 
     def test_state_validation(self):
         with pytest.raises(InputError):
@@ -110,6 +110,13 @@ class TestTrialConfig:
             TrialConfig(cruise_speed=0.0)
         with pytest.raises(ConfigError, match="noise_seed must be non-negative"):
             TrialConfig(noise_seed=-1)
+        for vector in ((math.nan, 0.0, 0.0), (1.0, 0.0)):
+            with pytest.raises(ConfigError, match="obstacle_velocity must be"):
+                TrialConfig(obstacle_velocity=vector)
+        short, nan = (-1.0, 6.0, -3.0, 3.0, -3.0), (-1.0, 6.0, -3.0, math.nan, -3.0, 3.0)
+        for arena in (short, nan):
+            with pytest.raises(ConfigError, match="arena must be six finite bounds"):
+                TrialConfig(arena=arena)
 
     def test_step_cap(self):
         # 20 s / 2e-5 s rounds to exactly MAX_STEPS, the largest trial accepted.

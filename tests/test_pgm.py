@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clgmd.errors import DataError
 from clgmd.pgm import (
@@ -60,6 +62,16 @@ class TestSingleFile:
         path.write_bytes(b"P5\nfive 5\n255\n" + bytes(25))
         with pytest.raises(DataError):
             read_pgm(path)
+        # Header numbers are ASCII digits only; int() alone would take the
+        # first as 10x10, and raises ValueError past its digit limit.
+        for header in (
+            b"P5\n1_0 +10\n2_55\n",
+            b"P5 \xb25 5 255\n",
+            b"P5 " + b"1" * 5000 + b" 5 255\n",
+        ):
+            path.write_bytes(header + bytes(100))
+            with pytest.raises(DataError, match="bad header token"):
+                read_pgm(path)
 
     def test_write_rejects_out_of_range(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -75,6 +87,65 @@ class TestSingleFile:
         path = tmp_path / "x.pgm"
         write_pgm(path, values)
         assert read_pgm(path)[0].tolist() == [4, 3, 254, 0, 2]
+
+
+@pytest.fixture(scope="module")
+def pgm_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.pgm"
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT = st.builds(
+    lambda text, end: b"#" + text + end,
+    st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+    st.sampled_from([b"\n", b"\r"]),
+)
+# Whitespace first, then any mix of whitespace and comments.
+_GAP = st.builds(
+    lambda first, rest: first + b"".join(rest),
+    _SPACE,
+    st.lists(st.one_of(_SPACE, _COMMENT), max_size=4),
+)
+# Header-like runs: separators, digits and what int() would also accept.
+_HEADERISH = st.lists(
+    st.sampled_from(
+        [b" ", b"\n", b"\r", b"#", b"0", b"1", b"5", b"255"]
+        + [b"+", b"_", b"-", b"\xb2", b"x"]
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+class TestHeaderFuzz:
+    @given(
+        width=st.integers(1, 12),
+        height=st.integers(1, 12),
+        gaps=st.lists(_GAP, min_size=3, max_size=3),
+        end=_SPACE,
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_valid_header_parses_to_its_dimensions(
+        self, pgm_file, width, height, gaps, end, data
+    ):
+        size = width * height
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+        numbers = (str(width).encode(), str(height).encode(), b"255")
+        header = b"P5" + b"".join(gap + n for gap, n in zip(gaps, numbers)) + end
+        pgm_file.write_bytes(header + payload)
+        img = read_pgm(pgm_file)
+        assert img.shape == (height, width)
+        assert img.tobytes() == payload
+
+    @given(rest=st.one_of(st.binary(max_size=40), _HEADERISH))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_after_magic_give_an_array_or_data_error(self, pgm_file, rest):
+        pgm_file.write_bytes(b"P5" + rest)
+        try:
+            img = read_pgm(pgm_file)
+        except DataError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 2
 
 
 class TestSequence:

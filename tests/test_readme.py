@@ -12,6 +12,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import checks  # noqa: E402
 
 from clgmd import cli, flightsim  # noqa: E402
+from clgmd.competition import CLgmdPotentials  # noqa: E402
+from clgmd.detector import DetectionResult  # noqa: E402
 
 
 def test_library_use_example_runs(capsys):
@@ -38,3 +40,11 @@ def test_csv_columns_are_one_schema():
     assert trace == checks.TRACE_COLUMNS == _readme_columns("simulate")
     detect = list(cli.DETECT_COLUMNS)
     assert detect == checks.DETECT_COLUMNS == _readme_columns("detect")
+    # A detection's cells fill the same named columns in both tables.
+    potentials = CLgmdPotentials(k_f0=9.0, kappa=1.5, u=2.5, d=3.5, l=4.5, r=5.5)
+    result = DetectionResult(3, potentials, spike=True, confirmed=False)
+    named = {"kappa": 1.5, "u": 2.5, "d": 3.5, "l": 4.5, "r": 5.5}
+    named.update(spike=1, confirmed=0)
+    for columns in (detect[1:8], trace[8:15]):
+        assert dict(zip(columns, result.cells(), strict=True)) == named
+    assert [type(cell) for cell in result.cells()[5:]] == [int, int]

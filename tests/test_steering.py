@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from clgmd.competition import CLgmdPotentials, Quadrant
+from clgmd.competition import SIDE_UNIT, CLgmdPotentials, Quadrant
 from clgmd.errors import ConfigError, InputError
+from clgmd.flightsim import TrialConfig
 from clgmd.steering import (
     Axis,
     EscapeCommand,
@@ -16,6 +17,7 @@ from clgmd.steering import (
     select_escape,
     select_quietest,
 )
+from clgmd.stimulus import ScenarioSpec, make_scenario
 
 from oracles import last_argmin
 
@@ -24,6 +26,27 @@ ORDER = (Quadrant.UP, Quadrant.DOWN, Quadrant.LEFT, Quadrant.RIGHT)
 
 def pot(u, d, l, r):
     return CLgmdPotentials(k_f0=u + d + l + r, kappa=0.0, u=u, d=d, l=l, r=r)
+
+
+@pytest.mark.parametrize("side", list(Quadrant))
+def test_placement_escape_and_bearing_agree_with_side_unit(side):
+    """Obstacle placement, escape setpoint and scenario bearing all take the
+    side's direction from ``SIDE_UNIT``, so no one of them can flip alone."""
+    unit = np.array(SIDE_UNIT[side])
+    config = TrialConfig(placement=side.name.lower(), obstacle_offset=0.25)
+    center = np.array(config.obstacle_center())
+    ahead = np.array(config.camera.position) + (config.obstacle_distance, 0.0, 0.0)
+    assert np.array_equal(center - ahead, 0.25 * unit)
+
+    values = [0.0 if q is side else 10.0 for q in Quadrant]
+    cmd = select_escape(pot(*values), SteeringParams(speed_0=0.6))
+    assert cmd.quadrant is side
+    assert np.array_equal(command_to_setpoint(cmd, 0.0), 0.6 * unit)
+
+    (scene,) = make_scenario(ScenarioSpec(direction=side.name.lower(), frames=1))
+    _, y, z = scene.objects[0].center
+    along, across = np.dot((y, z), unit[1:]), np.dot((z, y), unit[1:])
+    assert along > abs(across)
 
 
 class TestSelect:

@@ -63,7 +63,9 @@ class TestRenderFrame:
         ys, xs = np.nonzero(obj)
         col, row = xs.mean(), ys.mean()
         assert mask[int(round(row)), int(round(col))] == Quadrant.LEFT
-        col_pred, row_pred = CAM.project((3.0, 1.8, 0.0))
+        # pinhole: column c_x − f·y/x, row c_y − f·z/x
+        col_pred = (CAM.width - 1) / 2 - CAM.focal_px * 1.8 / 3.0
+        row_pred = (CAM.height - 1) / 2
         assert col == pytest.approx(col_pred, abs=1.0)
         assert row == pytest.approx(row_pred, abs=1.0)
 
