@@ -70,16 +70,26 @@ def accumulate_quadrants(
 ) -> tuple[float, float, float, float, float]:
     """Sum |G| per field of ``labels`` and return (u0, d0, l0, r0, k_f0).
 
-    The whole-field sum k_f0 is formed as the sum of the four field sums,
-    so the decomposition identity holds exactly.
+    Only the non-zero cells are binned: the G layer decays all but a few
+    per cent of them to zero.  Each field sum starts at +0.0 and adds
+    non-negative terms in row-major order, so a skipped cell would only
+    have added +0.0, which leaves any such sum unchanged; the kept cells
+    are added in the same order, so every sum is bit-identical to binning
+    the whole grid.  The whole-field sum k_f0 is formed as the sum of the
+    four field sums, so the decomposition identity holds exactly.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != labels.shape:
         raise InputError(
             f"grid shape {g.shape} does not match mask shape {labels.shape}"
         )
-    sums = np.bincount(labels.ravel(), weights=np.abs(g).ravel(), minlength=4)
-    u0, d0, l0, r0 = sums[:4].tolist()  # in Quadrant order
+    flat = g.ravel()
+    # Integer indices from a bool compare: flatnonzero on the float grid,
+    # or boolean-mask indexing, is several times slower.
+    hit = np.flatnonzero(flat != 0.0)
+    sums = np.bincount(labels.ravel()[hit], weights=np.abs(flat[hit]), minlength=4)
+    # With no cell to bin, bincount returns int64 zeros.
+    u0, d0, l0, r0 = sums[:4].astype(np.float64).tolist()  # in Quadrant order
     return u0, d0, l0, r0, u0 + d0 + l0 + r0
 
 

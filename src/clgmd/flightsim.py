@@ -29,6 +29,7 @@ from .stimulus import (
     Scene,
     Sphere,
     check_reach,
+    finite_floats,
     finite_vec3,
     render_frame,
 )
@@ -167,9 +168,11 @@ class TrialConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         velocity = finite_vec3(self.obstacle_velocity, "obstacle_velocity")
         object.__setattr__(self, "obstacle_velocity", velocity)
-        if len(self.arena) != 6 or not all(math.isfinite(v) for v in self.arena):
+        arena = finite_floats(self.arena, 6)
+        if arena is None:
             raise ConfigError(f"arena must be six finite bounds, got {self.arena!r}")
-        xmin, xmax, ymin, ymax, zmin, zmax = self.arena
+        object.__setattr__(self, "arena", arena)
+        xmin, xmax, ymin, ymax, zmin, zmax = arena
         if not (xmin < xmax and ymin < ymax and zmin < zmax):
             raise ConfigError(f"arena bounds are inverted: {self.arena}")
         cx, cy, cz = self.obstacle_center()

@@ -154,7 +154,12 @@ def _load(grid: Grid, scratch: StencilScratch | None) -> StencilScratch:
 
 
 def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Grid:
-    """Luminance change per pixel between two consecutive frames."""
+    """Luminance change per pixel between two consecutive frames.
+
+    The uint8 frames are subtracted in int16, where every difference in
+    [-255, 255] is exact, and the result is widened to float64 as it is
+    written.
+    """
     if prev.luminance.shape != curr.luminance.shape:
         raise InputError(
             f"frame dimensions differ: {prev.luminance.shape} vs {curr.luminance.shape}"
@@ -163,7 +168,8 @@ def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Gri
         raise InputError(
             f"frames must be consecutive, got indices {prev.index} -> {curr.index}"
         )
-    return np.subtract(curr.luminance, prev.luminance, out=out, dtype=np.float64)
+    out = np.empty(curr.luminance.shape) if out is None else out
+    return np.subtract(curr.luminance, prev.luminance, out=out, dtype=np.int16)
 
 
 def compute_inhibition(

@@ -34,10 +34,23 @@ class Direction(enum.Enum):
     HEAD_ON = "head_on"
 
 
+def finite_floats(value, size: int) -> tuple[float, ...] | None:
+    """``value`` as a tuple of ``size`` finite floats, or None if it is not one."""
+    if isinstance(value, (str, bytes)):
+        return None
+    try:
+        vec = tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(vec) != size or not all(math.isfinite(v) for v in vec):
+        return None
+    return vec
+
+
 def finite_vec3(value, name: str, error=ConfigError) -> tuple[float, float, float]:
     """``value`` as a tuple of three finite floats, else ``error``."""
-    vec = tuple(float(v) for v in value)
-    if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
+    vec = finite_floats(value, 3)
+    if vec is None:
         raise error(f"{name} must be a finite 3-vector, got {value!r}")
     return vec
 

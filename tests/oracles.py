@@ -78,6 +78,15 @@ def region_sums(g: np.ndarray, labels: np.ndarray) -> tuple[float, float, float,
     return tuple(sums)
 
 
+def dense_quadrant_sums(
+    g: np.ndarray, labels: np.ndarray
+) -> tuple[float, float, float, float, float]:
+    """(u0, d0, l0, r0, k_f0) with |g| binned over every cell, zeros included."""
+    sums = np.bincount(labels.ravel(), weights=np.abs(g).ravel(), minlength=4)
+    u0, d0, l0, r0 = sums[:4].tolist()
+    return u0, d0, l0, r0, u0 + d0 + l0 + r0
+
+
 def last_argmin(values) -> int:
     """Index of the minimum, ties resolved to the last occurrence."""
     best, best_value = 0, values[0]

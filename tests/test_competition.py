@@ -18,7 +18,7 @@ from clgmd.competition import (
 )
 from clgmd.errors import ConfigError, InputError
 
-from oracles import region_sums
+from oracles import dense_quadrant_sums, region_sums
 
 
 def counts(width, height):
@@ -130,6 +130,27 @@ class TestAccumulate:
         # Same magnitudes land in the mirrored fields; only the summation
         # order changes, so allow float accumulation noise.
         assert np.allclose((ur, dr, lr, rr), (d0, u0, r0, l0), rtol=1e-12, atol=0)
+
+    @given(
+        st.integers(5, 40),
+        st.integers(5, 40),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dense_binning_bit_for_bit(self, width, height, density, seed):
+        # Cells of both signs spread over twelve decades, so the order of
+        # the additions shows in the low bits; the rest +0.0 or -0.0.
+        rng = np.random.default_rng(seed)
+        g = rng.choice([-1.0, 1.0], (height, width)) * 10.0 ** rng.uniform(
+            -6, 6, (height, width)
+        )
+        zero = rng.random((height, width)) >= density
+        g[zero] = rng.choice([0.0, -0.0], (height, width))[zero]
+        mask = build_quadrant_mask(width, height)
+        got = accumulate_quadrants(g, mask)
+        want = dense_quadrant_sums(g, mask)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_monotonicity_within_region(self):
         mask = build_quadrant_mask(10, 10)

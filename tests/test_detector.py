@@ -15,6 +15,7 @@ from clgmd.layers import (
     compute_p_layer,
     compute_s_layer,
 )
+from clgmd.stimulus import CameraModel, ScenarioSpec, generate_sequence
 
 
 def stress_frames(height, width, count=40):
@@ -53,12 +54,9 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
         prev_p = p
 
 
-@pytest.mark.parametrize("height,width", [(100, 100), (240, 320)])
-def test_steady_state_frame_allocates_under_three_grids(height, width):
-    rng = np.random.default_rng(0)
-    frames = [
-        Frame(i, rng.integers(0, 256, (height, width), dtype=np.uint8)) for i in range(8)
-    ]
+def peak_allocation_in_grids(frames, height, width):
+    """Largest new allocation of one steady-state ``process``, in float64
+    grids, on the frames after the first four."""
     detector = CollisionDetector(width, height, core=CoreParams(inhibition_delay=1))
     for frame in frames[:4]:
         detector.process(frame)
@@ -74,4 +72,21 @@ def test_steady_state_frame_allocates_under_three_grids(height, width):
     finally:
         tracemalloc.stop()
     print(f"peak new allocation per frame, in grids: {max(peaks):.2f}")
-    assert max(peaks) < 3.0
+    return max(peaks)
+
+
+@pytest.mark.parametrize("height,width", [(100, 100), (240, 320)])
+def test_steady_state_frame_allocates_under_three_grids(height, width):
+    rng = np.random.default_rng(0)
+    frames = [
+        Frame(i, rng.integers(0, 256, (height, width), dtype=np.uint8)) for i in range(8)
+    ]
+    assert peak_allocation_in_grids(frames, height, width) < 3.0
+
+
+def test_looming_frame_allocates_under_half_a_grid():
+    # On a looming sequence G keeps under 2 % of its cells, and the
+    # quadrant sums allocate only for those.
+    spec = ScenarioSpec(seed=0, noise_amplitude=5.0)
+    frames = generate_sequence(spec, CameraModel(width=320, height=240))
+    assert peak_allocation_in_grids(frames, 240, 320) < 0.5

@@ -68,6 +68,9 @@ class TestStepVehicle:
     def test_state_validation(self):
         with pytest.raises(InputError):
             VehicleState(position=(float("inf"), 0.0, 0.0))
+        for vector in (("x", 0.0, 0.0), 5, "123"):
+            with pytest.raises(InputError, match="position must be a finite 3-vector"):
+                VehicleState(position=vector)
 
 
 class TestCheckCollision:
@@ -110,11 +113,20 @@ class TestTrialConfig:
             TrialConfig(cruise_speed=0.0)
         with pytest.raises(ConfigError, match="noise_seed must be non-negative"):
             TrialConfig(noise_seed=-1)
-        for vector in ((math.nan, 0.0, 0.0), (1.0, 0.0)):
+        # Non-numeric elements, a scalar, a string and an int too large for a
+        # float all raise the configuration error, not TypeError or ValueError.
+        for vector in (
+            (math.nan, 0.0, 0.0),
+            (1.0, 0.0),
+            ("a", 0, 0),
+            5,
+            "123",
+            (10**400, 0, 0),
+        ):
             with pytest.raises(ConfigError, match="obstacle_velocity must be"):
                 TrialConfig(obstacle_velocity=vector)
         short, nan = (-1.0, 6.0, -3.0, 3.0, -3.0), (-1.0, 6.0, -3.0, math.nan, -3.0, 3.0)
-        for arena in (short, nan):
+        for arena in (short, nan, ("a", 6, -3, 3, -3, 3), 5, "090909"):
             with pytest.raises(ConfigError, match="arena must be six finite bounds"):
                 TrialConfig(arena=arena)
 

@@ -1,5 +1,6 @@
 """Seed-0 outputs of every benchmark workload equal the stored reference,
-and fifteen CLI runs write byte-identical CSVs.
+fifteen CLI runs write byte-identical CSVs, and the eight detect
+sequences among them give bit-identical whole-field sums.
 
 The benchmark check uses the benchmark's own inputs, commands and
 comparison (``bench/run.py`` ``prepare``, ``check`` and
@@ -19,6 +20,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import run  # noqa: E402
 
 cli = run.load_clgmd()
+
+from clgmd.detector import CollisionDetector  # noqa: E402
+from clgmd.layers import CoreParams  # noqa: E402
+from clgmd.stimulus import (  # noqa: E402
+    CameraModel,
+    Direction,
+    ScenarioSpec,
+    generate_sequence,
+)
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
@@ -91,3 +101,27 @@ def test_cli_output_is_byte_identical(case, tmp_path, capsys):
         outcome = GOLDEN_OUTCOME.get(name, "AVOIDED")
         assert capsys.readouterr().out == f"OUTCOME={outcome}\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
+
+
+# sha256 over float.hex(k_f0), one line per detection, of the eight detect
+# sequences above, generated and detected in-process.  k_f0 is the raw
+# whole-field sum: it is in no CSV, and kappa is 0 on every 320x240 row, so
+# this is what pins the 320x240 numerics bit for bit.
+K_F0_SHA256 = "fc701a722439460fdc767bfe44a5ef4197c318a157c57feaace55c1a52bb0389"
+
+
+def test_k_f0_is_bit_identical():
+    digest = hashlib.sha256()
+    for width, height, delay in ((100, 100, 0), (320, 240, 1)):
+        camera = CameraModel(width=width, height=height)
+        for direction in ("up", "down", "left", "right"):
+            spec = ScenarioSpec(
+                direction=Direction(direction), seed=0, noise_amplitude=5.0, frames=120
+            )
+            core = CoreParams(inhibition_delay=delay)
+            detector = CollisionDetector(width, height, core=core)
+            for frame in generate_sequence(spec, camera):
+                result = detector.process(frame)
+                if result is not None:
+                    digest.update(f"{result.potentials.k_f0.hex()}\n".encode())
+    assert digest.hexdigest() == K_F0_SHA256

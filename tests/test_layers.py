@@ -125,6 +125,18 @@ class TestPLayer:
                 expect[y, x] = float(curr.luminance[y, x]) - float(prev.luminance[y, x])
         assert np.array_equal(p, expect)
 
+    def test_every_uint8_pair_equals_float_subtraction(self):
+        # One 256x256 frame pair holds all 65,536 (prev, curr) pairs.
+        levels = np.arange(256, dtype=np.uint8)
+        prev = Frame(index=0, luminance=np.repeat(levels[:, None], 256, axis=1))
+        curr = Frame(index=1, luminance=np.repeat(levels[None, :], 256, axis=0))
+        want = curr.luminance.astype(np.float64) - prev.luminance.astype(np.float64)
+        fresh = compute_p_layer(prev, curr)
+        assert fresh.dtype == np.float64 and np.array_equal(fresh, want)
+        out = np.full((256, 256), np.nan)
+        assert compute_p_layer(prev, curr, out=out) is out
+        assert np.array_equal(out, want)
+
     def test_dimension_mismatch(self):
         a = Frame(index=0, luminance=np.zeros((8, 8)))
         b = Frame(index=1, luminance=np.zeros((8, 9)))
