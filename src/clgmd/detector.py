@@ -4,7 +4,9 @@ Wires the layer stack, the four-field competition and the spike logic
 into a single object that consumes frames one at a time.  The first
 frame only primes the differencing buffer and yields no result.  Every
 layer grid and stencil buffer is allocated once, when the detector is
-built, and reused for each frame.
+built, and reused for each frame.  P is kept in two int16 grids, the
+current and the previous frame's, so inhibition sums it in int16 and the
+delayed branch reads the previous one; I, S and G are float64.
 """
 
 from __future__ import annotations
@@ -71,10 +73,10 @@ class CollisionDetector:
         self.kernel = InhibitionKernel()
         self.mask = build_quadrant_mask(width, height)
         self._prev_frame: Frame | None = None
-        # P is double-buffered: each frame writes P into the first grid and
-        # then swaps them, so the previous P, which inhibition reads when
-        # inhibition_delay is 1, survives in the other.
-        self._p_grids = [np.empty((height, width)), np.empty((height, width))]
+        # P is double-buffered in int16: each frame writes P into the first
+        # grid and then swaps them, so the previous P, which inhibition reads
+        # when inhibition_delay is 1, survives in the other.
+        self._p_grids = [np.empty((height, width), dtype=np.int16) for _ in range(2)]
         self._prev_p: Grid | None = None
         self._i: Grid = np.empty((height, width))
         self._s: Grid = np.empty((height, width))

@@ -9,15 +9,21 @@ excitation grid:
     S  linear subtraction E - I, sign preserved
     G  clustered excitation boosted, sporadic isolated change decayed to zero
 
-Grids are float64 numpy arrays shaped (height, width) with row 0 at the top
-of the image.  Both stencils zero-pad the border so output dimensions match
-the input, and both are built from shifted slices of one zero-bordered
-copy of the source:
+Grids are numpy arrays shaped (height, width) with row 0 at the top of the
+image.  I, S and G are float64.  P is float64 unless the caller hands
+``compute_p_layer`` an int16 ``out=`` grid, as the detector does: P is an
+integer in [-255, 255], so int16 holds it exactly.  Both stencils zero-pad
+the border so output dimensions match the input, and both are built from
+shifted slices of one zero-bordered copy of the source:
 
 - the 5x5 inhibition kernel is symmetric, so it has five distinct weights
   (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8).  The taps of each weight group
   are summed from shared horizontal pair sums at x+-1 and x+-2, and each
-  group sum is multiplied by its weight once;
+  group sum is multiplied by its weight once.  An int16 source whose values
+  lie in [-4095, 4095] is summed in int16: a group has at most eight taps,
+  so every sum stays within 8 * 4095 = 32,760 and equals the float64 sum
+  exactly.  Any other source, an int16 one outside that range included, is
+  summed in float64, so no sum can wrap;
 - the 3x3 G-layer mean is a separable box sum, a row sum then a column
   sum, divided by 9.
 
@@ -37,8 +43,13 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 
-# A layer grid is a plain 2-D float64 array; the alias only documents intent.
+# A layer grid is a plain 2-D array, float64 or, for P, int16; the alias
+# only documents intent.
 Grid = np.ndarray
+
+# The largest |value| of an int16 inhibition source whose eight-tap group
+# sums cannot overflow int16.
+INT16_SOURCE_LIMIT = 4095
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,10 @@ class StencilScratch:
     """Work buffers for the two stencils on grids of one shape.
 
     ``padded`` holds the source grid inside a two-cell zero border.  No
-    stencil writes the border, so one allocation serves every call.
+    stencil writes the border, so one allocation serves every call.  The
+    ``*16`` buffers are the int16 twins that inhibition uses for an int16
+    source within ``INT16_SOURCE_LIMIT``: the padded source, its pair sums
+    and one group sum.
     """
 
     def __init__(self, height: int, width: int) -> None:
@@ -143,22 +157,28 @@ class StencilScratch:
         self.far = np.empty((height + 4, width))  # pair sums at x-2, x+2
         self.tmp = np.empty((height, width))
         self.drop = np.empty((height, width), dtype=bool)
+        self.padded16 = np.zeros((height + 4, width + 4), dtype=np.int16)
+        self.near16 = np.empty((height + 4, width), dtype=np.int16)
+        self.far16 = np.empty((height + 4, width), dtype=np.int16)
+        self.acc16 = np.empty((height, width), dtype=np.int16)
 
 
-def _load(grid: Grid, scratch: StencilScratch | None) -> StencilScratch:
-    """Copy ``grid`` into the middle of the zero-bordered scratch."""
-    if scratch is None:
-        scratch = StencilScratch(*grid.shape)
-    scratch.padded[2:-2, 2:-2] = grid
-    return scratch
+def _sums_fit_int16(grid: Grid) -> bool:
+    """True when ``grid`` is int16 and no inhibition group sum can overflow."""
+    return (
+        grid.dtype == np.int16
+        and -INT16_SOURCE_LIMIT <= grid.min(initial=0)  # initial: empty grids fit
+        and grid.max(initial=0) <= INT16_SOURCE_LIMIT
+    )
 
 
 def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Grid:
     """Luminance change per pixel between two consecutive frames.
 
     The uint8 frames are subtracted in int16, where every difference in
-    [-255, 255] is exact, and the result is widened to float64 as it is
-    written.
+    [-255, 255] is exact, and written into ``out`` in its own dtype: a
+    float64 grid, allocated when ``out`` is omitted, or an int16 grid, which
+    keeps P integer for the int16 inhibition path.
     """
     if prev.luminance.shape != curr.luminance.shape:
         raise InputError(
@@ -184,14 +204,25 @@ def compute_inhibition(
     """Spread excitation into inhibition by convolving with the 5x5 kernel.
 
     The source grid is the current P layer, or the previous frame's P layer
-    when ``params.inhibition_delay`` is 1.  Borders are zero-padded.
+    when ``params.inhibition_delay`` is 1.  Borders are zero-padded.  An
+    int16 source with every |value| <= ``INT16_SOURCE_LIMIT`` has its group
+    sums taken in int16; any other source, in float64.  Either way each
+    group sum is widened to float64 once, multiplied by its weight, and the
+    five weighted groups are added in the same order, so an integer source
+    gives bit-identical I in either dtype.
     """
     _require_same_shape(p, p_delayed, "inhibition input")
     source = p if params.inhibition_delay == 0 else p_delayed
     h, w = source.shape
-    scratch = _load(source, scratch)
+    if scratch is None:
+        scratch = StencilScratch(h, w)
+    in_int16 = _sums_fit_int16(source)
+    if in_int16:
+        q, near, far = scratch.padded16, scratch.near16, scratch.far16
+    else:
+        q, near, far = scratch.padded, scratch.near, scratch.far
+    q[2:-2, 2:-2] = source
     out = np.empty((h, w)) if out is None else out
-    q, near, far = scratch.padded, scratch.near, scratch.far
     np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=near)
     np.add(q[:, 0:w], q[:, 4 : w + 4], out=far)
     centre = q[:, 2 : w + 2]
@@ -205,21 +236,33 @@ def compute_inhibition(
         (weights[4, 4], ((far, -2), (far, 2))),
     )
     for n, (weight, taps) in enumerate(groups):
-        acc = out if n == 0 else scratch.tmp
+        weighted = out if n == 0 else scratch.tmp
+        acc = scratch.acc16 if in_int16 else weighted
         (first, dy0), (second, dy1), *rest = taps
         np.add(first[2 + dy0 : 2 + dy0 + h], second[2 + dy1 : 2 + dy1 + h], out=acc)
         for rows, dy in rest:
             acc += rows[2 + dy : 2 + dy + h]
-        acc *= weight
+        if in_int16:
+            # Widen, then scale in float64: faster than one mixed-dtype multiply.
+            np.copyto(weighted, acc)
+        weighted *= weight
         if n:
-            out += acc
+            out += weighted
     return out
 
 
 def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
-    """Combine excitation and inhibition by linear subtraction, sign kept."""
+    """Combine excitation and inhibition by linear subtraction, sign kept.
+
+    ``e`` may be the int16 P grid: it is widened to float64 exactly, then
+    the float64 ``i`` is subtracted, so S equals the float64 subtraction.
+    """
     _require_same_shape(e, i, "summing input")
-    return np.subtract(e, i, out=out)
+    if out is None or np.may_share_memory(out, i):
+        return np.subtract(e, i, out=out)
+    # Widen into out, then subtract in place: faster than a mixed-dtype subtract.
+    np.copyto(out, e)
+    return np.subtract(out, i, out=out)
 
 
 def compute_g_layer(
@@ -236,7 +279,9 @@ def compute_g_layer(
     ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
     """
     h, w = s.shape
-    scratch = _load(s, scratch)
+    if scratch is None:
+        scratch = StencilScratch(h, w)
+    scratch.padded[2:-2, 2:-2] = s
     out = np.empty((h, w)) if out is None else out
     # The inner ring of the two-cell border is the 3x3 mean's zero padding.
     q, rows, ce = scratch.padded[1:-1], scratch.near[1:-1], scratch.tmp

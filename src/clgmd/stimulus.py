@@ -35,11 +35,17 @@ class Direction(enum.Enum):
 
 
 def finite_floats(value, size: int) -> tuple[float, ...] | None:
-    """``value`` as a tuple of ``size`` finite floats, or None if it is not one."""
+    """``value`` as a tuple of ``size`` finite floats, or None if it is not one.
+
+    Strings, bytes and bools are not numbers here, whole or as elements.
+    """
     if isinstance(value, (str, bytes)):
         return None
     try:
-        vec = tuple(float(v) for v in value)
+        items = tuple(value)
+        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in items):
+            return None
+        vec = tuple(float(v) for v in items)
     except (TypeError, ValueError, OverflowError):
         return None
     if len(vec) != size or not all(math.isfinite(v) for v in vec):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clgmd import detector as detector_module
 from clgmd.competition import accumulate_quadrants, normalize
 from clgmd.detector import CollisionDetector
 from clgmd.layers import (
@@ -52,6 +53,41 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
         got = detector.process(curr).potentials
         assert got == want, f"frame {curr.index}"
         prev_p = p
+
+
+# The clgmd.detector globals the benchmark tracer wraps to time each layer.
+TRACED_GLOBALS = (
+    "compute_p_layer",
+    "compute_inhibition",
+    "compute_s_layer",
+    "compute_g_layer",
+    "accumulate_quadrants",
+    "normalize",
+    "update_spike_state",
+)
+
+
+@pytest.mark.parametrize("delay", [0, 1])
+def test_process_calls_each_traced_global_once_per_frame(monkeypatch, delay):
+    # A stage called some other way would read 0 us in the per-layer trace.
+    calls = dict.fromkeys(TRACED_GLOBALS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED_GLOBALS:
+        monkeypatch.setattr(detector_module, name, counting(name, getattr(detector_module, name)))
+    detector = CollisionDetector(37, 23, core=CoreParams(inhibition_delay=delay))
+    frames = stress_frames(23, 37, count=12)
+    detector.process(frames[0])
+    assert calls == dict.fromkeys(TRACED_GLOBALS, 0)
+    for n, frame in enumerate(frames[1:], start=1):
+        detector.process(frame)
+        assert calls == dict.fromkeys(TRACED_GLOBALS, n)
 
 
 def peak_allocation_in_grids(frames, height, width):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from clgmd.competition import NormParams
@@ -68,7 +69,7 @@ class TestStepVehicle:
     def test_state_validation(self):
         with pytest.raises(InputError):
             VehicleState(position=(float("inf"), 0.0, 0.0))
-        for vector in (("x", 0.0, 0.0), 5, "123"):
+        for vector in (("x", 0.0, 0.0), 5, "123", (b"1", 0, 0), (True, 0, 0)):
             with pytest.raises(InputError, match="position must be a finite 3-vector"):
                 VehicleState(position=vector)
 
@@ -113,12 +114,15 @@ class TestTrialConfig:
             TrialConfig(cruise_speed=0.0)
         with pytest.raises(ConfigError, match="noise_seed must be non-negative"):
             TrialConfig(noise_seed=-1)
-        # Non-numeric elements, a scalar, a string and an int too large for a
-        # float all raise the configuration error, not TypeError or ValueError.
+        # Non-numeric elements, numeric strings and bools as elements, a
+        # scalar, a string and an int too large for a float all raise the
+        # configuration error, not TypeError or ValueError.
         for vector in (
             (math.nan, 0.0, 0.0),
             (1.0, 0.0),
             ("a", 0, 0),
+            ("1.5", True, 0),
+            (np.True_, 0, 0),
             5,
             "123",
             (10**400, 0, 0),

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import clgmd
 from clgmd.errors import ConfigError, InputError
 from clgmd.layers import (
+    INT16_SOURCE_LIMIT,
     CoreParams,
     Frame,
     InhibitionKernel,
+    StencilScratch,
     compute_g_layer,
     compute_inhibition,
     compute_p_layer,
@@ -209,6 +211,57 @@ class TestInhibition:
         assert np.allclose(mirrored_then, then_mirrored, atol=1e-12)
 
 
+class TestInt16Inhibition:
+    """An int16 source within the limit is summed in int16; I is unchanged."""
+
+    @given(
+        arrays(
+            np.int16,
+            array_shapes(min_dims=2, max_dims=2, min_side=5, max_side=40),
+            elements=st.integers(-INT16_SOURCE_LIMIT, INT16_SOURCE_LIMIT),
+        ),
+        st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int16_source_equals_float_source_bit_for_bit(self, src, delay):
+        k, params = InhibitionKernel(), CoreParams(inhibition_delay=delay)
+        want = compute_inhibition(src.astype(np.float64), src.astype(np.float64), k, params)
+        assert np.array_equal(compute_inhibition(src, src, k, params), want)
+        # One scratch serves both dtypes, in either order.
+        scratch = StencilScratch(*src.shape)
+        for grid in (src, src.astype(np.float64), src):
+            got = compute_inhibition(grid, grid, k, params, scratch=scratch)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "dtype,value",
+        [
+            (np.int16, INT16_SOURCE_LIMIT + 1),
+            (np.int16, -INT16_SOURCE_LIMIT - 1),
+            (np.int16, 32767),
+            (np.int16, -32768),
+            (np.int32, 40000),
+            (np.int64, -(2**40)),
+        ],
+    )
+    def test_sums_that_could_overflow_int16_never_wrap(self, dtype, value):
+        # A constant grid puts eight copies of the value in the largest group,
+        # so an int16 sum of it would wrap.  The result must equal the float
+        # path, or the call must raise InputError.
+        k, params = InhibitionKernel(), CoreParams()
+        noise = np.random.default_rng(8).integers(-255, 256, (9, 11))
+        for src in (np.full((9, 11), value, dtype=dtype), noise.astype(dtype)):
+            src[4, 5] = value
+            want = compute_inhibition(src.astype(np.float64), src.astype(np.float64), k, params)
+            try:
+                got = compute_inhibition(src, src, k, params)
+            except InputError:
+                continue
+            assert np.array_equal(got, want)
+            if np.all(src == value):
+                assert got[4, 5] == pytest.approx(value * KERNEL_SUM, rel=1e-12)
+
+
 class TestSLayer:
     def test_zero_inhibition_passthrough(self):
         e = np.random.default_rng(1).uniform(-10, 10, (6, 6))
@@ -226,6 +279,22 @@ class TestSLayer:
         for y in range(6):
             for x in range(6):
                 assert s[y, x] == e[y, x] - i[y, x]
+
+    def test_int16_p_minus_float_i_equals_float_subtraction(self):
+        rng = np.random.default_rng(17)
+        prev, curr = frame_pair(rng, 30, 40)
+        p16 = compute_p_layer(prev, curr, out=np.empty((30, 40), dtype=np.int16))
+        p = compute_p_layer(prev, curr)
+        i = compute_inhibition(p, p, InhibitionKernel(), CoreParams())
+        s = compute_s_layer(p16, i)
+        assert s.dtype == np.float64 and np.array_equal(s, p - i)
+        out = np.full((30, 40), np.nan)
+        assert compute_s_layer(p16, i, out=out) is out
+        assert np.array_equal(out, p - i)
+        # out may be the I grid itself.
+        inplace = i.copy()
+        assert compute_s_layer(p16, inplace, out=inplace) is inplace
+        assert np.array_equal(inplace, p - i)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):

@@ -119,7 +119,7 @@ class TestValidation:
             Sphere((1, 0, 0), -0.1, 100.0)
         with pytest.raises(ConfigError):
             Sphere((1, 0, 0), 0.1, 300.0)
-        for center in (("x", 0, 0), 5, (10**400, 0, 0)):
+        for center in (("x", 0, 0), 5, (10**400, 0, 0), (np.True_, "2", 0), (b"1", 0, 0)):
             with pytest.raises(ConfigError, match="center must be a finite 3-vector"):
                 Sphere(center, 0.1, 100.0)
         with pytest.raises(ConfigError):
