@@ -258,11 +258,7 @@ def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
     the float64 ``i`` is subtracted, so S equals the float64 subtraction.
     """
     _require_same_shape(e, i, "summing input")
-    if out is None or np.may_share_memory(out, i):
-        return np.subtract(e, i, out=out)
-    # Widen into out, then subtract in place: faster than a mixed-dtype subtract.
-    np.copyto(out, e)
-    return np.subtract(out, i, out=out)
+    return np.subtract(e, i, out=out)
 
 
 def compute_g_layer(
