@@ -13,19 +13,22 @@ Grids are numpy arrays shaped (height, width) with row 0 at the top of the
 image.  I, S and G are float64.  P is float64 unless the caller hands
 ``compute_p_layer`` an int16 ``out=`` grid, as the detector does: P is an
 integer in [-255, 255], so int16 holds it exactly.  Both stencils zero-pad
-the border so output dimensions match the input, and both are built from
-shifted slices of one zero-bordered copy of the source:
+the border so output dimensions match the input:
 
 - the 5x5 inhibition kernel is symmetric, so it has five distinct weights
-  (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8).  The taps of each weight group
-  are summed from shared horizontal pair sums at x+-1 and x+-2, and each
-  group sum is multiplied by its weight once.  An int16 source whose values
-  lie in [-4095, 4095] is summed in int16: a group has at most eight taps,
-  so every sum stays within 8 * 4095 = 32,760 and equals the float64 sum
+  (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8).  It reads shifted slices of one
+  zero-bordered copy of the source.  The taps of each weight group are
+  summed from shared horizontal pair sums at x+-1 and x+-2, and each group
+  sum is multiplied by its weight once.  An int16 source whose values lie
+  in [-4095, 4095] is summed in int16: a group has at most eight taps, so
+  every sum stays within 8 * 4095 = 32,760 and equals the float64 sum
   exactly.  Any other source, an int16 one outside that range included, is
   summed in float64, so no sum can wrap;
 - the 3x3 G-layer mean is a separable box sum, a row sum then a column
-  sum, divided by 9.
+  sum, divided by 9.  It needs no padded copy: both sums add contiguous
+  runs of the grid at flat offsets, and only the first and last column and
+  row are redone with the zero pad written out.  The decay rule then runs
+  only on the few cells that can survive it.
 
 ``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
 ``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
@@ -37,6 +40,9 @@ buffers belong to :class:`clgmd.detector.CollisionDetector`.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +136,15 @@ class CoreParams:
             raise ConfigError(
                 f"inhibition_delay must be 0 or 1, got {self.inhibition_delay}"
             )
+        for name in ("delta_c", "c_w", "c_de", "t_de"):
+            value = getattr(self, name)
+            # abs(...) <= max also rejects NaN and ints too large for a float.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.c_w > 0:
             raise ConfigError(f"c_w must be positive, got {self.c_w}")
         if self.t_de < 0:
@@ -144,11 +159,14 @@ def _require_same_shape(a: Grid, b: Grid, what: str) -> None:
 class StencilScratch:
     """Work buffers for the two stencils on grids of one shape.
 
-    ``padded`` holds the source grid inside a two-cell zero border.  No
-    stencil writes the border, so one allocation serves every call.  The
+    ``padded`` holds the inhibition source inside a two-cell zero border.
+    Nothing writes the border, so one allocation serves every call.  The
     ``*16`` buffers are the int16 twins that inhibition uses for an int16
     source within ``INT16_SOURCE_LIMIT``: the padded source, its pair sums
-    and one group sum.
+    and one group sum.  The G layer uses no padded copy: ``near`` holds its
+    row sums, ``tmp`` Ce and then S * Ce, and ``drop`` the candidate mask;
+    the decay rule's per-candidate values go in the leading cells of
+    ``near``, ``far`` and ``drop``.
     """
 
     def __init__(self, height: int, width: int) -> None:
@@ -261,6 +279,27 @@ def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
     return np.subtract(e, i, out=out)
 
 
+def _grouping_bound(omega: float, c_de: float, t_de: float) -> float:
+    """A lower bound of |S * Ce| on every cell the decay rule keeps, or 0.0.
+
+    A cell survives when ``abs(S * Ce / omega) * c_de >= t_de``.  With
+    ``t_de``, ``t_de / c_de`` and the bound all finite and normal, each of
+    the three roundings here and the two in the rule is within a factor
+    1 +- 2**-53, and (1 + 2**-53)**6 < 1 / (1 - 2**-20), so no survivor has
+    |S * Ce| below the bound.  Anywhere else, zero keeps every cell a
+    candidate.  Python floats keep an overflow quiet, and ``c_de`` is
+    checked first because their division by zero raises.
+    """
+    omega, c_de, t_de = float(omega), float(c_de), float(t_de)
+    if not c_de > 0:
+        return 0.0
+    ratio = t_de / c_de
+    bound = ratio * omega * (1 - 2**-20)
+    if all(sys.float_info.min <= v < math.inf for v in (t_de, ratio, bound)):
+        return bound
+    return 0.0
+
+
 def compute_g_layer(
     s: Grid,
     params: CoreParams,
@@ -273,29 +312,56 @@ def compute_g_layer(
     Steps: a 3x3 mean of S gives the passing coefficient Ce; the adaptive
     scale is ``delta_c + max|Ce| / c_w``; each cell becomes
     ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
+
+    The box sum adds whole rows: ``(s[x-1] + s[x+1]) + s[x]`` at flat
+    offsets +-1, then ``(r[y-1] + r[y]) + r[y+1]`` one row apart.  The
+    first and last column and row are redone with their zero pad written
+    out, so a -0.0 rounds as it would in a zero-padded grid.  The decay
+    rule runs only on the cells whose |S * Ce| reaches a provable lower
+    bound of every survivor's (see ``_grouping_bound``), and the rest of
+    ``out`` is zero.  The cost follows the number of candidates: with
+    ``t_de=0`` every cell is one.
     """
     h, w = s.shape
     if scratch is None:
         scratch = StencilScratch(h, w)
-    scratch.padded[2:-2, 2:-2] = s
+    s = np.ascontiguousarray(s, dtype=np.float64)
     out = np.empty((h, w)) if out is None else out
-    # The inner ring of the two-cell border is the 3x3 mean's zero padding.
-    q, rows, ce = scratch.padded[1:-1], scratch.near[1:-1], scratch.tmp
-    np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=rows)
-    rows += q[:, 2 : w + 2]
-    np.add(rows[0:h], rows[1 : h + 1], out=ce)
-    ce += rows[2 : h + 2]
+    rows, ce = scratch.near[:h], scratch.tmp
+    flat, row_flat = s.ravel(), rows.ravel()
+    np.add(flat[:-2], flat[2:], out=row_flat[1:-1])
+    row_flat[1:-1] += flat[1:-1]
+    for x in {0, w - 1}:
+        left = s[:, x - 1] if x > 0 else 0.0
+        right = s[:, x + 1] if x + 1 < w else 0.0
+        np.add(left, right, out=rows[:, x])
+        rows[:, x] += s[:, x]
+    np.add(rows[:-2], rows[1:-1], out=ce[1:-1])
+    ce[1:-1] += rows[2:]
+    for y in {0, h - 1}:
+        np.add(rows[y - 1] if y > 0 else 0.0, rows[y], out=ce[y])
+        ce[y] += rows[y + 1] if y + 1 < h else 0.0
     ce /= 9.0
     omega = params.delta_c + max(float(ce.max()), -float(ce.min())) / params.c_w
     if omega <= 0:
         raise ConfigError(
             f"grouping scale is {omega}; delta_c must keep it positive when Ce is zero"
         )
-    np.multiply(s, ce, out=out)
-    out /= omega
-    np.abs(out, out=ce)
-    ce *= params.c_de
-    np.greater_equal(ce, params.t_de, out=scratch.drop)
-    np.logical_not(scratch.drop, out=scratch.drop)
-    np.copyto(out, 0.0, where=scratch.drop)
+    product = np.multiply(ce, s, out=ce)
+    np.abs(product, out=out)
+    bound = _grouping_bound(omega, params.c_de, params.t_de)
+    candidates = np.flatnonzero(np.greater_equal(out, bound, out=scratch.drop))
+    # The decay rule on the candidates alone, in the leading cells of work
+    # buffers no longer needed.  take(mode="clip"): the indices are in
+    # range, and the default mode would buffer a copy.
+    n = candidates.size
+    g = np.take(product, candidates, out=scratch.near.ravel()[:n], mode="clip")
+    g /= omega
+    decayed = np.abs(g, out=scratch.far.ravel()[:n])
+    decayed *= params.c_de
+    drop = np.greater_equal(decayed, params.t_de, out=scratch.drop.ravel()[:n])
+    np.logical_not(drop, out=drop)
+    np.copyto(g, 0.0, where=drop)
+    out.fill(0.0)
+    np.put(out, candidates, g)
     return out

@@ -68,6 +68,35 @@ def naive_group(
     return out
 
 
+def dense_group(
+    s: np.ndarray, delta_c: float, c_w: float, c_de: float, t_de: float
+) -> np.ndarray:
+    """The dense grouping that ``compute_g_layer`` replaced, frozen as it was.
+
+    A padded copy of S, a separable box sum over strided slices of it, and
+    the decay rule applied to every cell.  Its bytes, signed zeros
+    included, are what the survivor-only layer must reproduce.
+    """
+    h, w = s.shape
+    padded = np.zeros((h + 4, w + 4))
+    padded[2:-2, 2:-2] = s
+    q, rows, ce = padded[1:-1], np.empty((h + 2, w)), np.empty((h, w))
+    np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=rows)
+    rows += q[:, 2 : w + 2]
+    np.add(rows[0:h], rows[1 : h + 1], out=ce)
+    ce += rows[2 : h + 2]
+    ce /= 9.0
+    omega = delta_c + max(float(ce.max()), -float(ce.min())) / c_w
+    out = np.empty((h, w))
+    np.multiply(s, ce, out=out)
+    out /= omega
+    np.abs(out, out=ce)
+    ce *= c_de
+    drop = np.logical_not(np.greater_equal(ce, t_de))
+    np.copyto(out, 0.0, where=drop)
+    return out
+
+
 def region_sums(g: np.ndarray, labels: np.ndarray) -> tuple[float, float, float, float]:
     """Per-label |g| sums accumulated pixel by pixel (labels 0..3)."""
     sums = [0.0, 0.0, 0.0, 0.0]

@@ -90,24 +90,40 @@ def test_process_calls_each_traced_global_once_per_frame(monkeypatch, delay):
         assert calls == dict.fromkeys(TRACED_GLOBALS, n)
 
 
-def peak_allocation_in_grids(frames, height, width):
+def peak_allocation_in_grids(frames, height, width, layer=None):
     """Largest new allocation of one steady-state ``process``, in float64
-    grids, on the frames after the first four."""
+    grids, on the frames after the first four.  Given the name of a
+    ``clgmd.detector`` global, only the calls to it within ``process``
+    are measured."""
     detector = CollisionDetector(width, height, core=CoreParams(inhibition_delay=1))
     for frame in frames[:4]:
         detector.process(frame)
     grid_bytes = height * width * 8
     peaks = []
-    tracemalloc.start()
-    try:
-        for frame in frames[4:]:
+
+    def measured(fn):
+        def wrapper(*args, **kwargs):
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            detector.process(frame)
+            result = fn(*args, **kwargs)
             peaks.append((tracemalloc.get_traced_memory()[1] - before) / grid_bytes)
-    finally:
-        tracemalloc.stop()
-    print(f"peak new allocation per frame, in grids: {max(peaks):.2f}")
+            return result
+
+        return wrapper
+
+    process = detector.process
+    with pytest.MonkeyPatch.context() as patch:
+        if layer is None:
+            process = measured(process)
+        else:
+            patch.setattr(detector_module, layer, measured(getattr(detector_module, layer)))
+        tracemalloc.start()
+        try:
+            for frame in frames[4:]:
+                process(frame)
+        finally:
+            tracemalloc.stop()
+    print(f"peak new allocation per {layer or 'frame'}, in grids: {max(peaks):.2f}")
     return max(peaks)
 
 
@@ -126,3 +142,11 @@ def test_looming_frame_allocates_under_half_a_grid():
     spec = ScenarioSpec(seed=0, noise_amplitude=5.0)
     frames = generate_sequence(spec, CameraModel(width=320, height=240))
     assert peak_allocation_in_grids(frames, 240, 320) < 0.5
+
+
+def test_looming_g_layer_allocates_under_a_tenth_of_a_grid():
+    # The G layer's candidate indices and values follow the few cells that
+    # can survive the decay, not the grid.
+    spec = ScenarioSpec(seed=0, noise_amplitude=5.0)
+    frames = generate_sequence(spec, CameraModel(width=320, height=240))
+    assert peak_allocation_in_grids(frames, 240, 320, layer="compute_g_layer") < 0.1

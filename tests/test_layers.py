@@ -27,7 +27,7 @@ from clgmd.layers import (
     compute_s_layer,
 )
 
-from oracles import kernel_weights_by_formula, naive_convolve, naive_group
+from oracles import dense_group, kernel_weights_by_formula, naive_convolve, naive_group
 
 KERNEL_SUM = 3.4550873627797367  # hand-summed from the 24 reciprocal distances
 
@@ -301,6 +301,26 @@ class TestSLayer:
             compute_s_layer(np.zeros((6, 6)), np.zeros((6, 7)))
 
 
+# Signed zeros, the smallest subnormal and normal, and magnitudes whose
+# products overflow.
+G_EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e150, -1e150
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_same_bytes_as_dense(s, params):
+    """G from ``compute_g_layer`` into a NaN-filled ``out`` has the bytes of
+    ``dense_group``; returns it."""
+    out = np.full(s.shape, np.nan)
+    with np.errstate(all="ignore"):  # overflow to inf is part of the input range
+        got = compute_g_layer(s, params, out=out, scratch=StencilScratch(*s.shape))
+        want = dense_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
 class TestGLayer:
     def test_zero_propagation(self):
         out = compute_g_layer(np.zeros((8, 8)), CoreParams())
@@ -347,6 +367,60 @@ class TestGLayer:
         out = compute_g_layer(s, CoreParams())
         assert np.all((out == 0.0) | (s != 0.0))
 
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=st.one_of(st.sampled_from(G_EDGE_VALUES), st.floats(-300, 300)),
+        ),
+        st.sampled_from((0.5, 1e-300, 3.0, 1e300)),
+        st.sampled_from((4.0, 1e-300, 0.75, 1e300)),
+        # Every c_de and t_de the constructor accepts, the tuned range and
+        # the edge values drawn more often.
+        st.one_of(st.sampled_from(G_EDGE_VALUES), st.floats(-1e3, 1e3), FINITE),
+        st.one_of(st.sampled_from(G_EDGE_VALUES[::2]), st.floats(0, 1e3), FINITE.map(abs)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_dense_grouping(self, s, delta_c, c_w, c_de, t_de):
+        # tobytes() tells -0.0 from +0.0, which array_equal does not.
+        params = CoreParams(delta_c=delta_c, c_w=c_w, c_de=c_de, t_de=t_de)
+        assert_same_bytes_as_dense(s, params)
+
+    def test_cell_exactly_at_threshold_survives(self):
+        rng = np.random.default_rng(21)
+        s = rng.uniform(-120.0, 120.0, (9, 13))
+        dense = dense_group(s, 0.5, 4.0, 0.5, 0.0)
+        for y, x in ((4, 6), (0, 0), (8, 12)):
+            g = dense[y, x]
+            params = CoreParams(t_de=abs(g) * 0.5)
+            out = assert_same_bytes_as_dense(s, params)
+            assert out[y, x] == g != 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (5, 7)])
+    def test_negative_zero_edges_keep_their_sign(self, shape):
+        # The zero pad turns a -0.0 edge sum into +0.0; with t_de=0 every
+        # cell survives, so each sign shows in G.
+        for fill in (-0.0, 0.0):
+            assert_same_bytes_as_dense(np.full(shape, fill), CoreParams(t_de=0.0))
+        s = np.full(shape, -0.0)
+        s[0, 0] = 1e-300
+        assert_same_bytes_as_dense(s, CoreParams(t_de=0.0))
+
+    def test_non_contiguous_input_and_output(self):
+        rng = np.random.default_rng(22)
+        s = rng.uniform(-120.0, 120.0, (17, 23))
+        s[rng.random(s.shape) < 0.4] = 0.0
+        params = CoreParams(t_de=5.0)
+        want = compute_g_layer(s, params)
+        assert np.count_nonzero(want) > 0
+        transposed = np.ascontiguousarray(s.T).T
+        big = np.full((34, 46), np.nan)
+        out = big[::2, ::2]
+        assert not transposed.flags.c_contiguous and not out.flags.c_contiguous
+        assert compute_g_layer(transposed, params, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert np.all(np.isnan(big[1::2])) and np.all(np.isnan(big[:, 1::2]))
+
 
 class TestCoreParams:
     def test_validation(self):
@@ -356,6 +430,11 @@ class TestCoreParams:
             CoreParams(t_de=-1.0)
         with pytest.raises(ConfigError):
             CoreParams(inhibition_delay=2)
+        # A NaN delta_c would decay every cell of G; nothing is coerced.
+        for name in ("delta_c", "c_w", "c_de", "t_de"):
+            for bad in (math.nan, math.inf, -math.inf, True, False, "0.5", None, 10**400):
+                with pytest.raises(ConfigError, match=name):
+                    CoreParams(**{name: bad})
 
     def test_grouping_kernel_not_a_parameter(self):
         # The G-layer mean is a fixed 3x3 window, checked against naive_group.
