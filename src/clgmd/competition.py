@@ -13,11 +13,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import InputError, Kind, Positive, Real, check_fields
 from .layers import Grid
+
+_PositiveCount = Annotated[int, Kind("be positive", lambda v: v > 0, integer=True)]
 
 
 class Quadrant(enum.IntEnum):
@@ -104,21 +107,16 @@ class NormParams:
     ``t_s`` above 255 disables spiking entirely (useful as a baseline).
     """
 
-    n_cell: int
-    c1: float = 0.005
-    c2: float | None = None
-    t_s: float = 150.0
-    n_sp: int = 4
+    n_cell: _PositiveCount
+    c1: Real = 0.005
+    c2: Positive | None = None
+    t_s: Real = 150.0
+    n_sp: _PositiveCount = 4
 
     def __post_init__(self) -> None:
-        if self.n_cell <= 0:
-            raise ConfigError(f"n_cell must be positive, got {self.n_cell}")
+        check_fields(self)
         if self.c2 is None:
             object.__setattr__(self, "c2", 1.0 / self.n_cell)
-        if not self.c2 > 0:
-            raise ConfigError(f"c2 must be positive, got {self.c2}")
-        if self.n_sp < 1:
-            raise ConfigError(f"n_sp must be >= 1, got {self.n_sp}")
 
     @classmethod
     def for_resolution(cls, width: int, height: int, **overrides) -> "NormParams":

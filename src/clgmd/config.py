@@ -5,9 +5,12 @@ trial.  Lines are `key=value`, `#` starts a comment line, blank lines are
 ignored.  Unknown keys are rejected by name so typos fail loudly.
 Command-line overrides are applied on top of file values.
 
-Every key, its default and its value type come from a field of the
-parameter dataclass that validates and uses it, so a new knob is one line
-there.  Only keys that are not a same-named field are mapped here.
+A knob is one annotated field of the parameter dataclass that uses it,
+its kind included (``c_w: Positive = 4.0``; see :mod:`clgmd.errors`).  The
+field gives the key and its default, the annotation without its kind gives
+the type the text is parsed as, and the dataclass enforces the kind when
+the parameter object is built.  Only keys that are not a same-named field
+are mapped here.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def _flat_keys() -> list[tuple[str, object, object]]:
     """(key, value type, default) for every knob, in declaration order."""
     keys = []
     for cls in (CoreParams, NormParams, SteeringParams, CameraModel, TrialConfig):
-        hints = typing.get_type_hints(cls)
+        hints = typing.get_type_hints(cls)  # kinds stripped: float, int, float | None
         for f in fields(cls):
             if f.name == "hfov":
                 keys.append(("hfov_deg", float, math.degrees(f.default)))

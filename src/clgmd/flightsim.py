@@ -14,27 +14,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .competition import SIDE_UNIT, NormParams, Quadrant
 from .detector import CollisionDetector
-from .errors import ConfigError, InputError
+from .errors import (
+    ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
+    check_fields, check_value,
+)
 from .layers import CoreParams
 from .pgm import write_csv
 from .steering import EscapeCommand, SteeringParams, command_to_setpoint, select_escape
-from .stimulus import (
-    CameraModel,
-    Scene,
-    Sphere,
-    check_reach,
-    finite_floats,
-    finite_vec3,
-    render_frame,
-)
+from .stimulus import CameraModel, Scene, Sphere, check_reach, render_frame
 
-Vec3 = tuple[float, float, float]
+# (xmin, xmax, ymin, ymax, zmin, zmax)
+_Arena = Annotated[tuple[float, ...], Kind("be six finite bounds", size=6)]
 
 # A trial renders and detects one frame per step, so the step count bounds
 # its run time; a tiny dt would otherwise run for hours and write nothing.
@@ -47,9 +43,7 @@ class VehicleState:
     velocity: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        for name in ("position", "velocity"):
-            vec = finite_vec3(getattr(self, name), name, InputError)
-            object.__setattr__(self, name, vec)
+        check_fields(self, InputError)
 
 
 def step_vehicle(
@@ -61,11 +55,9 @@ def step_vehicle(
     at 1 so a coarse step lands exactly on the setpoint instead of ringing;
     the position then integrates the updated velocity.
     """
-    if dt <= 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    sp = finite_vec3(setpoint, "setpoint", InputError)
+    check_value("dt", Positive, dt, InputError)
+    check_value("tau", Positive, tau, ConfigError)
+    sp = check_value("setpoint", Vec3, setpoint, InputError)
     alpha = min(dt / tau, 1.0)
     vel = tuple(v + (s - v) * alpha for v, s in zip(state.velocity, sp))
     pos = tuple(p + v * dt for p, v in zip(state.position, vel))
@@ -74,8 +66,7 @@ def step_vehicle(
 
 def check_collision(state: VehicleState, scene: Scene, margin: float) -> bool:
     """True iff the vehicle is within margin of any object's surface."""
-    if margin < 0:
-        raise InputError(f"margin must be non-negative, got {margin}")
+    check_value("margin", NonNegative, margin, InputError)
     point = np.asarray(state.position, dtype=np.float64)
     return any(obj.clearance(point) <= margin for obj in scene.objects)
 
@@ -98,44 +89,28 @@ class Outcome(enum.Enum):
 class TrialConfig:
     """Everything a closed-loop trial needs, obstacles through detector."""
 
-    cruise_speed: float = 1.0
+    cruise_speed: Positive = 1.0
     placement: Placement = Placement.LEFT
-    obstacle_distance: float = 4.0
-    obstacle_radius: float = 0.3
-    obstacle_offset: float = 0.25
+    obstacle_distance: Positive = 4.0
+    obstacle_radius: Positive = 0.3
+    obstacle_offset: NonNegative = 0.25
     obstacle_velocity: Vec3 = (0.0, 0.0, 0.0)
-    obstacle_luminance: float = 224.0
-    background: float = Scene.background
-    noise_amplitude: float = 0.0
-    noise_seed: int = 0
-    arena: tuple[float, float, float, float, float, float] = (
-        -1.0,
-        6.0,
-        -3.0,
-        3.0,
-        -3.0,
-        3.0,
-    )
-    dt: float = 0.02
-    max_duration: float = 20.0
-    margin: float = 0.1
-    tau: float = 0.3
+    obstacle_luminance: Luminance = 224.0
+    background: Luminance = Scene.background
+    noise_amplitude: NonNegative = 0.0
+    noise_seed: Count = 0
+    arena: _Arena = (-1.0, 6.0, -3.0, 3.0, -3.0, 3.0)
+    dt: Positive = 0.02
+    max_duration: Positive = 20.0
+    margin: NonNegative = 0.1
+    tau: Positive = 0.3
     camera: CameraModel = field(default_factory=CameraModel)
     core: CoreParams = field(default_factory=CoreParams)
     norm: NormParams | None = None
     steering: SteeringParams = field(default_factory=SteeringParams)
 
     def __post_init__(self) -> None:
-        if isinstance(self.placement, str):
-            try:
-                object.__setattr__(self, "placement", Placement(self.placement))
-            except ValueError:
-                names = "/".join(p.value for p in Placement)
-                raise ConfigError(
-                    f"unknown placement {self.placement!r}; choose from {names}"
-                ) from None
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        check_fields(self)
         if self.max_duration <= self.dt:
             raise ConfigError("max_duration must exceed the time step")
         if not math.isfinite(self.max_duration / self.dt):
@@ -148,31 +123,7 @@ class TrialConfig:
             raise ConfigError(
                 f"max_duration / dt is {steps} steps; at most {MAX_STEPS} allowed"
             )
-        if self.cruise_speed <= 0:
-            raise ConfigError(f"cruise_speed must be positive, got {self.cruise_speed}")
-        if self.obstacle_distance <= 0:
-            raise ConfigError(
-                f"obstacle_distance must be positive, got {self.obstacle_distance}"
-            )
-        if self.obstacle_radius <= 0:
-            raise ConfigError(
-                f"obstacle_radius must be positive, got {self.obstacle_radius}"
-            )
-        if self.obstacle_offset < 0:
-            raise ConfigError(
-                f"obstacle_offset must be non-negative, got {self.obstacle_offset}"
-            )
-        if self.margin < 0:
-            raise ConfigError(f"margin must be non-negative, got {self.margin}")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        velocity = finite_vec3(self.obstacle_velocity, "obstacle_velocity")
-        object.__setattr__(self, "obstacle_velocity", velocity)
-        arena = finite_floats(self.arena, 6)
-        if arena is None:
-            raise ConfigError(f"arena must be six finite bounds, got {self.arena!r}")
-        object.__setattr__(self, "arena", arena)
-        xmin, xmax, ymin, ymax, zmin, zmax = arena
+        xmin, xmax, ymin, ymax, zmin, zmax = self.arena
         if not (xmin < xmax and ymin < ymax and zmin < zmax):
             raise ConfigError(f"arena bounds are inverted: {self.arena}")
         cx, cy, cz = self.obstacle_center()
@@ -180,8 +131,6 @@ class TrialConfig:
             raise ConfigError(
                 f"obstacle center {(cx, cy, cz)} lies outside the arena {self.arena}"
             )
-        if self.noise_seed < 0:
-            raise ConfigError(f"noise_seed must be non-negative, got {self.noise_seed}")
         # The obstacle moves linearly, so its offset from the start is
         # largest at one end of the trial.
         for t in (0.0, self.max_duration):

@@ -41,13 +41,15 @@ buffers belong to :class:`clgmd.detector.CollisionDetector`.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import (
+    ConfigError, Count, InputError, Kind, NonNegative, Positive, Real, check_fields,
+)
 
 # A layer grid is a plain 2-D array, float64 or, for P, int16; the alias
 # only documents intent.
@@ -65,10 +67,11 @@ class Frame:
     Luminance in [0, 255] of any other dtype is rounded half to even.
     """
 
-    index: int
+    index: Count
     luminance: np.ndarray
 
     def __post_init__(self) -> None:
+        check_fields(self, InputError)
         lum = np.asarray(self.luminance)
         if lum.ndim != 2:
             raise InputError(f"luminance must be 2-D, got shape {lum.shape}")
@@ -77,8 +80,6 @@ class Frame:
                 f"frame must be at least 5x5 so the inhibition radius fits, "
                 f"got {lum.shape[1]}x{lum.shape[0]}"
             )
-        if self.index < 0:
-            raise InputError(f"frame index must be >= 0, got {self.index}")
         if lum.dtype != np.uint8:
             if not np.all((lum >= 0) & (lum <= 255)):
                 raise InputError("luminance values must lie in [0, 255]")
@@ -115,6 +116,10 @@ class InhibitionKernel:
         object.__setattr__(self, "weights", w)
 
 
+# Inhibition spreads the current P grid (0) or the previous frame's (1).
+_Delay = Annotated[int, Kind("be 0 or 1", lambda v: v in (0, 1), integer=True)]
+
+
 @dataclass(frozen=True)
 class CoreParams:
     """Tuning constants for the layer stack.
@@ -125,30 +130,14 @@ class CoreParams:
     while cells with ``|G| * c_de < t_de`` are decayed to zero.
     """
 
-    inhibition_delay: int = 0
-    delta_c: float = 0.5
-    c_w: float = 4.0
-    c_de: float = 0.5
-    t_de: float = 15.0
+    inhibition_delay: _Delay = 0
+    delta_c: Real = 0.5
+    c_w: Positive = 4.0
+    c_de: Real = 0.5
+    t_de: NonNegative = 15.0
 
     def __post_init__(self) -> None:
-        if self.inhibition_delay not in (0, 1):
-            raise ConfigError(
-                f"inhibition_delay must be 0 or 1, got {self.inhibition_delay}"
-            )
-        for name in ("delta_c", "c_w", "c_de", "t_de"):
-            value = getattr(self, name)
-            # abs(...) <= max also rejects NaN and ints too large for a float.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not abs(value) <= sys.float_info.max
-            ):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not self.c_w > 0:
-            raise ConfigError(f"c_w must be positive, got {self.c_w}")
-        if self.t_de < 0:
-            raise ConfigError(f"t_de must be >= 0, got {self.t_de}")
+        check_fields(self)
 
 
 def _require_same_shape(a: Grid, b: Grid, what: str) -> None:

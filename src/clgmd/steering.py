@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .competition import SIDE_UNIT, CLgmdPotentials, Quadrant
-from .errors import ConfigError, InputError
+from .errors import InputError, NonNegative, Positive, check_fields, check_value
 
 
 class Axis(enum.Enum):
@@ -25,16 +25,11 @@ class Axis(enum.Enum):
 
 @dataclass(frozen=True)
 class SteeringParams:
-    speed_0: float = 0.6
-    hold_duration: float = 1.0
+    speed_0: Positive = 0.6
+    hold_duration: Positive = 1.0
 
     def __post_init__(self) -> None:
-        if self.speed_0 <= 0:
-            raise ConfigError(f"speed_0 must be positive, got {self.speed_0}")
-        if self.hold_duration <= 0:
-            raise ConfigError(
-                f"hold_duration must be positive, got {self.hold_duration}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -88,8 +83,7 @@ def command_to_setpoint(
     the other axes are zero, forward cruise included; after the hold the
     setpoint is all zeros and the caller resumes cruise.
     """
-    if elapsed < 0:
-        raise InputError(f"elapsed must be non-negative, got {elapsed}")
+    check_value("elapsed", NonNegative, elapsed, InputError)
     if elapsed >= cmd.duration:
         return (0.0, 0.0, 0.0)
     if cmd.axis is Axis.LATERAL_Y:

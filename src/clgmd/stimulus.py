@@ -14,11 +14,15 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .competition import SIDE_UNIT, Quadrant
-from .errors import ConfigError, InputError
+from .errors import (
+    ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
+    check_fields,
+)
 from .layers import Frame
 
 DEFAULT_NOISE_AMPLITUDE = 5.0
@@ -34,49 +38,23 @@ class Direction(enum.Enum):
     HEAD_ON = "head_on"
 
 
-def finite_floats(value, size: int) -> tuple[float, ...] | None:
-    """``value`` as a tuple of ``size`` finite floats, or None if it is not one.
-
-    Strings, bytes and bools are not numbers here, whole or as elements.
-    """
-    if isinstance(value, (str, bytes)):
-        return None
-    try:
-        items = tuple(value)
-        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in items):
-            return None
-        vec = tuple(float(v) for v in items)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if len(vec) != size or not all(math.isfinite(v) for v in vec):
-        return None
-    return vec
-
-
-def finite_vec3(value, name: str, error=ConfigError) -> tuple[float, float, float]:
-    """``value`` as a tuple of three finite floats, else ``error``."""
-    vec = finite_floats(value, 3)
-    if vec is None:
-        raise error(f"{name} must be a finite 3-vector, got {value!r}")
-    return vec
-
-
-def _check_luminance(value: float, name: str) -> None:
-    if not 0.0 <= value <= 255.0:
-        raise ConfigError(f"{name} must lie in [0, 255], got {value}")
+# A field of view and a bearing fraction lie strictly inside their range.
+_Angle = Annotated[float, Kind("lie in (0, pi)", lambda v: 0.0 < v < math.pi)]
+_Fraction = Annotated[float, Kind("lie in (0, 1)", lambda v: 0.0 < v < 1.0)]
+# The inhibition radius needs five pixels each way.
+_Side = Annotated[int, Kind("be at least 5", lambda v: v >= 5, integer=True)]
+# A negative scenario speed plays the approach backwards; zero never looms.
+_Speed = Annotated[float, Kind("be nonzero", lambda v: v != 0)]
 
 
 @dataclass(frozen=True)
 class Sphere:
-    center: tuple[float, float, float]
-    radius: float
-    luminance: float
+    center: Vec3
+    radius: Positive
+    luminance: Luminance
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", finite_vec3(self.center, "center"))
-        if self.radius <= 0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
-        _check_luminance(self.luminance, "luminance")
+        check_fields(self)
 
     def clearance(self, point: np.ndarray) -> float:
         """Signed distance from ``point`` to the surface, negative inside."""
@@ -103,38 +81,28 @@ class Scene:
     """Flat-shaded spheres over a uniform background."""
 
     objects: tuple[Sphere, ...] = ()
-    background: float = 32.0
-    noise_amplitude: float = 0.0
+    background: Luminance = 32.0
+    noise_amplitude: NonNegative = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         object.__setattr__(self, "objects", tuple(self.objects))
         for obj in self.objects:
             if not isinstance(obj, Sphere):
                 raise ConfigError(f"unsupported obstacle type: {type(obj).__name__}")
-        _check_luminance(self.background, "background")
-        if self.noise_amplitude < 0:
-            raise ConfigError(
-                f"noise_amplitude must be non-negative, got {self.noise_amplitude}"
-            )
 
 
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera looking along +x, with +y left and +z up."""
 
-    position: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    hfov: float = math.radians(90.0)
-    width: int = 100
-    height: int = 100
+    position: Vec3 = (0.0, 0.0, 0.0)
+    hfov: _Angle = math.radians(90.0)
+    width: _Side = 100
+    height: _Side = 100
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", finite_vec3(self.position, "position"))
-        if not 0.0 < self.hfov < math.pi:
-            raise ConfigError(f"hfov must lie in (0, pi), got {self.hfov}")
-        if self.width < 5 or self.height < 5:
-            raise ConfigError(
-                f"resolution must be at least 5x5, got {self.width}x{self.height}"
-            )
+        check_fields(self)
         tan_half = math.tan(self.hfov / 2.0)
         if tan_half == 0.0 or math.isinf(self.width / 2.0 / tan_half):
             raise ConfigError(
@@ -269,46 +237,23 @@ class ScenarioSpec:
     """
 
     direction: Direction = Direction.HEAD_ON
-    speed: float = 1.2
-    distance: float = 4.0
-    fps: float = 50.0
-    frames: int = 120
-    seed: int = 0
-    noise_amplitude: float = 0.0
-    object_radius: float = 0.35
-    object_luminance: float = 224.0
-    background: float = Scene.background
-    entry_fraction: float = 0.8
+    speed: _Speed = 1.2
+    distance: Positive = 4.0
+    fps: Positive = 50.0
+    frames: Count = 120
+    seed: Count = 0
+    noise_amplitude: NonNegative = 0.0
+    object_radius: Positive = 0.35
+    object_luminance: Luminance = 224.0
+    background: Luminance = Scene.background
+    entry_fraction: _Fraction = 0.8
 
     def __post_init__(self) -> None:
-        if isinstance(self.direction, str):
-            object.__setattr__(self, "direction", Direction(self.direction))
-        if self.speed == 0:
-            raise ConfigError("speed must be nonzero")
-        if self.distance <= 0:
-            raise ConfigError(f"distance must be positive, got {self.distance}")
-        if self.fps <= 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
-        if self.frames < 0:
-            raise ConfigError(f"frames must be non-negative, got {self.frames}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.object_radius <= 0:
-            raise ConfigError(f"object_radius must be positive, got {self.object_radius}")
+        check_fields(self)
         standoff = self.object_radius * _STANDOFF_RADII
         if self.distance <= standoff:
             raise ConfigError(
                 f"start distance {self.distance} is inside the standoff {standoff:.3f}"
-            )
-        _check_luminance(self.object_luminance, "object_luminance")
-        _check_luminance(self.background, "background")
-        if self.noise_amplitude < 0:
-            raise ConfigError(
-                f"noise_amplitude must be non-negative, got {self.noise_amplitude}"
-            )
-        if not 0.0 < self.entry_fraction < 1.0:
-            raise ConfigError(
-                f"entry_fraction must lie in (0, 1), got {self.entry_fraction}"
             )
 
 

@@ -1,0 +1,248 @@
+"""Field contracts: each number and enum field of a public dataclass declares
+its kind once, in its annotation, and the class enforces it with its own
+error type."""
+
+import dataclasses
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import clgmd
+from clgmd import (
+    CameraModel,
+    ConfigError,
+    CoreParams,
+    Direction,
+    Frame,
+    InputError,
+    NormParams,
+    Placement,
+    ScenarioSpec,
+    Scene,
+    Sphere,
+    SteeringParams,
+    TrialConfig,
+    VehicleState,
+)
+from clgmd.errors import _contract
+
+LUMINANCE = np.zeros((5, 5), dtype=np.uint8)
+
+# Valid keyword arguments for each checked class, and the error it raises.
+CHECKED = {
+    CoreParams: ({}, ConfigError),
+    NormParams: ({"n_cell": 100}, ConfigError),
+    SteeringParams: ({}, ConfigError),
+    Sphere: ({"center": (4.0, 0.0, 0.0), "radius": 0.3, "luminance": 200.0}, ConfigError),
+    Scene: ({}, ConfigError),
+    CameraModel: ({}, ConfigError),
+    ScenarioSpec: ({}, ConfigError),
+    TrialConfig: ({}, ConfigError),
+    VehicleState: ({}, InputError),
+    Frame: ({"index": 0, "luminance": LUMINANCE}, InputError),
+}
+
+# Results the package builds itself, never parameters it is given.
+RECORDS = {"CLgmdPotentials", "DetectionResult", "DetectorState", "EscapeCommand", "TrialTrace"}
+
+# Fields that hold no number: nested parameter objects, the obstacle list and
+# the pixels, which their own classes or hand-written checks validate.
+EXEMPT = {
+    "TrialConfig.camera",
+    "TrialConfig.core",
+    "TrialConfig.norm",
+    "TrialConfig.steering",
+    "Scene.objects",
+    "Frame.luminance",
+}
+
+
+# (class, field, Kind or enum class, None allowed) for every declared field.
+FIELDS = [(cls, *field) for cls in CHECKED for field in _contract(cls)]
+
+
+def build(cls, name, value):
+    kwargs, _ = CHECKED[cls]
+    return cls(**{**kwargs, name: value})
+
+
+def test_every_field_is_declared_or_exempt():
+    public = [getattr(clgmd, name) for name in clgmd.__all__]
+    classes = [c for c in public if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert all(c.__dataclass_params__.frozen for c in classes)
+    params = [c for c in classes if c.__name__ not in RECORDS and any(
+        f.init for f in dataclasses.fields(c))]
+    assert set(params) == set(CHECKED)
+    for cls in params:
+        kinds = {name for name, _, _ in _contract(cls)}
+        for f in dataclasses.fields(cls):
+            assert f.name in kinds or f"{cls.__name__}.{f.name}" in EXEMPT, (cls, f.name)
+
+
+def _bad_values(cls, name, kind, optional):
+    bad = [math.nan, math.inf, -math.inf, True, np.True_, "1", b"1", 10**400]
+    if not optional:
+        bad.append(None)
+    if isinstance(kind, type):
+        return bad + ["bogus", 1.5]
+    if kind.integer:
+        return bad + [2.5, 1.0, np.float64(3.0), -0.5]
+    if kind.size:
+        default = list(getattr(cls(**CHECKED[cls][0]), name))
+        vectors = []
+        for value in bad:
+            for i in (0, kind.size - 1):
+                vectors.append(tuple(value if j == i else v for j, v in enumerate(default)))
+        return bad + vectors + [tuple(default[:-1]), tuple(default) + (0.0,), 5, "123"]
+    return bad
+
+
+BAD = [(cls, name, kind, value) for cls, name, kind, optional in FIELDS
+       for value in _bad_values(cls, name, kind, optional)]
+
+
+def _raises_class_error(cls, name, value):
+    error = CHECKED[cls][1]
+    with pytest.raises(error) as info:
+        build(cls, name, value)
+    assert type(info.value) is error
+    assert name in str(info.value)
+
+
+def test_invalid_values_raise_the_class_error():
+    for cls, name, _, value in BAD:
+        _raises_class_error(cls, name, value)
+
+
+def _invalid(kind):
+    """Values outside ``kind``: strings, and numbers it refuses."""
+    numbers = st.floats() | st.integers()
+    if isinstance(kind, type):
+        return st.text().filter(lambda v: v not in {m.value for m in kind})
+    if kind.integer:
+        numbers = st.floats() | st.integers().filter(lambda v: not kind.test(v))
+    elif not kind.size:
+        numbers = numbers.filter(lambda v: not (abs(v) <= sys.float_info.max and kind.test(v)))
+    return st.text() | numbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(st.just(f), _invalid(f[2]))))
+def test_generated_invalid_values_raise_the_class_error(case):
+    (cls, name, _, _), value = case
+    _raises_class_error(cls, name, value)
+
+
+def _valid(kind):
+    if isinstance(kind, type):
+        return st.sampled_from(list(kind)) | st.sampled_from([m.value for m in kind])
+    integers = st.integers(-(2**63), 2**63 - 1)
+    if kind.integer:
+        return (st.integers(-10, 10**6) | integers).filter(kind.test)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if kind.size:
+        element = st.floats(-1e6, 1e6) | st.integers(-(10**6), 10**6)
+        return st.tuples(*[element] * kind.size)
+    near = st.floats(0.0, 1.0) | st.floats(-300.0, 300.0) | st.integers(-300, 300)
+    return (near | finite | integers).filter(kind.test)
+
+
+def _twin(kind, value):
+    """The same value as numpy hands it out, or an enum in its other form."""
+    if isinstance(kind, type):
+        return kind(value) if isinstance(value, str) else value.value
+    if isinstance(value, tuple):
+        return np.array(value, dtype=np.float64)
+    return np.int64(value) if isinstance(value, int) else np.float64(value)
+
+
+def _kind_messages(name, kind):
+    if isinstance(kind, type):
+        return (f"unknown {name} ",)
+    return tuple(f"{name} must {rule}" for rule in (kind.rule, "be a finite number", "be an integer"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(st.just(f), _valid(f[2]))))
+def test_valid_values_pass_their_kind_and_numpy_twins_build_equal_objects(case):
+    (cls, name, kind, _), value = case
+    error = CHECKED[cls][1]
+    outcomes = []
+    for given_value in (value, _twin(kind, value)):
+        try:
+            outcomes.append(build(cls, name, given_value))
+        except error as exc:  # a cross-field rule, never the field's own kind
+            assert not str(exc).startswith(_kind_messages(name, kind)), exc
+            outcomes.append(error)
+    first, second = outcomes
+    assert first == second
+    if first is not error:
+        stored = getattr(first, name)
+        if isinstance(kind, type):
+            assert stored is kind(value)
+        elif kind.size:
+            assert stored == tuple(map(float, value))
+            assert all(type(v) is float for v in stored)
+        else:  # numpy scalars are stored as Python numbers
+            assert stored == value
+            assert type(getattr(second, name)) is type(value)
+
+
+def test_accepted_values_build_equal_objects():
+    assert CoreParams(c_w=np.float64(4.0), inhibition_delay=np.int64(0)) == CoreParams()
+    assert NormParams(n_cell=np.int64(100), n_sp=np.int64(4)) == NormParams(n_cell=100)
+    assert NormParams(n_cell=100, c2=None).c2 == 0.01
+    assert CameraModel(width=np.int64(100), position=[0, 0, 0]) == CameraModel()
+    assert Sphere(np.array([4, 0, 0]), 1, 255) == Sphere((4.0, 0.0, 0.0), 1.0, 255.0)
+    assert ScenarioSpec(direction="left") == ScenarioSpec(direction=Direction.LEFT)
+    assert TrialConfig(placement="up", noise_seed=np.int64(3)) == TrialConfig(
+        placement=Placement.UP, noise_seed=3
+    )
+    arena = np.array([-1.0, 6.0, -3.0, 3.0, -3.0, 3.0])
+    assert TrialConfig(arena=arena).arena == TrialConfig().arena
+    assert VehicleState(position=[1, 2, 3]).position == (1.0, 2.0, 3.0)
+    assert Frame(index=np.int64(3), luminance=LUMINANCE).index == 3
+
+
+nan, inf = math.nan, math.inf
+
+
+# Each of these was accepted, or raised a bare TypeError or ValueError,
+# before the field kinds were declared.
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: NormParams(n_cell=100, t_s=nan), ConfigError),
+        (lambda: NormParams(n_cell=1.5), ConfigError),
+        (lambda: NormParams(n_cell=True), ConfigError),
+        (lambda: CoreParams(inhibition_delay=True), ConfigError),
+        (lambda: CoreParams(inhibition_delay=1.0), ConfigError),
+        (lambda: SteeringParams(speed_0=inf), ConfigError),
+        (lambda: ScenarioSpec(fps=nan), ConfigError),
+        (lambda: ScenarioSpec(frames=2.5), ConfigError),
+        (lambda: Sphere((1, 0, 0), nan, 100), ConfigError),
+        (lambda: TrialConfig(margin=nan), ConfigError),
+        (lambda: TrialConfig(noise_seed=0.5), ConfigError),
+        (lambda: TrialConfig(cruise_speed=True), ConfigError),
+        (lambda: CameraModel(width=100.5), ConfigError),
+        (lambda: Scene(noise_amplitude=inf), ConfigError),
+        (lambda: Frame(index=1.5, luminance=LUMINANCE), InputError),
+        (lambda: TrialConfig(dt="0.1"), ConfigError),
+        (lambda: CameraModel(width="100"), ConfigError),
+        (lambda: Sphere((1, 0, 0), "a", 100), ConfigError),
+        (lambda: ScenarioSpec(direction="bogus"), ConfigError),
+    ],
+)
+def test_values_once_let_through_are_rejected(make, error):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+
+
+def test_enum_error_lists_the_choices():
+    with pytest.raises(ConfigError, match="unknown direction 'bogus'; choose from up/"):
+        ScenarioSpec(direction="bogus")

@@ -65,6 +65,12 @@ class TestStepVehicle:
             step_vehicle(VehicleState(), (0.0, 0.0, 0.0), dt=0.1, tau=0.0)
         with pytest.raises(InputError):
             step_vehicle(VehicleState(), (float("nan"), 0.0, 0.0), dt=0.1, tau=0.3)
+        for dt in (math.nan, math.inf, "0.1"):
+            with pytest.raises(InputError, match="dt must be"):
+                step_vehicle(VehicleState(), (0.0, 0.0, 0.0), dt=dt, tau=0.3)
+        for tau in (math.nan, "a"):
+            with pytest.raises(ConfigError, match="tau must be"):
+                step_vehicle(VehicleState(), (0.0, 0.0, 0.0), dt=0.1, tau=tau)
 
     def test_state_validation(self):
         with pytest.raises(InputError):
@@ -93,6 +99,13 @@ class TestCheckCollision:
     def test_negative_margin_rejected(self):
         with pytest.raises(InputError):
             check_collision(VehicleState(), self.SCENE, margin=-0.1)
+
+    def test_nan_margin_rejected(self):
+        # At the obstacle's center: a NaN margin must not read as no collision.
+        state = VehicleState(position=(4.0, 0.0, 0.0))
+        for margin in (math.nan, "0.1"):
+            with pytest.raises(InputError, match="margin must be"):
+                check_collision(state, self.SCENE, margin=margin)
 
 
 class TestTrialConfig:

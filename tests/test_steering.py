@@ -116,6 +116,13 @@ class TestCommandToSetpoint:
         with pytest.raises(InputError):
             command_to_setpoint(cmd, -0.01)
 
+    def test_nan_elapsed_rejected(self):
+        # A NaN elapsed time must not read as inside the hold.
+        cmd = EscapeCommand(Axis.VERTICAL_Z, 0.5, 1.0, Quadrant.UP)
+        for elapsed in (math.nan, "0.5"):
+            with pytest.raises(InputError, match="elapsed must be"):
+                command_to_setpoint(cmd, elapsed)
+
 
 class TestParams:
     def test_command_magnitude_and_duration(self):
