@@ -6,13 +6,14 @@ OS-level I/O failures exit 2, malformed data exits 3.
 
 A knob is one annotated dataclass field, its kind included:
 ``c_w: Positive = 4.0``.  The class's ``__post_init__`` calls
-:func:`check_fields`, which enforces every declared kind and enum field and
-raises the class's error type; only rules that tie fields together are
-written by hand.
+:func:`check_fields`, which enforces every declared kind, enum and nested
+parameter class, and raises the class's error type; only rules that tie
+fields together are written by hand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import numbers
@@ -74,9 +75,11 @@ def _number(value, integer: bool = False) -> bool:
 
 
 def _check(name: str, kind, value, error):
-    if isinstance(kind, type):  # an enum: a member, or the value of one
+    if isinstance(kind, type):  # an enum or a dataclass
         if isinstance(value, kind):
             return value
+        if not issubclass(kind, enum.Enum):
+            raise error(f"{name} must be a {kind.__name__}, got {value!r}")
         try:
             return kind(value)
         except ValueError:
@@ -100,9 +103,11 @@ def _check(name: str, kind, value, error):
 
 
 def _kind(hint):
-    """The Kind an annotation declares, its enum class, or None."""
+    """The Kind an annotation declares, its enum or dataclass class, or None."""
     kind = getattr(hint, "__metadata__", (hint,))[0]
-    if isinstance(kind, Kind) or isinstance(kind, type) and issubclass(kind, enum.Enum):
+    if isinstance(kind, Kind) or isinstance(kind, type) and (
+        issubclass(kind, enum.Enum) or dataclasses.is_dataclass(kind)
+    ):
         return kind
     return None
 
@@ -122,8 +127,8 @@ def _contract(cls) -> tuple[tuple[str, object, bool], ...]:
 
 def check_value(name: str, hint, value, error=ConfigError):
     """``value`` checked as a field annotated ``hint`` would be.  It comes
-    back as a Python int or float (a vector as a tuple of floats), or as the
-    enum member of an enum's value."""
+    back as a Python int or float (a vector as a tuple of floats), as the
+    enum member of an enum's value, or, for a dataclass kind, as given."""
     return _check(name, _kind(hint), value, error)
 
 

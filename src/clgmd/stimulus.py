@@ -68,12 +68,9 @@ class Sphere:
         c0 = float(rel @ rel) - self.radius**2
         disc = b * b - 4.0 * a * c0
         hit = disc >= 0.0
-        t = np.full(a.shape, np.inf)
         root = np.sqrt(np.where(hit, disc, 0.0))
         near = (-b - root) / (2.0 * a)
-        valid = hit & (near > 0.0)
-        t[valid] = near[valid]
-        return t
+        return np.where(hit & (near > 0.0), near, np.inf)
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,12 @@ class Scene:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        object.__setattr__(self, "objects", tuple(self.objects))
+        try:
+            object.__setattr__(self, "objects", tuple(self.objects))
+        except TypeError:
+            raise ConfigError(
+                f"objects must be an iterable of spheres, got {self.objects!r}"
+            ) from None
         for obj in self.objects:
             if not isinstance(obj, Sphere):
                 raise ConfigError(f"unsupported obstacle type: {type(obj).__name__}")
@@ -177,21 +179,44 @@ def _span(lo: float, hi: float, n: int) -> slice:
     return slice(max(start, 0), min(stop, n))
 
 
+def _forward_slopes(v: float, radius: float, reach: float) -> tuple[float, float]:
+    """Least and greatest s for which the ray along (1, s) hits the circle
+    of ``radius`` about (x, v) at a depth t in (0, reach], given
+    reach = x + radius > 0.
+
+    A hit has t·s within ``radius`` of v.  If v − radius > 0, then
+    s ≥ (v − radius)/t ≥ (v − radius)/reach, and the mirrored bound holds
+    for v + radius < 0; otherwise s is unbounded.
+    """
+    if v > radius:
+        return (v - radius) / reach, math.inf
+    if v < -radius:
+        return -math.inf, (v + radius) / reach
+    return -math.inf, math.inf
+
+
 def _window(offset, radius: float, camera: CameraModel) -> tuple[slice, slice]:
     """Rows and columns that hold every ray able to hit a sphere at ``offset``.
 
     A ray (1, s, u) meets the sphere only if its shadows on the xy- and the
     xz-plane pass within ``radius`` of the center's shadows, which bounds s
-    and u.  The one-pixel pad absorbs rounding in these bounds and in the
-    ray quadratic.  A sphere that reaches the camera plane bounds no slope,
-    so its window is the full grid.
+    and u.  A sphere that reaches the camera plane (|x| ≤ radius) still
+    bounds one side of s when |y| > radius, and of u when |z| > radius,
+    since only forward hits count: its window is one-sided, and it is the
+    full grid only when neither holds or nothing of it lies in front.  The
+    one-pixel pad absorbs rounding in these bounds and in the ray quadratic.
     """
     x, y, z = offset
     den = (x - radius) * (x + radius)
-    if not den > 0.0:
-        return slice(0, camera.height), slice(0, camera.width)
-    y_lo, y_hi = _slopes(x, y, radius, den)
-    z_lo, z_hi = _slopes(x, z, radius, den)
+    if den > 0.0:
+        y_lo, y_hi = _slopes(x, y, radius, den)
+        z_lo, z_hi = _slopes(x, z, radius, den)
+    else:
+        reach = x + radius
+        if not reach > 0.0:
+            return slice(0, camera.height), slice(0, camera.width)
+        y_lo, y_hi = _forward_slopes(y, radius, reach)
+        z_lo, z_hi = _forward_slopes(z, radius, reach)
     col_lo, row_lo = camera._pixel(y_hi, z_hi)
     col_hi, row_hi = camera._pixel(y_lo, z_lo)
     return _span(row_lo, row_hi, camera.height), _span(col_lo, col_hi, camera.width)
@@ -203,6 +228,11 @@ def render_frame(
     """Render one frame; noise (if any) is keyed by (seed, index).
 
     Each sphere is ray-cast only over the window of pixels it can cover.
+    Noise of amplitude a is drawn as ``default_rng((seed, index)).random``
+    and scaled in place to ``-a + 2a·r``, bit for bit numpy's
+    ``uniform(-a, a)``.  The image is clipped to [0, 255] (only if noise
+    can take it out) and rounded half to even in place, and ``Frame`` gets
+    a fresh uint8 copy, as the detector keeps the previous frame.
     """
     origin = np.asarray(camera.position, dtype=np.float64)
     dirs = _ray_grid(camera.width, camera.height, camera.hfov)
@@ -218,12 +248,22 @@ def render_frame(
         window_t = best_t[rows, cols]
         img[rows, cols][t < window_t] = obj.luminance
         np.minimum(window_t, t, out=window_t)
-    if scene.noise_amplitude > 0.0:
-        rng = np.random.default_rng((seed, index))
-        img += rng.uniform(
-            -scene.noise_amplitude, scene.noise_amplitude, size=img.shape
-        )
-    return Frame(index=index, luminance=np.clip(img, 0.0, 255.0))
+    amplitude = scene.noise_amplitude
+    if amplitude > 0.0:
+        span = amplitude - (-amplitude)
+        if math.isinf(span):
+            raise InputError(f"noise amplitude {amplitude} is too large to draw")
+        noise = np.random.default_rng((seed, index)).random(img.shape)
+        noise *= span
+        noise += -amplitude
+        img += noise
+    # Noise lies in [-a, a], and rounding is monotone, so the image can leave
+    # [0, 255] only if a level does once a is added or taken away.
+    levels = (scene.background, *(obj.luminance for obj in scene.objects))
+    if min(levels) - amplitude < 0.0 or max(levels) + amplitude > 255.0:
+        np.clip(img, 0.0, 255.0, out=img)
+    np.rint(img, out=img)
+    return Frame(index=index, luminance=img.astype(np.uint8))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Field contracts: each number and enum field of a public dataclass declares
-its kind once, in its annotation, and the class enforces it with its own
-error type."""
+"""Field contracts: each number, enum and nested-parameter field of a public
+dataclass declares its kind once, in its annotation, and the class enforces
+it with its own error type."""
 
 import dataclasses
+import enum
 import math
 import sys
 
@@ -49,20 +50,22 @@ CHECKED = {
 # Results the package builds itself, never parameters it is given.
 RECORDS = {"CLgmdPotentials", "DetectionResult", "DetectorState", "EscapeCommand", "TrialTrace"}
 
-# Fields that hold no number: nested parameter objects, the obstacle list and
-# the pixels, which their own classes or hand-written checks validate.
-EXEMPT = {
-    "TrialConfig.camera",
-    "TrialConfig.core",
-    "TrialConfig.norm",
-    "TrialConfig.steering",
-    "Scene.objects",
-    "Frame.luminance",
-}
+# Fields with no declared kind: the obstacle list and the pixels, which
+# hand-written checks validate.
+EXEMPT = {"Scene.objects", "Frame.luminance"}
 
 
 # (class, field, Kind or enum class, None allowed) for every declared field.
 FIELDS = [(cls, *field) for cls in CHECKED for field in _contract(cls)]
+
+
+def is_enum(kind):
+    return isinstance(kind, type) and issubclass(kind, enum.Enum)
+
+
+def is_nested(kind):
+    """A parameter dataclass as a field's kind, checked by isinstance."""
+    return isinstance(kind, type) and dataclasses.is_dataclass(kind)
 
 
 def build(cls, name, value):
@@ -87,8 +90,11 @@ def _bad_values(cls, name, kind, optional):
     bad = [math.nan, math.inf, -math.inf, True, np.True_, "1", b"1", 10**400]
     if not optional:
         bad.append(None)
-    if isinstance(kind, type):
+    if is_enum(kind):
         return bad + ["bogus", 1.5]
+    if is_nested(kind):
+        other = SteeringParams if kind is CoreParams else CoreParams
+        return bad + ["bogus", 1.5, other(), kind]
     if kind.integer:
         return bad + [2.5, 1.0, np.float64(3.0), -0.5]
     if kind.size:
@@ -121,8 +127,10 @@ def test_invalid_values_raise_the_class_error():
 def _invalid(kind):
     """Values outside ``kind``: strings, and numbers it refuses."""
     numbers = st.floats() | st.integers()
-    if isinstance(kind, type):
+    if is_enum(kind):
         return st.text().filter(lambda v: v not in {m.value for m in kind})
+    if is_nested(kind):
+        return st.text() | numbers
     if kind.integer:
         numbers = st.floats() | st.integers().filter(lambda v: not kind.test(v))
     elif not kind.size:
@@ -138,8 +146,10 @@ def test_generated_invalid_values_raise_the_class_error(case):
 
 
 def _valid(kind):
-    if isinstance(kind, type):
+    if is_enum(kind):
         return st.sampled_from(list(kind)) | st.sampled_from([m.value for m in kind])
+    if is_nested(kind):
+        return st.builds(lambda: kind(**CHECKED[kind][0]))
     integers = st.integers(-(2**63), 2**63 - 1)
     if kind.integer:
         return (st.integers(-10, 10**6) | integers).filter(kind.test)
@@ -152,17 +162,22 @@ def _valid(kind):
 
 
 def _twin(kind, value):
-    """The same value as numpy hands it out, or an enum in its other form."""
-    if isinstance(kind, type):
+    """The same value as numpy hands it out, an enum in its other form, or an
+    equal copy of a parameter object."""
+    if is_enum(kind):
         return kind(value) if isinstance(value, str) else value.value
+    if is_nested(kind):
+        return dataclasses.replace(value)
     if isinstance(value, tuple):
         return np.array(value, dtype=np.float64)
     return np.int64(value) if isinstance(value, int) else np.float64(value)
 
 
 def _kind_messages(name, kind):
-    if isinstance(kind, type):
+    if is_enum(kind):
         return (f"unknown {name} ",)
+    if is_nested(kind):
+        return (f"{name} must be a {kind.__name__}",)
     return tuple(f"{name} must {rule}" for rule in (kind.rule, "be a finite number", "be an integer"))
 
 
@@ -182,8 +197,10 @@ def test_valid_values_pass_their_kind_and_numpy_twins_build_equal_objects(case):
     assert first == second
     if first is not error:
         stored = getattr(first, name)
-        if isinstance(kind, type):
+        if is_enum(kind):
             assert stored is kind(value)
+        elif is_nested(kind):
+            assert stored is value
         elif kind.size:
             assert stored == tuple(map(float, value))
             assert all(type(v) is float for v in stored)
@@ -235,6 +252,11 @@ nan, inf = math.nan, math.inf
         (lambda: CameraModel(width="100"), ConfigError),
         (lambda: Sphere((1, 0, 0), "a", 100), ConfigError),
         (lambda: ScenarioSpec(direction="bogus"), ConfigError),
+        (lambda: TrialConfig(core="x"), ConfigError),
+        (lambda: TrialConfig(norm=5), ConfigError),
+        (lambda: TrialConfig(steering=3), ConfigError),
+        (lambda: TrialConfig(camera=None), ConfigError),
+        (lambda: Scene(objects=5), ConfigError),
     ],
 )
 def test_values_once_let_through_are_rejected(make, error):

@@ -1,6 +1,7 @@
 """Seed-0 outputs of every benchmark workload equal the stored reference,
-fifteen CLI runs write byte-identical CSVs, and the eight detect
-sequences among them give bit-identical whole-field sums.
+fifteen CLI runs write byte-identical CSVs, a clipping noisy ``generate``
+writes byte-identical PGMs, and the eight detect sequences among the CLI
+runs give bit-identical whole-field sums.
 
 The benchmark check uses the benchmark's own inputs, commands and
 comparison (``bench/run.py`` ``prepare``, ``check`` and
@@ -101,6 +102,22 @@ def test_cli_output_is_byte_identical(case, tmp_path, capsys):
         outcome = GOLDEN_OUTCOME.get(name, "AVOIDED")
         assert capsys.readouterr().out == f"OUTCOME={outcome}\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
+
+
+# sha256 over the five PGMs, in frame order, that `generate --noise 40
+# --width 64 --height 48 --frames 5 --direction left` writes.  Object 224 + 40
+# and background 32 - 40 clip at both ends of [0, 255]; noise 5 never does.
+CLIPPED_NOISE_PGMS_SHA256 = "38766c4450c0f4838c7b51ae782d691a406239cbaf634191aacf8fa059dfb764"
+
+
+def test_clipped_noise_frames_are_byte_identical(tmp_path):
+    generate = ["generate", str(tmp_path), "--noise", "40", "--width", "64"]
+    generate += ["--height", "48", "--frames", "5", "--direction", "left"]
+    assert cli.main(generate) == 0
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*.pgm")):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == CLIPPED_NOISE_PGMS_SHA256
 
 
 # sha256 over float.hex(k_f0), one line per detection, of the eight detect

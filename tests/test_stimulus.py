@@ -1,6 +1,7 @@
 """Renderer geometry, scenario trajectories, determinism and mirrors."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -302,33 +303,71 @@ _CAMERAS = st.builds(
 )
 
 
+# Noise amplitudes from a faint dither to one that clips at both 0 and 255.
+_NOISE = st.one_of(
+    st.sampled_from([0.0, 1e-3, 0.1, 5.0, 127.5, 300.0]), st.floats(0.0, 300.0)
+)
+
+
 class TestWindowedRender:
     @given(
         spheres=_SPHERES,
         camera=_CAMERAS,
         occluder=st.one_of(st.none(), st.floats(0.3, 0.9)),
-        noise=st.sampled_from([0.0, 5.0]),
+        noise=_NOISE,
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 10**6),
     )
     @example(  # behind the camera
         spheres=[Sphere((-2.0, 0.5, 0.0), 0.5, 200.0)],
         camera=CAM,
         occluder=None,
         noise=0.0,
+        seed=1,
+        index=3,
     )
-    @example(  # across the camera plane: the full grid
+    @example(  # across the camera plane, beside the view: a one-sided window
         spheres=[Sphere((0.0, 2.0, 1.0), 1.0, 200.0)],
         camera=CAM,
         occluder=None,
         noise=0.0,
+        seed=1,
+        index=3,
     )
     @example(  # partly off screen, partly hidden behind a nearer sphere
         spheres=[Sphere((2.0, 2.0, 0.5), 0.75, 200.0)],
         camera=CAM,
         occluder=0.5,
         noise=0.0,
+        seed=1,
+        index=3,
+    )
+    @example(  # astride the camera plane, beside the camera and out of view
+        spheres=[Sphere((0.0, 3.0, 0.0), 1.0, 200.0)],
+        camera=CAM,
+        occluder=None,
+        noise=127.5,
+        seed=0,
+        index=0,
+    )
+    @example(  # astride the camera plane with |y| > R, partly in view
+        spheres=[Sphere((0.5, 1.5, 0.0), 1.0, 200.0)],
+        camera=CAM,
+        occluder=None,
+        noise=300.0,
+        seed=7,
+        index=119,
+    )
+    @example(  # astride the camera plane with |y|, |z| <= R: the full grid
+        spheres=[Sphere((0.0, 0.9, -0.9), 1.0, 200.0)],
+        camera=CAM,
+        occluder=None,
+        noise=1e-3,
+        seed=2,
+        index=5,
     )
     @settings(max_examples=400, deadline=None)
-    def test_byte_equal_to_full_grid(self, spheres, camera, occluder, noise):
+    def test_byte_equal_to_full_grid(self, spheres, camera, occluder, noise, seed, index):
         """The frame matches a full-grid cast, and the window holds every hit."""
         origin = np.asarray(camera.position)
         if occluder is not None:
@@ -337,8 +376,9 @@ class TestWindowedRender:
             spheres = [*spheres, Sphere(center, 0.5 * spheres[0].radius, 90.0)]
         assume(all(obj.clearance(origin) >= 0 for obj in spheres))
         scene = Scene(objects=tuple(spheres), noise_amplitude=noise)
-        frame = render_frame(scene, camera, index=3, seed=1)
-        assert np.array_equal(frame.luminance, naive_render(scene, camera, 3, seed=1))
+        frame = render_frame(scene, camera, index=index, seed=seed)
+        expected = naive_render(scene, camera, index, seed=seed)
+        assert np.array_equal(frame.luminance, expected)
         dirs = _ray_grid(camera.width, camera.height, camera.hfov)
         for obj in spheres:
             offset = tuple(c - p for c, p in zip(obj.center, camera.position))
@@ -349,3 +389,48 @@ class TestWindowedRender:
             assert not np.any(np.isfinite(t) & outside)
             windowed = obj.intersect(origin, dirs[rows, cols])
             assert np.array_equal(windowed, t[rows, cols])
+
+    @pytest.mark.parametrize(
+        "center, rows, cols",
+        [
+            ((0.0, 3.0, 0.0), slice(0, 100), slice(0, 0)),  # beside, out of view
+            ((0.5, 1.5, 0.0), slice(0, 100), slice(0, 35)),  # left of column 32.8
+            ((0.5, 0.0, -1.5), slice(65, 100), slice(0, 100)),  # below row 66.2
+            ((0.0, 0.9, -0.9), slice(0, 100), slice(0, 100)),  # both slopes free
+            ((-1.0, 3.0, 0.0), slice(0, 100), slice(0, 100)),  # touches from behind
+        ],
+    )
+    def test_window_of_a_sphere_astride_the_camera_plane(self, center, rows, cols):
+        assert _window(center, 1.0, CAM) == (rows, cols)
+
+    def test_noise_clips_at_both_ends_and_frames_are_fresh(self):
+        scene = Scene(
+            objects=(Sphere((2.0, 0.0, 0.0), 0.5, 250.0),),
+            background=5.0,
+            noise_amplitude=40.0,
+        )
+        first = render_frame(scene, CAM, index=4, seed=9)
+        again = render_frame(scene, CAM, index=4, seed=9)
+        assert first.luminance.dtype == np.uint8
+        assert {0, 255} <= set(np.unique(first.luminance).tolist())
+        assert np.array_equal(first.luminance, again.luminance)
+        assert not np.shares_memory(first.luminance, again.luminance)
+
+    def test_noise_too_large_to_draw_is_an_input_error(self):
+        scene = Scene(noise_amplitude=1e308)
+        with pytest.raises(InputError, match="too large to draw"):
+            render_frame(scene, CAM)
+
+    def test_noisy_render_allocates_under_three_and_a_half_grids(self):
+        # The closed-loop start: one sphere 4 m ahead, sensor noise 5.
+        scene = Scene(objects=(Sphere((4.0, 0.25, 0.0), 0.3, 224.0),), noise_amplitude=5.0)
+        render_frame(scene, CAM, index=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frame = render_frame(scene, CAM, index=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.luminance.dtype == np.uint8
+        assert (peak - before) / (CAM.height * CAM.width * 8) < 3.5
