@@ -27,10 +27,10 @@ from .layers import CoreParams
 from .steering import SteeringParams
 from .stimulus import CameraModel
 
-# Fields that are not flat keys: derived from the frame size (n_cell),
-# vehicle state (position), set in degrees (hfov), or built from the other
-# keys (the nested parameter objects).
-_NOT_KEYS = {"n_cell", "position", "hfov", "camera", "core", "norm", "steering"}
+# Fields that are not flat keys: derived from the frame size (n_cell), set
+# in degrees (hfov), or built from the other keys (the nested parameter
+# objects).
+_NOT_KEYS = {"n_cell", "hfov", "camera", "core", "norm", "steering"}
 
 # Vector fields spread over one float key per component.
 _VECTOR_KEYS = {

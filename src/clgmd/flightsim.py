@@ -1,22 +1,22 @@
 """Point-mass quadcopter closed with the collision detector.
 
-The vehicle cruises along +x toward a spherical obstacle while rendering
-the scene from its own camera every step.  A confirmed collision picks an
-escape setpoint that replaces cruise for a fixed hold; re-confirmation
+The vehicle starts at the origin and cruises along +x toward a spherical
+obstacle, rendering the scene from its own camera every step.  The camera
+keeps its +x heading, so body-frame setpoints are world-frame velocities,
+and the scene it sees is the world shifted by the vehicle's position: the
+obstacle's center relative to the vehicle.  A confirmed collision picks
+an escape setpoint that replaces cruise for a fixed hold; re-confirmation
 during the hold restarts it with the freshly selected direction.  The
-camera keeps its +x heading, so body-frame setpoints are world-frame
-velocities.  The trial ends when the vehicle hits the obstacle, leaves
-the arena, or runs out of time.
+trial ends when the vehicle hits the obstacle, leaves the arena, or runs
+out of time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Annotated, NamedTuple
-
-import numpy as np
 
 from .competition import SIDE_UNIT, NormParams, Quadrant
 from .detector import CollisionDetector
@@ -64,11 +64,11 @@ def step_vehicle(
     return VehicleState(position=pos, velocity=vel)
 
 
-def check_collision(state: VehicleState, scene: Scene, margin: float) -> bool:
-    """True iff the vehicle is within margin of any object's surface."""
+def check_collision(scene: Scene, margin: float) -> bool:
+    """True iff the vehicle, at the origin of ``scene``, is within margin of
+    the obstacle's surface."""
     check_value("margin", NonNegative, margin, InputError)
-    point = np.asarray(state.position, dtype=np.float64)
-    return any(obj.clearance(point) <= margin for obj in scene.objects)
+    return scene.obstacle is not None and scene.obstacle.clearance() <= margin
 
 
 class Placement(enum.Enum):
@@ -134,11 +134,8 @@ class TrialConfig:
         # The obstacle moves linearly, so its offset from the start is
         # largest at one end of the trial.
         for t in (0.0, self.max_duration):
-            center = self.obstacle_center(t)
-            offset = tuple(c - p for c, p in zip(center, self.camera.position))
-            check_reach(offset, self.obstacle_radius, self.camera)
-        (sphere,) = self.scene_at(0.0).objects
-        gap = sphere.clearance(np.asarray(self.camera.position))
+            check_reach(self.obstacle_center(t), self.obstacle_radius, self.camera)
+        gap = self.scene_at(0.0, VehicleState().position).obstacle.clearance()
         if gap <= self.margin:
             raise ConfigError(
                 f"obstacle overlaps the start position: its clearance {gap:.3f} "
@@ -146,27 +143,28 @@ class TrialConfig:
             )
 
     def obstacle_center(self, t: float = 0.0) -> Vec3:
-        """Obstacle center at time t, placed relative to the start position."""
+        """Obstacle center at time t; the vehicle starts at the origin."""
         if self.placement is Placement.CENTERED:
             ox, oy, oz = 0.0, 0.0, 0.0
         else:
             ox, oy, oz = SIDE_UNIT[Quadrant[self.placement.name]]
         vx, vy, vz = self.obstacle_velocity
-        sx, sy, sz = self.camera.position
         return (
-            sx + self.obstacle_distance + ox * self.obstacle_offset + vx * t,
-            sy + oy * self.obstacle_offset + vy * t,
-            sz + oz * self.obstacle_offset + vz * t,
+            self.obstacle_distance + ox * self.obstacle_offset + vx * t,
+            oy * self.obstacle_offset + vy * t,
+            oz * self.obstacle_offset + vz * t,
         )
 
-    def scene_at(self, t: float) -> Scene:
+    def scene_at(self, t: float, position: Vec3) -> Scene:
+        """The scene at time t as seen from a vehicle at ``position``."""
+        center = self.obstacle_center(t)
         sphere = Sphere(
-            center=self.obstacle_center(t),
+            center=tuple(c - p for c, p in zip(center, position)),
             radius=self.obstacle_radius,
             luminance=self.obstacle_luminance,
         )
         return Scene(
-            objects=(sphere,),
+            obstacle=sphere,
             background=self.background,
             noise_amplitude=self.noise_amplitude,
         )
@@ -216,27 +214,25 @@ class TrialTrace:
 def run_trial(config: TrialConfig) -> TrialTrace:
     """Render, detect, steer and integrate until the trial resolves.
 
-    The obstacle scene at the end of step i is the one for t = (i+1)·dt: it
-    decides the collision and the arena exit, and step i+1 renders it.
+    The obstacle scene at the end of step i is the one for t = (i+1)·dt,
+    seen from where the step left the vehicle: it decides the collision
+    and the arena exit, and step i+1 renders it.
     """
-    camera0 = config.camera
+    camera = config.camera
     detector = CollisionDetector(
-        camera0.width, camera0.height, core=config.core, norm=config.norm
+        camera.width, camera.height, core=config.core, norm=config.norm
     )
-    state = VehicleState(
-        position=camera0.position, velocity=(config.cruise_speed, 0.0, 0.0)
-    )
+    state = VehicleState(velocity=(config.cruise_speed, 0.0, 0.0))
     records: list[TrialRecord] = []
     outcome = Outcome.TIMEOUT
     command: EscapeCommand | None = None
     command_started = 0.0
     was_confirmed = False
-    scene = config.scene_at(0.0)
+    scene = config.scene_at(0.0, state.position)
     steps = int(round(config.max_duration / config.dt))
     xmin, xmax, ymin, ymax, zmin, zmax = config.arena
     for i in range(steps):
         t = i * config.dt
-        camera = replace(camera0, position=state.position)
         frame = render_frame(scene, camera, index=i, seed=config.noise_seed)
         result = detector.process(frame)
         # A new confirmation is the flag rising, not merely staying set:
@@ -259,13 +255,13 @@ def run_trial(config: TrialConfig) -> TrialTrace:
         row = (i, t, *state.position, *state.velocity, *cells, *held)
         records.append(TrialRecord(*row))
         state = step_vehicle(state, setpoint, config.dt, tau=config.tau)
-        scene = config.scene_at((i + 1) * config.dt)
-        if check_collision(state, scene, config.margin):
+        scene = config.scene_at((i + 1) * config.dt, state.position)
+        if check_collision(scene, config.margin):
             outcome = Outcome.COLLIDED
             break
         px, py, pz = state.position
         if not (xmin <= px <= xmax and ymin <= py <= ymax and zmin <= pz <= zmax):
-            passed = px > scene.objects[0].center[0]
+            passed = scene.obstacle.center[0] < 0.0
             outcome = Outcome.AVOIDED if passed else Outcome.TIMEOUT
             break
     return TrialTrace(records=tuple(records), outcome=outcome, final_state=state)

@@ -60,11 +60,25 @@ Grid = np.ndarray
 INT16_SOURCE_LIMIT = 4095
 
 
+def to_uint8(values: np.ndarray, name: str, rule: str, error) -> np.ndarray:
+    """``values`` as uint8, rounded half to even.  Only an integer or real
+    array whose values all lie in [0, 255] converts; ``error`` names
+    ``name`` and, for a value outside, ``rule``."""
+    if values.dtype == np.uint8:
+        return values
+    if values.dtype.kind not in "iuf":
+        raise error(f"{name} must be integer or real, got dtype {values.dtype}")
+    if not np.all((values >= 0) & (values <= 255)):
+        raise error(f"{name} values must {rule}")
+    return np.rint(values).astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class Frame:
     """One 8-bit grayscale frame and its position in the stream.
 
-    Luminance in [0, 255] of any other dtype is rounded half to even.
+    Luminance in [0, 255] of any other integer or real dtype is rounded
+    half to even.
     """
 
     index: Count
@@ -80,10 +94,7 @@ class Frame:
                 f"frame must be at least 5x5 so the inhibition radius fits, "
                 f"got {lum.shape[1]}x{lum.shape[0]}"
             )
-        if lum.dtype != np.uint8:
-            if not np.all((lum >= 0) & (lum <= 255)):
-                raise InputError("luminance values must lie in [0, 255]")
-            lum = np.rint(lum).astype(np.uint8)
+        lum = to_uint8(lum, "luminance", "lie in [0, 255]", InputError)
         object.__setattr__(self, "luminance", lum)
 
     @property

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .layers import to_uint8
 
 FRAME_PATTERN = "frame_{:06d}.pgm"
 _FRAME_NAME = re.compile(r"frame_(\d+)\.pgm")
@@ -25,14 +26,12 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write one P5 frame; values of any other dtype are rounded half to even."""
+    """Write one P5 frame; values of any other integer or real dtype are
+    rounded half to even."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise DataError(f"image must be 2-D, got shape {img.shape}")
-    if img.dtype != np.uint8:
-        if not np.all((img >= 0) & (img <= 255)):
-            raise DataError("image values must be finite and fit in [0, 255]")
-        img = np.rint(img).astype(np.uint8)
+    img = to_uint8(img, "image", "be finite and fit in [0, 255]", DataError)
     height, width = img.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -1,11 +1,11 @@
 """Synthetic grayscale stimuli: looming, receding and side-entry approaches.
 
-A pinhole camera looks along +x (+y left, +z up).  Scenes hold flat
-shaded spheres; a pixel takes an object's luminance exactly when the
-ray through the pixel center hits it, nearest object first.  Scenario
-builders move a sphere along a straight constant-bearing line toward the
-camera so the silhouette expands in place inside one quadrant of the
-field of view.
+A pinhole camera at the origin looks along +x (+y left, +z up).  A scene
+holds at most one flat-shaded sphere, given in the camera's frame; a
+pixel takes its luminance exactly when the ray through the pixel center
+hits it in front of the camera.  Scenario builders move the sphere along
+a straight constant-bearing line toward the camera so the silhouette
+expands in place inside one quadrant of the field of view.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .competition import SIDE_UNIT, Quadrant
 from .errors import (
     ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
-    check_fields,
+    check_fields, check_value,
 )
 from .layers import Frame
 
@@ -49,6 +49,8 @@ _Speed = Annotated[float, Kind("be nonzero", lambda v: v != 0)]
 
 @dataclass(frozen=True)
 class Sphere:
+    """A sphere whose ``center`` is given in the camera's frame."""
+
     center: Vec3
     radius: Positive
     luminance: Luminance
@@ -56,13 +58,13 @@ class Sphere:
     def __post_init__(self) -> None:
         check_fields(self)
 
-    def clearance(self, point: np.ndarray) -> float:
-        """Signed distance from ``point`` to the surface, negative inside."""
-        return float(np.linalg.norm(np.asarray(self.center) - point)) - self.radius
+    def clearance(self) -> float:
+        """Signed distance from the camera to the surface, negative inside."""
+        return float(np.linalg.norm(self.center)) - self.radius
 
-    def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    def intersect(self, dirs: np.ndarray) -> np.ndarray:
         """Ray parameter of the nearest forward hit per pixel, inf on miss."""
-        rel = np.asarray(self.center, dtype=np.float64) - origin
+        rel = np.asarray(self.center, dtype=np.float64)
         a = np.einsum("hwk,hwk->hw", dirs, dirs)
         b = -2.0 * (dirs @ rel)
         c0 = float(rel @ rel) - self.radius**2
@@ -75,30 +77,20 @@ class Sphere:
 
 @dataclass(frozen=True)
 class Scene:
-    """Flat-shaded spheres over a uniform background."""
+    """At most one flat-shaded sphere over a uniform background."""
 
-    objects: tuple[Sphere, ...] = ()
+    obstacle: Sphere | None = None
     background: Luminance = 32.0
     noise_amplitude: NonNegative = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        try:
-            object.__setattr__(self, "objects", tuple(self.objects))
-        except TypeError:
-            raise ConfigError(
-                f"objects must be an iterable of spheres, got {self.objects!r}"
-            ) from None
-        for obj in self.objects:
-            if not isinstance(obj, Sphere):
-                raise ConfigError(f"unsupported obstacle type: {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera looking along +x, with +y left and +z up."""
+    """Pinhole camera at the origin looking along +x, +y left and +z up."""
 
-    position: Vec3 = (0.0, 0.0, 0.0)
     hfov: _Angle = math.radians(90.0)
     width: _Side = 100
     height: _Side = 100
@@ -115,9 +107,14 @@ class CameraModel:
     def focal_px(self) -> float:
         return (self.width / 2.0) / math.tan(self.hfov / 2.0)
 
+    @property
+    def _principal_point(self) -> tuple[float, float]:
+        """(column, row) of the optical axis, between pixels for even sizes."""
+        return (self.width - 1) / 2.0, (self.height - 1) / 2.0
+
     def _pixel(self, y_slope: float, z_slope: float) -> tuple[float, float]:
         """(column, row) where the ray (1, y_slope, z_slope) meets the image."""
-        cx, cy, f = (self.width - 1) / 2.0, (self.height - 1) / 2.0, self.focal_px
+        (cx, cy), f = self._principal_point, self.focal_px
         return cx - f * y_slope, cy - f * z_slope
 
 
@@ -140,14 +137,13 @@ def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -
 
 
 @functools.lru_cache(maxsize=8)
-def _ray_grid(width: int, height: int, hfov: float) -> np.ndarray:
-    """Per-pixel ray directions (unit forward component)."""
-    f = (width / 2.0) / math.tan(hfov / 2.0)
-    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-    cols = np.arange(width, dtype=np.float64)
-    rows = np.arange(height, dtype=np.float64)
-    y = (cx - cols)[None, :] / f
-    z = (cy - rows)[:, None] / f
+def _ray_grid(camera: CameraModel) -> np.ndarray:
+    """Per-pixel ray directions (unit forward component): the slopes that
+    :meth:`CameraModel._pixel` maps back onto each pixel center."""
+    (cx, cy), f = camera._principal_point, camera.focal_px
+    width, height = camera.width, camera.height
+    y = (cx - np.arange(width, dtype=np.float64))[None, :] / f
+    z = (cy - np.arange(height, dtype=np.float64))[:, None] / f
     dirs = np.empty((height, width, 3))
     dirs[..., 0] = 1.0
     dirs[..., 1] = np.broadcast_to(y, (height, width))
@@ -227,27 +223,26 @@ def render_frame(
 ) -> Frame:
     """Render one frame; noise (if any) is keyed by (seed, index).
 
-    Each sphere is ray-cast only over the window of pixels it can cover.
+    The obstacle is ray-cast only over the window of pixels it can cover.
     Noise of amplitude a is drawn as ``default_rng((seed, index)).random``
     and scaled in place to ``-a + 2a·r``, bit for bit numpy's
     ``uniform(-a, a)``.  The image is clipped to [0, 255] (only if noise
     can take it out) and rounded half to even in place, and ``Frame`` gets
     a fresh uint8 copy, as the detector keeps the previous frame.
     """
-    origin = np.asarray(camera.position, dtype=np.float64)
-    dirs = _ray_grid(camera.width, camera.height, camera.hfov)
+    index = check_value("index", Count, index, InputError)
+    seed = check_value("seed", Count, seed, InputError)
     img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
-    best_t = np.full(img.shape, np.inf)
-    for obj in scene.objects:
-        offset = tuple(c - o for c, o in zip(obj.center, camera.position))
-        check_reach(offset, obj.radius, camera, InputError)
-        if obj.clearance(origin) < 0:
-            raise InputError(f"camera at {camera.position} is inside {obj!r}")
-        rows, cols = _window(offset, obj.radius, camera)
-        t = obj.intersect(origin, dirs[rows, cols])
-        window_t = best_t[rows, cols]
-        img[rows, cols][t < window_t] = obj.luminance
-        np.minimum(window_t, t, out=window_t)
+    levels = [scene.background]
+    obj = scene.obstacle
+    if obj is not None:
+        check_reach(obj.center, obj.radius, camera, InputError)
+        if obj.clearance() < 0:
+            raise InputError(f"the camera is inside {obj!r}")
+        rows, cols = _window(obj.center, obj.radius, camera)
+        t = obj.intersect(_ray_grid(camera)[rows, cols])
+        img[rows, cols][np.isfinite(t)] = obj.luminance
+        levels.append(obj.luminance)
     amplitude = scene.noise_amplitude
     if amplitude > 0.0:
         span = amplitude - (-amplitude)
@@ -259,7 +254,6 @@ def render_frame(
         img += noise
     # Noise lies in [-a, a], and rounding is monotone, so the image can leave
     # [0, 255] only if a level does once a is added or taken away.
-    levels = (scene.background, *(obj.luminance for obj in scene.objects))
     if min(levels) - amplitude < 0.0 or max(levels) + amplitude > 255.0:
         np.clip(img, 0.0, 255.0, out=img)
     np.rint(img, out=img)
@@ -328,9 +322,9 @@ def make_scenario(
 ) -> list[Scene]:
     """Per-frame scenes for a straight constant-bearing approach.
 
-    The sphere travels from its start point directly toward the camera
-    position and parks at a small standoff just outside its own radius,
-    so the silhouette expands without the camera ever entering the object.
+    The sphere travels from its start point directly toward the camera and
+    parks at a small standoff just outside its own radius, so the
+    silhouette expands without the camera ever entering the object.
     """
     camera = camera if camera is not None else CameraModel()
     rng = np.random.default_rng(spec.seed)
@@ -338,22 +332,20 @@ def make_scenario(
     speed = spec.speed * rng.uniform(0.9, 1.1)
     standoff = spec.object_radius * _STANDOFF_RADII
     check_reach(start, spec.object_radius, camera)
-    origin = np.asarray(camera.position, dtype=np.float64)
     span = float(np.linalg.norm(start))
     toward = -start / span
     scenes = []
     for i in range(spec.frames):
         travel = speed * i / spec.fps
         travel = min(travel, span - standoff)
-        center = origin + (start + toward * travel)
         sphere = Sphere(
-            center=tuple(center),
+            center=tuple(start + toward * travel),
             radius=spec.object_radius,
             luminance=spec.object_luminance,
         )
         scenes.append(
             Scene(
-                objects=(sphere,),
+                obstacle=sphere,
                 background=spec.background,
                 noise_amplitude=spec.noise_amplitude,
             )

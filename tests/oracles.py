@@ -138,16 +138,11 @@ def sphere_projected_radius(f_px: float, radius: float, distance: float) -> floa
 
 
 def naive_render(scene, camera, index: int = 0, seed: int | None = None) -> np.ndarray:
-    """Luminance of a frame ray-cast over the full pixel grid, object by object."""
-    origin = np.asarray(camera.position, dtype=np.float64)
-    dirs = _ray_grid(camera.width, camera.height, camera.hfov)
+    """Luminance of a frame with the obstacle ray-cast over the full pixel grid."""
     img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
-    best_t = np.full(img.shape, np.inf)
-    for obj in scene.objects:
-        t = obj.intersect(origin, dirs)
-        closer = t < best_t
-        img[closer] = obj.luminance
-        best_t = np.minimum(best_t, t)
+    if scene.obstacle is not None:
+        t = scene.obstacle.intersect(_ray_grid(camera))
+        img[t < np.inf] = scene.obstacle.luminance
     if scene.noise_amplitude > 0.0:
         rng = np.random.default_rng((seed if seed is not None else 0, index))
         amplitude = scene.noise_amplitude

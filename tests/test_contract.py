@@ -50,9 +50,9 @@ CHECKED = {
 # Results the package builds itself, never parameters it is given.
 RECORDS = {"CLgmdPotentials", "DetectionResult", "DetectorState", "EscapeCommand", "TrialTrace"}
 
-# Fields with no declared kind: the obstacle list and the pixels, which
-# hand-written checks validate.
-EXEMPT = {"Scene.objects", "Frame.luminance"}
+# Fields with no declared kind: the pixels, which hand-written checks
+# validate.
+EXEMPT = {"Frame.luminance"}
 
 
 # (class, field, Kind or enum class, None allowed) for every declared field.
@@ -213,7 +213,7 @@ def test_accepted_values_build_equal_objects():
     assert CoreParams(c_w=np.float64(4.0), inhibition_delay=np.int64(0)) == CoreParams()
     assert NormParams(n_cell=np.int64(100), n_sp=np.int64(4)) == NormParams(n_cell=100)
     assert NormParams(n_cell=100, c2=None).c2 == 0.01
-    assert CameraModel(width=np.int64(100), position=[0, 0, 0]) == CameraModel()
+    assert CameraModel(width=np.int64(100)) == CameraModel()
     assert Sphere(np.array([4, 0, 0]), 1, 255) == Sphere((4.0, 0.0, 0.0), 1.0, 255.0)
     assert ScenarioSpec(direction="left") == ScenarioSpec(direction=Direction.LEFT)
     assert TrialConfig(placement="up", noise_seed=np.int64(3)) == TrialConfig(
@@ -256,7 +256,7 @@ nan, inf = math.nan, math.inf
         (lambda: TrialConfig(norm=5), ConfigError),
         (lambda: TrialConfig(steering=3), ConfigError),
         (lambda: TrialConfig(camera=None), ConfigError),
-        (lambda: Scene(objects=5), ConfigError),
+        (lambda: Scene(obstacle=5), ConfigError),
     ],
 )
 def test_values_once_let_through_are_rejected(make, error):

@@ -80,32 +80,44 @@ class TestStepVehicle:
                 VehicleState(position=vector)
 
 
-class TestCheckCollision:
-    SCENE = Scene(objects=(Sphere((4.0, 0.0, 0.0), 0.3, 200.0),))
+def seen_from(x: float) -> Scene:
+    """The scene around a sphere of radius 0.3 at (4, 0, 0), as seen from a
+    vehicle at (x, 0, 0)."""
+    return Scene(obstacle=Sphere((4.0 - x, 0.0, 0.0), 0.3, 200.0))
 
+
+class TestCheckCollision:
     def test_far_away_false(self):
-        assert not check_collision(VehicleState(), self.SCENE, margin=0.1)
+        assert not check_collision(seen_from(0.0), margin=0.1)
 
     def test_at_center_true(self):
-        state = VehicleState(position=(4.0, 0.0, 0.0))
-        assert check_collision(state, self.SCENE, margin=0.1)
+        assert check_collision(seen_from(4.0), margin=0.1)
 
     def test_boundary_inclusive(self):
-        state = VehicleState(position=(4.0 - 0.4, 0.0, 0.0))
-        assert check_collision(state, self.SCENE, margin=0.1)
-        state = VehicleState(position=(4.0 - 0.41, 0.0, 0.0))
-        assert not check_collision(state, self.SCENE, margin=0.1)
+        assert check_collision(seen_from(4.0 - 0.4), margin=0.1)
+        assert not check_collision(seen_from(4.0 - 0.41), margin=0.1)
+
+    def test_empty_scene_false(self):
+        assert not check_collision(Scene(), margin=0.1)
+
+    def test_scene_at_is_seen_from_the_vehicle(self):
+        # The trial's scene at a point within margin of the surface, and at
+        # one just outside it, both relative to the vehicle.
+        cfg = TrialConfig(placement="centered")
+        assert check_collision(cfg.scene_at(0.0, (4.0 - 0.4, 0.0, 0.0)), cfg.margin)
+        assert not check_collision(cfg.scene_at(0.0, (4.0 - 0.41, 0.0, 0.0)), cfg.margin)
+        moving = TrialConfig(placement="centered", obstacle_velocity=(-1.0, 0.5, 0.0))
+        assert moving.scene_at(2.0, (1.0, 1.0, -0.5)).obstacle.center == (1.0, 0.0, 0.5)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(InputError):
-            check_collision(VehicleState(), self.SCENE, margin=-0.1)
+            check_collision(seen_from(0.0), margin=-0.1)
 
     def test_nan_margin_rejected(self):
         # At the obstacle's center: a NaN margin must not read as no collision.
-        state = VehicleState(position=(4.0, 0.0, 0.0))
         for margin in (math.nan, "0.1"):
             with pytest.raises(InputError, match="margin must be"):
-                check_collision(state, self.SCENE, margin=margin)
+                check_collision(seen_from(4.0), margin=margin)
 
 
 class TestTrialConfig:

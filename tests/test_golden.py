@@ -1,7 +1,7 @@
 """Seed-0 outputs of every benchmark workload equal the stored reference,
-fifteen CLI runs write byte-identical CSVs, a clipping noisy ``generate``
-writes byte-identical PGMs, and the eight detect sequences among the CLI
-runs give bit-identical whole-field sums.
+sixteen CLI runs write byte-identical CSVs, two ``generate`` runs (one
+clipping noisy, one receding) write byte-identical PGMs, and the eight
+detect sequences among the CLI runs give bit-identical whole-field sums.
 
 The benchmark check uses the benchmark's own inputs, commands and
 comparison (``bench/run.py`` ``prepare``, ``check`` and
@@ -47,8 +47,9 @@ def test_seed0_outputs_match_reference(name, tmp_path):
 # sha256 of the CSV each CLI run writes.  Detection runs on
 # `generate --direction D --seed 0 --noise 5 --frames 120`, at 100x100 with
 # the defaults and at 320x240 with `--set inhibition_delay=1`; a simulation
-# is `simulate` with the settings in SIMULATE_SETTINGS.  Only the two
-# moving-obstacle runs see the obstacle's time base.
+# is `simulate` with the settings in SIMULATE_SETTINGS.  Only the three
+# moving-obstacle runs see the obstacle's time base; the last one also
+# flies a 64x48 camera with a 60 degree field of view.
 QVGA_DETECTIONS = "fc2d4258ee31eb1ac326c36a1bf20c087e8fcee82cbd66663268e91a448e88f9"
 GOLDEN_SHA256 = {
     "detect-100-up": "ec78db0501c5b132163934c24d97f92b5d9aa38901ae4850420d592db65078de",
@@ -68,12 +69,18 @@ GOLDEN_SHA256 = {
     "simulate-moving-vz-down-noise": (
         "c95e06ea8a422fdeaf4ef5f6ce83f1ca600af9aadda72948b32b99e768132a16"
     ),
+    "simulate-moving-vy-right-64x48": (
+        "841dbc556ee1b9cb5938dc1a33f64573bf4aea9f7e5754510910fb6902c4d8d8"
+    ),
 }
 SIMULATE_SETTINGS = {
     **{p: [f"placement={p}"] for p in ("left", "right", "up", "down")},
     "centered": ["placement=centered", "t_s=256"],  # spiking disabled
     "moving-vx": ["obstacle_vx=-1.0"],
     "moving-vz-down-noise": ["obstacle_vz=0.37", "placement=down", "noise_amplitude=5"],
+    "moving-vy-right-64x48": [
+        "placement=right", "obstacle_vy=0.3", "width=64", "height=48", "hfov_deg=60"
+    ],
 }
 GOLDEN_OUTCOME = {"centered": "COLLIDED"}
 
@@ -104,20 +111,32 @@ def test_cli_output_is_byte_identical(case, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case]
 
 
-# sha256 over the five PGMs, in frame order, that `generate --noise 40
-# --width 64 --height 48 --frames 5 --direction left` writes.  Object 224 + 40
-# and background 32 - 40 clip at both ends of [0, 255]; noise 5 never does.
-CLIPPED_NOISE_PGMS_SHA256 = "38766c4450c0f4838c7b51ae782d691a406239cbaf634191aacf8fa059dfb764"
+# sha256 over the five PGMs, in frame order, that each `generate` run
+# writes.  In the first, object 224 + 40 and background 32 - 40 clip at both
+# ends of [0, 255]; noise 5 never does.  The second recedes (negative speed)
+# through a 60 degree field of view.
+GENERATE_PGMS_SHA256 = {
+    "clipped-noise": (
+        ["--noise", "40", "--width", "64", "--height", "48", "--frames", "5"]
+        + ["--direction", "left"],
+        "38766c4450c0f4838c7b51ae782d691a406239cbaf634191aacf8fa059dfb764",
+    ),
+    "receding-hfov60": (
+        ["--direction", "up", "--speed", "-1.2", "--hfov-deg", "60", "--noise", "5"]
+        + ["--frames", "5", "--seed", "2"],
+        "572833fc109fd7d0c08a69e8d0c3ec0dba654ae2aa3440d9a9698bc38d0683f5",
+    ),
+}
 
 
-def test_clipped_noise_frames_are_byte_identical(tmp_path):
-    generate = ["generate", str(tmp_path), "--noise", "40", "--width", "64"]
-    generate += ["--height", "48", "--frames", "5", "--direction", "left"]
-    assert cli.main(generate) == 0
+@pytest.mark.parametrize("case", sorted(GENERATE_PGMS_SHA256))
+def test_generated_frames_are_byte_identical(case, tmp_path):
+    flags, expected = GENERATE_PGMS_SHA256[case]
+    assert cli.main(["generate", str(tmp_path), *flags]) == 0
     digest = hashlib.sha256()
     for path in sorted(tmp_path.glob("*.pgm")):
         digest.update(path.read_bytes())
-    assert digest.hexdigest() == CLIPPED_NOISE_PGMS_SHA256
+    assert digest.hexdigest() == expected
 
 
 # sha256 over float.hex(k_f0), one line per detection, of the eight detect

@@ -64,6 +64,24 @@ class TestFrame:
             with pytest.raises(InputError):
                 Frame(index=0, luminance=np.full((5, 5), value))
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((5, 5), 7 + 0j), np.full((5, 5), 7 + 1j), np.ones((5, 5), dtype=bool),
+         np.full((5, 5), "7"), np.full((5, 5), 7, dtype=object)],
+        ids=["complex", "complex-imaginary", "bool", "str", "object"],
+    )
+    def test_rejects_dtypes_other_than_integer_and_real(self, values):
+        # Complex and bool arrays converted (dropping the imaginary part, and
+        # True read as 1); str and object arrays raised a bare numpy error.
+        with pytest.raises(InputError, match="luminance must be integer or real") as info:
+            Frame(index=0, luminance=values)
+        assert type(info.value) is InputError
+
+    def test_converts_every_integer_and_real_dtype(self):
+        for dtype in (np.int8, np.uint16, np.int64, np.float16, np.float32):
+            f = Frame(index=0, luminance=np.full((5, 5), 7, dtype=dtype))
+            assert f.luminance.dtype == np.uint8 and np.all(f.luminance == 7)
+
     def test_rejects_small_and_non_2d(self):
         with pytest.raises(InputError):
             Frame(index=0, luminance=np.zeros((4, 10)))

@@ -82,6 +82,19 @@ class TestSingleFile:
                 write_pgm(path, img)
             assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((5, 5), 7 + 0j), np.full((5, 5), 7 + 1j), np.ones((5, 5), dtype=bool),
+         np.full((5, 5), "7"), np.full((5, 5), 7, dtype=object)],
+        ids=["complex", "complex-imaginary", "bool", "str", "object"],
+    )
+    def test_write_rejects_dtypes_other_than_integer_and_real(self, tmp_path, values):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(DataError, match="image must be integer or real") as info:
+            write_pgm(path, values)
+        assert type(info.value) is DataError
+        assert not path.exists()
+
     def test_write_rounds_floats_half_to_even(self, tmp_path):
         values = np.array([[3.7, 3.2, 254.5, 0.5, 1.5]] * 5)
         path = tmp_path / "x.pgm"

@@ -35,7 +35,7 @@ def test_placement_escape_and_bearing_agree_with_side_unit(side):
     unit = np.array(SIDE_UNIT[side])
     config = TrialConfig(placement=side.name.lower(), obstacle_offset=0.25)
     center = np.array(config.obstacle_center())
-    ahead = np.array(config.camera.position) + (config.obstacle_distance, 0.0, 0.0)
+    ahead = np.array((config.obstacle_distance, 0.0, 0.0))  # the start is the origin
     assert np.array_equal(center - ahead, 0.25 * unit)
 
     values = [0.0 if q is side else 10.0 for q in Quadrant]
@@ -44,7 +44,7 @@ def test_placement_escape_and_bearing_agree_with_side_unit(side):
     assert np.array_equal(command_to_setpoint(cmd, 0.0), 0.6 * unit)
 
     (scene,) = make_scenario(ScenarioSpec(direction=side.name.lower(), frames=1))
-    _, y, z = scene.objects[0].center
+    _, y, z = scene.obstacle.center
     along, across = np.dot((y, z), unit[1:]), np.dot((z, y), unit[1:])
     assert along > abs(across)
 

@@ -40,7 +40,7 @@ class TestRenderFrame:
 
     def test_halving_distance_doubles_diameter(self):
         def extent(d):
-            scene = Scene(objects=(Sphere((d, 0.0, 0.0), 0.3, 224.0),))
+            scene = Scene(obstacle=Sphere((d, 0.0, 0.0), 0.3, 224.0))
             frame = render_frame(scene, CAM)
             cols = np.nonzero(np.any(object_pixels(frame, 32.0), axis=0))[0]
             return int(cols[-1] - cols[0] + 1)
@@ -49,14 +49,14 @@ class TestRenderFrame:
         assert abs(near - 2 * far) <= 1
 
     def test_rendered_radius_tracks_analytic_projection(self):
-        scene = Scene(objects=(Sphere((3.0, 0.0, 0.0), 0.4, 224.0),))
+        scene = Scene(obstacle=Sphere((3.0, 0.0, 0.0), 0.4, 224.0))
         frame = render_frame(scene, CAM)
         area = int(np.count_nonzero(object_pixels(frame, 32.0)))
         radius = sphere_projected_radius(CAM.focal_px, 0.4, 3.0)
         assert area == pytest.approx(math.pi * radius * radius, rel=0.15)
 
     def test_offset_sphere_lands_in_left_region(self):
-        scene = Scene(objects=(Sphere((3.0, 1.8, 0.0), 0.3, 224.0),))
+        scene = Scene(obstacle=Sphere((3.0, 1.8, 0.0), 0.3, 224.0))
         frame = render_frame(scene, CAM)
         mask = build_quadrant_mask(CAM.width, CAM.height)
         obj = object_pixels(frame, 32.0)
@@ -71,18 +71,12 @@ class TestRenderFrame:
         assert row == pytest.approx(row_pred, abs=1.0)
 
     def test_camera_inside_object_rejected(self):
-        scene = Scene(objects=(Sphere((0.0, 0.0, 0.0), 1.0, 200.0),))
+        scene = Scene(obstacle=Sphere((0.0, 0.0, 0.0), 1.0, 200.0))
         with pytest.raises(InputError):
             render_frame(scene, CAM)
 
-    def test_nearest_object_wins(self):
-        near = Sphere((2.0, 0.0, 0.0), 0.3, 200.0)
-        far = Sphere((4.0, 0.0, 0.0), 0.3, 90.0)
-        frame = render_frame(Scene(objects=(far, near)), CAM)
-        assert frame.luminance[50, 50] == 200
-
     def test_deterministic_with_noise(self):
-        scene = Scene(objects=(Sphere((3.0, 0.0, 0.0), 0.3, 200.0),), noise_amplitude=5.0)
+        scene = Scene(obstacle=Sphere((3.0, 0.0, 0.0), 0.3, 200.0), noise_amplitude=5.0)
         a = render_frame(scene, CAM, index=4, seed=9)
         b = render_frame(scene, CAM, index=4, seed=9)
         assert np.array_equal(a.luminance, b.luminance)
@@ -94,9 +88,40 @@ class TestRenderFrame:
         assert not np.array_equal(a.luminance, b.luminance)
 
     def test_sphere_too_far_to_ray_cast_rejected(self):
-        scene = Scene(objects=(Sphere((1e200, 0.0, 0.0), 0.3, 200.0),))
+        scene = Scene(obstacle=Sphere((1e200, 0.0, 0.0), 0.3, 200.0))
         with pytest.raises(InputError, match="too large to ray-cast"):
             render_frame(scene, CAM)
+
+    @pytest.mark.parametrize("noise", [0.0, 5.0])
+    @pytest.mark.parametrize(
+        "name, value", [("seed", -1), ("index", -1), ("seed", 1.5), ("index", 2.0),
+                        ("seed", True), ("index", "1"), ("seed", None)]
+    )
+    def test_index_and_seed_must_be_counts(self, noise, name, value):
+        # With noise these raised numpy's bare ValueError or TypeError;
+        # without it they passed unchecked.
+        scene = Scene(obstacle=Sphere((3.0, 0.0, 0.0), 0.3, 200.0), noise_amplitude=noise)
+        with pytest.raises(InputError, match=f"{name} must be"):
+            render_frame(scene, CAM, **{name: value})
+
+    def test_numpy_index_and_seed_render_the_same_frame(self):
+        scene = Scene(noise_amplitude=5.0)
+        a = render_frame(scene, CAM, index=np.int64(4), seed=np.uint32(9))
+        b = render_frame(scene, CAM, index=4, seed=9)
+        assert a.index == 4 and type(a.index) is int
+        assert np.array_equal(a.luminance, b.luminance)
+
+    def test_ray_grid_is_cached_by_camera_and_inverts_the_pinhole(self):
+        camera = CameraModel(hfov=1.0, width=33, height=17)
+        dirs = _ray_grid(camera)
+        assert _ray_grid(CameraModel(hfov=1.0, width=33, height=17)) is dirs
+        assert not dirs.flags.writeable
+        assert np.all(dirs[..., 0] == 1.0)
+        # each pixel's ray meets the image at that pixel's center
+        col, row = camera._pixel(dirs[..., 1], dirs[..., 2])
+        rows, cols = np.mgrid[0:17, 0:33]
+        assert np.allclose(col, cols, rtol=0, atol=1e-12)
+        assert np.allclose(row, rows, rtol=0, atol=1e-12)
 
     def test_noise_stays_in_range(self):
         scene = Scene(noise_amplitude=30.0, background=250.0)
@@ -130,8 +155,10 @@ class TestValidation:
 
     def test_scene_rejects_non_primitive(self):
         lookalike = types.SimpleNamespace(center=(2.0, 0.0, 0.0), radius=0.3, luminance=200.0)
-        with pytest.raises(ConfigError, match="unsupported obstacle type: SimpleNamespace"):
-            Scene(objects=(Sphere((4.0, 0.0, 0.0), 0.3, 200.0), lookalike))
+        sphere = Sphere((4.0, 0.0, 0.0), 0.3, 200.0)
+        for obstacle in (lookalike, (sphere,), [sphere]):
+            with pytest.raises(ConfigError, match="obstacle must be a Sphere"):
+                Scene(obstacle=obstacle)
 
     def test_scenario_spec(self):
         with pytest.raises(ConfigError):
@@ -234,7 +261,7 @@ class TestScenarios:
         scenes = make_scenario(spec, CAM)
         radii = [
             sphere_projected_radius(
-                CAM.focal_px, s.objects[0].radius, s.objects[0].center[0]
+                CAM.focal_px, s.obstacle.radius, s.obstacle.center[0]
             )
             for s in scenes
         ]
@@ -254,7 +281,7 @@ class TestScenarios:
     def test_approach_stops_at_standoff(self):
         spec = ScenarioSpec(direction=Direction.HEAD_ON, frames=400, seed=0)
         scenes = make_scenario(spec, CAM)
-        closest = min(np.linalg.norm(s.objects[0].center) for s in scenes)
+        closest = min(np.linalg.norm(s.obstacle.center) for s in scenes)
         assert closest >= spec.object_radius * 1.05 - 1e-9
 
 
@@ -276,27 +303,34 @@ class TestClearance:
     @given(obj=_SPHERE, point=_VEC3)
     @settings(max_examples=500, deadline=None)
     def test_matches_reference_formulas(self, obj, point):
-        point = np.asarray(point)
-        inside, gap = reference_inside_and_gap(obj, point)
-        clearance = obj.clearance(point)
+        # obj as a camera at point sees it, the way TrialConfig.scene_at
+        # places an obstacle relative to the vehicle
+        seen = Sphere(tuple(c - p for c, p in zip(obj.center, point)), obj.radius, 200.0)
+        inside, gap = reference_inside_and_gap(obj, np.asarray(point))
+        clearance = seen.clearance()
         assert (clearance < 0) == inside
         if not inside:
             assert clearance == gap
 
 
 # Spheres from behind the camera to well in front of it, across the camera
-# plane and off screen; quarter-unit values make rays graze silhouettes.
+# plane and off screen, each shifted by a quarter-unit offset as a vehicle
+# away from the origin shifts what its camera sees; quarter-unit values
+# make rays graze silhouettes.
 _DEPTH = st.one_of(st.integers(-12, 32).map(lambda k: k / 4.0), st.floats(-3.0, 8.0))
 _SIDE = st.one_of(st.integers(-24, 24).map(lambda k: k / 4.0), st.floats(-6.0, 6.0))
 _RADIUS = st.one_of(st.integers(1, 8).map(lambda k: k / 4.0), st.floats(0.02, 2.0))
-_SPHERES = st.lists(
-    st.builds(Sphere, st.tuples(_DEPTH, _SIDE, _SIDE), _RADIUS, st.just(200.0)),
-    min_size=1,
-    max_size=3,
+_OFFSET = st.tuples(*[st.integers(-4, 4).map(lambda k: k / 4.0)] * 3)
+_OBSTACLES = st.builds(
+    lambda center, offset, radius: Sphere(
+        tuple(c - o for c, o in zip(center, offset)), radius, 200.0
+    ),
+    st.tuples(_DEPTH, _SIDE, _SIDE),
+    _OFFSET,
+    _RADIUS,
 )
 _CAMERAS = st.builds(
     CameraModel,
-    position=st.tuples(*[st.integers(-4, 4).map(lambda k: k / 4.0)] * 3),
     hfov=st.floats(0.2, 3.0),
     width=st.integers(5, 64),
     height=st.integers(5, 64),
@@ -311,84 +345,79 @@ _NOISE = st.one_of(
 
 class TestWindowedRender:
     @given(
-        spheres=_SPHERES,
+        obstacle=_OBSTACLES,
         camera=_CAMERAS,
-        occluder=st.one_of(st.none(), st.floats(0.3, 0.9)),
         noise=_NOISE,
         seed=st.integers(0, 2**64 - 1),
         index=st.integers(0, 10**6),
     )
     @example(  # behind the camera
-        spheres=[Sphere((-2.0, 0.5, 0.0), 0.5, 200.0)],
+        obstacle=Sphere((-2.0, 0.5, 0.0), 0.5, 200.0),
         camera=CAM,
-        occluder=None,
         noise=0.0,
         seed=1,
         index=3,
     )
     @example(  # across the camera plane, beside the view: a one-sided window
-        spheres=[Sphere((0.0, 2.0, 1.0), 1.0, 200.0)],
+        obstacle=Sphere((0.0, 2.0, 1.0), 1.0, 200.0),
         camera=CAM,
-        occluder=None,
         noise=0.0,
         seed=1,
         index=3,
     )
-    @example(  # partly off screen, partly hidden behind a nearer sphere
-        spheres=[Sphere((2.0, 2.0, 0.5), 0.75, 200.0)],
+    @example(  # partly off screen
+        obstacle=Sphere((2.0, 2.0, 0.5), 0.75, 200.0),
         camera=CAM,
-        occluder=0.5,
         noise=0.0,
         seed=1,
         index=3,
     )
     @example(  # astride the camera plane, beside the camera and out of view
-        spheres=[Sphere((0.0, 3.0, 0.0), 1.0, 200.0)],
+        obstacle=Sphere((0.0, 3.0, 0.0), 1.0, 200.0),
         camera=CAM,
-        occluder=None,
         noise=127.5,
         seed=0,
         index=0,
     )
     @example(  # astride the camera plane with |y| > R, partly in view
-        spheres=[Sphere((0.5, 1.5, 0.0), 1.0, 200.0)],
+        obstacle=Sphere((0.5, 1.5, 0.0), 1.0, 200.0),
         camera=CAM,
-        occluder=None,
         noise=300.0,
         seed=7,
         index=119,
     )
     @example(  # astride the camera plane with |y|, |z| <= R: the full grid
-        spheres=[Sphere((0.0, 0.9, -0.9), 1.0, 200.0)],
+        obstacle=Sphere((0.0, 0.9, -0.9), 1.0, 200.0),
         camera=CAM,
-        occluder=None,
         noise=1e-3,
         seed=2,
         index=5,
     )
+    @example(  # no obstacle
+        obstacle=None,
+        camera=CAM,
+        noise=5.0,
+        seed=3,
+        index=1,
+    )
     @settings(max_examples=400, deadline=None)
-    def test_byte_equal_to_full_grid(self, spheres, camera, occluder, noise, seed, index):
+    def test_byte_equal_to_full_grid(self, obstacle, camera, noise, seed, index):
         """The frame matches a full-grid cast, and the window holds every hit."""
-        origin = np.asarray(camera.position)
-        if occluder is not None:
-            # a smaller sphere part way along the line of sight to the first
-            center = origin + occluder * (np.asarray(spheres[0].center) - origin)
-            spheres = [*spheres, Sphere(center, 0.5 * spheres[0].radius, 90.0)]
-        assume(all(obj.clearance(origin) >= 0 for obj in spheres))
-        scene = Scene(objects=tuple(spheres), noise_amplitude=noise)
+        assume(obstacle is None or obstacle.clearance() >= 0)
+        scene = Scene(obstacle=obstacle, noise_amplitude=noise)
         frame = render_frame(scene, camera, index=index, seed=seed)
         expected = naive_render(scene, camera, index, seed=seed)
         assert np.array_equal(frame.luminance, expected)
-        dirs = _ray_grid(camera.width, camera.height, camera.hfov)
-        for obj in spheres:
-            offset = tuple(c - p for c, p in zip(obj.center, camera.position))
-            rows, cols = _window(offset, obj.radius, camera)
-            t = obj.intersect(origin, dirs)
-            outside = np.ones(t.shape, dtype=bool)
-            outside[rows, cols] = False
-            assert not np.any(np.isfinite(t) & outside)
-            windowed = obj.intersect(origin, dirs[rows, cols])
-            assert np.array_equal(windowed, t[rows, cols])
+        if obstacle is None:
+            return
+        dirs = _ray_grid(camera)
+        rows, cols = _window(obstacle.center, obstacle.radius, camera)
+        t = obstacle.intersect(dirs)
+        outside = np.ones(t.shape, dtype=bool)
+        outside[rows, cols] = False
+        assert not np.any(np.isfinite(t) & outside)
+        windowed = obstacle.intersect(dirs[rows, cols])
+        assert np.array_equal(windowed, t[rows, cols])
 
     @pytest.mark.parametrize(
         "center, rows, cols",
@@ -405,7 +434,7 @@ class TestWindowedRender:
 
     def test_noise_clips_at_both_ends_and_frames_are_fresh(self):
         scene = Scene(
-            objects=(Sphere((2.0, 0.0, 0.0), 0.5, 250.0),),
+            obstacle=Sphere((2.0, 0.0, 0.0), 0.5, 250.0),
             background=5.0,
             noise_amplitude=40.0,
         )
@@ -423,7 +452,7 @@ class TestWindowedRender:
 
     def test_noisy_render_allocates_under_three_and_a_half_grids(self):
         # The closed-loop start: one sphere 4 m ahead, sensor noise 5.
-        scene = Scene(objects=(Sphere((4.0, 0.25, 0.0), 0.3, 224.0),), noise_amplitude=5.0)
+        scene = Scene(obstacle=Sphere((4.0, 0.25, 0.0), 0.3, 224.0), noise_amplitude=5.0)
         render_frame(scene, CAM, index=0)
         tracemalloc.start()
         try:
