@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .config import RunConfig, config_from_mappings, load_config_file
+from .config import RunConfig, config_from_mappings, load_config_file, split_key_value
 from .detector import CollisionDetector
 from .errors import ConfigError, DataError, InputError, UsageError
 from .layers import Frame
@@ -30,25 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of the float options: a non-finite value is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 def _override_mapping(pairs: list[str]) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(f"--set expects KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        mapping[key.strip()] = value.strip()
-    return mapping
+    return dict(
+        split_key_value(pair, UsageError(f"--set expects KEY=VALUE, got {pair!r}"))
+        for pair in pairs
+    )
 
 
 def _load_run_config(args) -> RunConfig:
@@ -168,7 +154,7 @@ def build_parser() -> _Parser:
         ("--height", CameraModel.height, None),
         ("--hfov-deg", math.degrees(CameraModel.hfov), None),
     ):
-        kind = int if isinstance(default, int) else _finite_float
+        kind = int if isinstance(default, int) else float
         generate.add_argument(flag, type=kind, default=default, help=help_text)
     generate.set_defaults(func=cmd_generate)
 

@@ -124,6 +124,15 @@ def _convert(key: str, text: str):
     return value
 
 
+def split_key_value(text: str, error: Exception) -> tuple[str, str]:
+    """``key=value`` text as its stripped key and value; raises ``error``
+    when the text holds no ``=``."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise error
+    return key.strip(), value.strip()
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """key=value lines to a raw string mapping; comments and blanks skipped."""
     mapping: dict[str, str] = {}
@@ -131,10 +140,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
+        error = ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+        key, value = split_key_value(line, error)
+        mapping[key] = value
     return mapping
 
 

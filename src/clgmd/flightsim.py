@@ -133,8 +133,24 @@ class TrialConfig:
             )
         # The obstacle moves linearly, so its offset from the start is
         # largest at one end of the trial.
-        for t in (0.0, self.max_duration):
-            check_reach(self.obstacle_center(t), self.obstacle_radius, self.camera)
+        ends = [self.obstacle_center(t) for t in (0.0, self.max_duration)]
+        for center in ends:
+            check_reach(center, self.obstacle_radius, self.camera)
+        # step_vehicle moves the velocity at most onto its setpoint, so no
+        # component outruns the faster setpoint speed; max_duration + dt
+        # covers the rounded step count.
+        speed, name = max(
+            (self.cruise_speed, "cruise_speed"), (self.steering.speed_0, "speed_0")
+        )
+        travel = speed * (self.max_duration + self.dt)
+        farthest = [max(abs(a), abs(b)) + travel for a, b in zip(*ends)]
+        try:
+            check_reach(farthest, self.obstacle_radius, self.camera)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"{name}={speed} can carry the vehicle too far within "
+                f"max_duration={self.max_duration}: {exc}"
+            ) from None
         gap = self.scene_at(0.0, VehicleState().position).obstacle.clearance()
         if gap <= self.margin:
             raise ConfigError(

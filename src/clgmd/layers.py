@@ -33,9 +33,13 @@ the border so output dimensions match the input:
 ``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
 ``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
 the two stencils a ``scratch=`` :class:`StencilScratch` of work buffers.
-Omitted, each is allocated fresh.  The functions keep no state between
-calls; streaming state (previous frame, previous P grid) and the reused
-buffers belong to :class:`clgmd.detector.CollisionDetector`.
+Omitted, each is allocated fresh.  Each scratch buffer has one role: the
+int16 ones belong to inhibition, the row sums and candidate mask to G, and
+``tmp`` holds one stage's float work at a time.  A float64 inhibition
+source, which the detector never hands over, gets its padded copy and pair
+sums allocated per call.  The functions keep no state between calls;
+streaming state (previous frame, previous P grid) and the reused buffers
+belong to :class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
@@ -157,28 +161,25 @@ def _require_same_shape(a: Grid, b: Grid, what: str) -> None:
 
 
 class StencilScratch:
-    """Work buffers for the two stencils on grids of one shape.
+    """Work buffers for the detector's two stencils on grids of one shape.
 
-    ``padded`` holds the inhibition source inside a two-cell zero border.
-    Nothing writes the border, so one allocation serves every call.  The
-    ``*16`` buffers are the int16 twins that inhibition uses for an int16
-    source within ``INT16_SOURCE_LIMIT``: the padded source, its pair sums
-    and one group sum.  The G layer uses no padded copy: ``near`` holds its
-    row sums, ``tmp`` Ce and then S * Ce, and ``drop`` the candidate mask;
-    the decay rule's per-candidate values go in the leading cells of
-    ``near``, ``far`` and ``drop``.
+    Inhibition of an int16 source within ``INT16_SOURCE_LIMIT`` owns the
+    ``*16`` buffers: ``padded16`` holds the source inside a two-cell zero
+    border (nothing writes the border, so one allocation serves every
+    call), ``near16`` and ``far16`` its pair sums at x+-1 and x+-2, and
+    ``acc16`` one group sum.  The G layer owns ``rows``, its box row sums,
+    and ``keep``, its candidate mask.  ``tmp`` holds a weighted inhibition
+    group, then G's Ce and S * Ce; neither stage reads it on entry.
     """
 
     def __init__(self, height: int, width: int) -> None:
-        self.padded = np.zeros((height + 4, width + 4))
-        self.near = np.empty((height + 4, width))  # pair sums at x-1, x+1
-        self.far = np.empty((height + 4, width))  # pair sums at x-2, x+2
-        self.tmp = np.empty((height, width))
-        self.drop = np.empty((height, width), dtype=bool)
         self.padded16 = np.zeros((height + 4, width + 4), dtype=np.int16)
         self.near16 = np.empty((height + 4, width), dtype=np.int16)
         self.far16 = np.empty((height + 4, width), dtype=np.int16)
         self.acc16 = np.empty((height, width), dtype=np.int16)
+        self.tmp = np.empty((height, width))
+        self.rows = np.empty((height, width))
+        self.keep = np.empty((height, width), dtype=bool)
 
 
 def _sums_fit_int16(grid: Grid) -> bool:
@@ -237,12 +238,12 @@ def compute_inhibition(
     in_int16 = _sums_fit_int16(source)
     if in_int16:
         q, near, far = scratch.padded16, scratch.near16, scratch.far16
+        q[2:-2, 2:-2] = source
     else:
-        q, near, far = scratch.padded, scratch.near, scratch.far
-    q[2:-2, 2:-2] = source
+        q, near, far = np.pad(np.asarray(source, dtype=np.float64), 2), None, None
     out = np.empty((h, w)) if out is None else out
-    np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=near)
-    np.add(q[:, 0:w], q[:, 4 : w + 4], out=far)
+    near = np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=near)
+    far = np.add(q[:, 0:w], q[:, 4 : w + 4], out=far)
     centre = q[:, 2 : w + 2]
     weights = kernel.weights
     # (weight, taps): a tap (rows, dy) reads rows[y + dy], x-shifts folded in.
@@ -327,7 +328,7 @@ def compute_g_layer(
         scratch = StencilScratch(h, w)
     s = np.ascontiguousarray(s, dtype=np.float64)
     out = np.empty((h, w)) if out is None else out
-    rows, ce = scratch.near[:h], scratch.tmp
+    rows, ce = scratch.rows, scratch.tmp
     flat, row_flat = s.ravel(), rows.ravel()
     np.add(flat[:-2], flat[2:], out=row_flat[1:-1])
     row_flat[1:-1] += flat[1:-1]
@@ -350,18 +351,9 @@ def compute_g_layer(
     product = np.multiply(ce, s, out=ce)
     np.abs(product, out=out)
     bound = _grouping_bound(omega, params.c_de, params.t_de)
-    candidates = np.flatnonzero(np.greater_equal(out, bound, out=scratch.drop))
-    # The decay rule on the candidates alone, in the leading cells of work
-    # buffers no longer needed.  take(mode="clip"): the indices are in
-    # range, and the default mode would buffer a copy.
-    n = candidates.size
-    g = np.take(product, candidates, out=scratch.near.ravel()[:n], mode="clip")
-    g /= omega
-    decayed = np.abs(g, out=scratch.far.ravel()[:n])
-    decayed *= params.c_de
-    drop = np.greater_equal(decayed, params.t_de, out=scratch.drop.ravel()[:n])
-    np.logical_not(drop, out=drop)
-    np.copyto(g, 0.0, where=drop)
+    candidates = np.flatnonzero(np.greater_equal(out, bound, out=scratch.keep))
+    g = product.ravel()[candidates] / omega
+    g[~(np.abs(g) * params.c_de >= params.t_de)] = 0.0
     out.fill(0.0)
     np.put(out, candidates, g)
     return out

@@ -1,12 +1,18 @@
 """End-to-end command-line behavior and exit codes."""
 
 import csv
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from clgmd import config
 from clgmd.cli import main
+from clgmd.competition import NormParams
+from clgmd.layers import CoreParams
 from clgmd.pgm import MANIFEST_NAME, read_pgm, write_pgm
+from clgmd.steering import SteeringParams
 
 
 def run(argv, capsys):
@@ -18,6 +24,23 @@ def run(argv, capsys):
 def read_rows(path):
     with open(path) as handle:
         return list(csv.DictReader(handle))
+
+
+FLAT_KEYS = {key: (kind, default) for key, kind, default in config._flat_keys()}
+KEYS_DETECT_DOES_NOT_READ = sorted(
+    set(FLAT_KEYS)
+    - {f.name for cls in (CoreParams, NormParams, SteeringParams) for f in fields(cls)}
+)
+
+
+@pytest.fixture(scope="module")
+def looming(tmp_path_factory):
+    """A noisy looming sequence and its detect CSV bytes with no config."""
+    root = tmp_path_factory.mktemp("looming")
+    seq, out = root / "seq", root / "default.csv"
+    assert main(["generate", str(seq), "--frames", "40", "--noise", "5"]) == 0
+    assert main(["detect", str(seq), "--out", str(out)]) == 0
+    return seq, out.read_bytes()
 
 
 class TestGenerate:
@@ -57,10 +80,13 @@ class TestGenerate:
     )
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_exits_1(self, tmp_path, capsys, option, value):
+        # The flags parse as plain floats; the spec and the camera reject
+        # a non-finite value by field name before any output is written.
+        field = {"--noise": "noise_amplitude", "--hfov-deg": "hfov"}.get(option, option[2:])
         out = tmp_path / "x"
         code, _, err = run(["generate", str(out), f"{option}={value}"], capsys)
         assert code == 1
-        assert f"argument {option}: must be finite, got '{value}'" in err
+        assert f"{field} must be a finite number, got {value}" in err
         assert not out.exists()
 
     def test_distance_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
@@ -202,13 +228,18 @@ class TestDetect:
         assert code == 0
         assert empty.read_bytes() == default.read_bytes()
 
-    def test_trial_keys_not_validated(self, tmp_path, capsys):
-        seq = tmp_path / "seq"
-        seq.mkdir()
-        write_pgm(seq / "frame_000000.pgm", np.zeros((9, 9), dtype=np.uint8))
+    @pytest.mark.parametrize("key", KEYS_DETECT_DOES_NOT_READ)
+    def test_unread_key_leaves_csv_unchanged(self, tmp_path, capsys, looming, key):
+        # One config file serves both commands: detect parses every key and
+        # ignores the camera, trial, arena and integration ones.
+        seq, default_csv = looming
+        kind, default = FLAT_KEYS[key]
+        value = "up" if kind is str else str(kind(default) + 1)
+        assert value != str(default)
         out = tmp_path / "o.csv"
-        argv = ["detect", str(seq), "--set", "obstacle_distance=10", "--out", str(out)]
+        argv = ["detect", str(seq), "--set", f"{key}={value}", "--out", str(out)]
         assert run(argv, capsys)[0] == 0
+        assert out.read_bytes() == default_csv
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         seq = tmp_path / "seq"
@@ -357,6 +388,19 @@ class TestConfigValues:
         code, stdout, err = run(["simulate", *overrides, "--out", str(out)], capsys)
         assert code == 1
         assert message in err
+        assert "OUTCOME" not in stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["cruise_speed", "speed_0"])
+    def test_speed_that_outruns_ray_casting_exits_1(self, tmp_path, capsys, key):
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--set", f"{key}=1e300", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert f"error: {key}=1e+300 can carry the vehicle too far" in err
+        assert not caught and "Traceback" not in err
         assert "OUTCOME" not in stdout
         assert not out.exists()
 

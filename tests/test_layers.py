@@ -424,6 +424,27 @@ class TestGLayer:
         s[0, 0] = 1e-300
         assert_same_bytes_as_dense(s, CoreParams(t_de=0.0))
 
+    def test_one_scratch_serves_calls_of_every_survivor_count(self):
+        # Dense, then sparse, then into a strided out: a candidate value or
+        # mask cell left over from one call would show in the next.
+        rng = np.random.default_rng(23)
+        scratch = StencilScratch(17, 23)
+        strided = np.full((34, 46), np.nan)[::2, ::2]
+        counts = []
+        for t_de, zeros, out in (
+            (0.0, 0.0, np.full((17, 23), np.nan)),
+            (60.0, 0.6, np.full((17, 23), np.nan)),
+            (5.0, 0.4, strided),
+        ):
+            s = rng.uniform(-120.0, 120.0, (17, 23))
+            s[rng.random(s.shape) < zeros] = 0.0
+            params = CoreParams(t_de=t_de)
+            want = dense_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
+            assert compute_g_layer(s, params, out=out, scratch=scratch) is out
+            assert out.tobytes() == want.tobytes()
+            counts.append(np.count_nonzero(out))
+        assert counts[0] == 17 * 23 and 0 < counts[1] < counts[2] < counts[0]
+
     def test_non_contiguous_input_and_output(self):
         rng = np.random.default_rng(22)
         s = rng.uniform(-120.0, 120.0, (17, 23))
