@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
@@ -31,10 +30,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _override_mapping(pairs: list[str]) -> dict[str, str]:
-    return dict(
-        split_key_value(pair, UsageError(f"--set expects KEY=VALUE, got {pair!r}"))
-        for pair in pairs
-    )
+    mapping: dict[str, str] = {}
+    for pair in pairs:
+        key, value = split_key_value(pair, UsageError(f"--set expects KEY=VALUE, got {pair!r}"))
+        if key in mapping:
+            raise UsageError(f"--set {key} is given twice")
+        mapping[key] = value
+    return mapping
 
 
 def _load_run_config(args) -> RunConfig:
@@ -87,17 +89,9 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         noise_amplitude=args.noise,
     )
-    camera = CameraModel(
-        hfov=math.radians(args.hfov_deg), width=args.width, height=args.height
-    )
+    camera = CameraModel(width=args.width, height=args.height, hfov_deg=args.hfov_deg)
     frames = generate_sequence(spec, camera)
-    manifest = {
-        **asdict(spec),
-        "direction": spec.direction.value,
-        "width": camera.width,
-        "height": camera.height,
-        "hfov_deg": args.hfov_deg,  # as given: the radians round-trip can drift
-    }
+    manifest = {**asdict(spec), "direction": spec.direction.value, **asdict(camera)}
     write_sequence(args.out_dir, (f.luminance for f in frames), manifest)
     print(f"wrote {len(frames)} frames to {args.out_dir}")
     return 0
@@ -152,7 +146,7 @@ def build_parser() -> _Parser:
         ("--noise", ScenarioSpec.noise_amplitude, "uniform noise amplitude, try 5.0"),
         ("--width", CameraModel.width, None),
         ("--height", CameraModel.height, None),
-        ("--hfov-deg", math.degrees(CameraModel.hfov), None),
+        ("--hfov-deg", CameraModel.hfov_deg, None),
     ):
         kind = int if isinstance(default, int) else float
         generate.add_argument(flag, type=kind, default=default, help=help_text)

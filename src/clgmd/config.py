@@ -27,10 +27,9 @@ from .layers import CoreParams
 from .steering import SteeringParams
 from .stimulus import CameraModel
 
-# Fields that are not flat keys: derived from the frame size (n_cell), set
-# in degrees (hfov), or built from the other keys (the nested parameter
-# objects).
-_NOT_KEYS = {"n_cell", "hfov", "camera", "core", "norm", "steering"}
+# Fields that are not flat keys: derived from the frame size (n_cell) or
+# built from the other keys (the nested parameter objects).
+_NOT_KEYS = {"n_cell", "camera", "core", "norm", "steering"}
 
 # Vector fields spread over one float key per component.
 _VECTOR_KEYS = {
@@ -45,9 +44,7 @@ def _flat_keys() -> list[tuple[str, object, object]]:
     for cls in (CoreParams, NormParams, SteeringParams, CameraModel, TrialConfig):
         hints = typing.get_type_hints(cls)  # kinds stripped: float, int, float | None
         for f in fields(cls):
-            if f.name == "hfov":
-                keys.append(("hfov_deg", float, math.degrees(f.default)))
-            elif f.name in _VECTOR_KEYS:
+            if f.name in _VECTOR_KEYS:
                 keys.extend((k, float, v) for k, v in zip(_VECTOR_KEYS[f.name], f.default))
             elif f.name in _NOT_KEYS:
                 continue
@@ -80,7 +77,7 @@ class _Builders:
         return SteeringParams(**self._pick(SteeringParams))
 
     def camera_model(self) -> CameraModel:
-        return CameraModel(hfov=math.radians(self.hfov_deg), **self._pick(CameraModel))
+        return CameraModel(**self._pick(CameraModel))
 
     def trial_config(self) -> TrialConfig:
         return TrialConfig(
@@ -134,15 +131,19 @@ def split_key_value(text: str, error: Exception) -> tuple[str, str]:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """key=value lines to a raw string mapping; comments and blanks skipped."""
+    """key=value lines to a raw string mapping; comments and blanks skipped,
+    a key set on two lines rejected."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         error = ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, value = split_key_value(line, error)
-        mapping[key] = value
+        if key in mapping:
+            raise ConfigError(f"{source}:{lineno}: {key} is set again (line {first_line[key]})")
+        mapping[key], first_line[key] = value, lineno
     return mapping
 
 

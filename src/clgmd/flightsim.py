@@ -118,10 +118,10 @@ class TrialConfig:
                 f"max_duration must be finite in steps of dt, got "
                 f"{self.max_duration} / {self.dt}"
             )
-        steps = round(self.max_duration / self.dt)
-        if steps > MAX_STEPS:
+        steps = self.max_duration / self.dt
+        if round(steps) > MAX_STEPS:
             raise ConfigError(
-                f"max_duration / dt is {steps} steps; at most {MAX_STEPS} allowed"
+                f"max_duration / dt is {steps:.6g} steps; at most {MAX_STEPS} allowed"
             )
         xmin, xmax, ymin, ymax, zmin, zmax = self.arena
         if not (xmin < xmax and ymin < ymax and zmin < zmax):

@@ -1,17 +1,17 @@
 """Synthetic grayscale stimuli: looming, receding and side-entry approaches.
 
-A pinhole camera at the origin looks along +x (+y left, +z up).  A scene
-holds at most one flat-shaded sphere, given in the camera's frame; a
-pixel takes its luminance exactly when the ray through the pixel center
-hits it in front of the camera.  Scenario builders move the sphere along
-a straight constant-bearing line toward the camera so the silhouette
+A pinhole camera at the origin looks along +x (+y left, +z up), so the
+ray through a pixel center is (1, s, u) for that pixel's slopes s and u.
+A scene holds at most one flat-shaded sphere, given in the camera's
+frame; a pixel takes its luminance exactly when its ray hits the sphere
+in front of the camera.  Scenario builders move the sphere along a
+straight constant-bearing line toward the camera so the silhouette
 expands in place inside one quadrant of the field of view.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Annotated
@@ -38,8 +38,9 @@ class Direction(enum.Enum):
     HEAD_ON = "head_on"
 
 
-# A field of view and a bearing fraction lie strictly inside their range.
-_Angle = Annotated[float, Kind("lie in (0, pi)", lambda v: 0.0 < v < math.pi)]
+# A field of view in degrees and a bearing fraction lie strictly inside
+# their range.
+_Degrees = Annotated[float, Kind("lie in (0, 180)", lambda v: 0.0 < v < 180.0)]
 _Fraction = Annotated[float, Kind("lie in (0, 1)", lambda v: 0.0 < v < 1.0)]
 # The inhibition radius needs five pixels each way.
 _Side = Annotated[int, Kind("be at least 5", lambda v: v >= 5, integer=True)]
@@ -62,12 +63,14 @@ class Sphere:
         """Signed distance from the camera to the surface, negative inside."""
         return float(np.linalg.norm(self.center)) - self.radius
 
-    def intersect(self, dirs: np.ndarray) -> np.ndarray:
-        """Ray parameter of the nearest forward hit per pixel, inf on miss."""
-        rel = np.asarray(self.center, dtype=np.float64)
-        a = np.einsum("hwk,hwk->hw", dirs, dirs)
-        b = -2.0 * (dirs @ rel)
-        c0 = float(rel @ rel) - self.radius**2
+    def intersect(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Ray parameter of the nearest forward hit along each ray (1, s, u),
+        inf on a miss; ``s`` and ``u`` broadcast.  Summed in another order,
+        t can differ in its last bits, but not in which rays hit."""
+        x, y, z = self.center
+        a = (1.0 + s * s) + u * u
+        b = -2.0 * ((x + s * y) + u * z)
+        c0 = float(np.dot(self.center, self.center)) - self.radius**2
         disc = b * b - 4.0 * a * c0
         hit = disc >= 0.0
         root = np.sqrt(np.where(hit, disc, 0.0))
@@ -89,23 +92,26 @@ class Scene:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera at the origin looking along +x, +y left and +z up."""
+    """Pinhole camera at the origin looking along +x, +y left and +z up,
+    with square pixels and a horizontal field of view of ``hfov_deg``."""
 
-    hfov: _Angle = math.radians(90.0)
     width: _Side = 100
     height: _Side = 100
+    hfov_deg: _Degrees = 90.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        tan_half = math.tan(self.hfov / 2.0)
-        if tan_half == 0.0 or math.isinf(self.width / 2.0 / tan_half):
-            raise ConfigError(
-                f"hfov {self.hfov} is too narrow for a finite focal length"
-            )
+        if self._tan_half == 0.0 or math.isinf(self.focal_px):
+            raise ConfigError(f"hfov_deg {self.hfov_deg} is too narrow for a finite focal length")
+
+    @property
+    def _tan_half(self) -> float:
+        """Slope of the ray through the left edge of the image."""
+        return math.tan(math.radians(self.hfov_deg) / 2.0)
 
     @property
     def focal_px(self) -> float:
-        return (self.width / 2.0) / math.tan(self.hfov / 2.0)
+        return (self.width / 2.0) / self._tan_half
 
     @property
     def _principal_point(self) -> tuple[float, float]:
@@ -116,6 +122,15 @@ class CameraModel:
         """(column, row) where the ray (1, y_slope, z_slope) meets the image."""
         (cx, cy), f = self._principal_point, self.focal_px
         return cx - f * y_slope, cy - f * z_slope
+
+    def _ray_slopes(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes (s, u) of the rays (1, s, u) through the pixel centers of
+        ``rows`` × ``cols``, the inverse of :meth:`_pixel`: s as a row and u
+        as a column, which broadcast to the window."""
+        (cx, cy), f = self._principal_point, self.focal_px
+        s = (cx - np.arange(cols.start, cols.stop, dtype=np.float64))[None, :] / f
+        u = (cy - np.arange(rows.start, rows.stop, dtype=np.float64))[:, None] / f
+        return s, u
 
 
 def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -> None:
@@ -134,22 +149,6 @@ def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -
             f"a sphere of radius {r} at offset {(x, y, z)} from the camera "
             "is too large to ray-cast"
         )
-
-
-@functools.lru_cache(maxsize=8)
-def _ray_grid(camera: CameraModel) -> np.ndarray:
-    """Per-pixel ray directions (unit forward component): the slopes that
-    :meth:`CameraModel._pixel` maps back onto each pixel center."""
-    (cx, cy), f = camera._principal_point, camera.focal_px
-    width, height = camera.width, camera.height
-    y = (cx - np.arange(width, dtype=np.float64))[None, :] / f
-    z = (cy - np.arange(height, dtype=np.float64))[:, None] / f
-    dirs = np.empty((height, width, 3))
-    dirs[..., 0] = 1.0
-    dirs[..., 1] = np.broadcast_to(y, (height, width))
-    dirs[..., 2] = np.broadcast_to(z, (height, width))
-    dirs.setflags(write=False)
-    return dirs
 
 
 def _slopes(x: float, v: float, radius: float, den: float) -> tuple[float, float]:
@@ -223,7 +222,8 @@ def render_frame(
 ) -> Frame:
     """Render one frame; noise (if any) is keyed by (seed, index).
 
-    The obstacle is ray-cast only over the window of pixels it can cover.
+    The obstacle is ray-cast only over the window of pixels it can cover,
+    with the window's slopes computed per call.
     Noise of amplitude a is drawn as ``default_rng((seed, index)).random``
     and scaled in place to ``-a + 2a·r``, bit for bit numpy's
     ``uniform(-a, a)``.  The image is clipped to [0, 255] (only if noise
@@ -240,7 +240,7 @@ def render_frame(
         if obj.clearance() < 0:
             raise InputError(f"the camera is inside {obj!r}")
         rows, cols = _window(obj.center, obj.radius, camera)
-        t = obj.intersect(_ray_grid(camera)[rows, cols])
+        t = obj.intersect(*camera._ray_slopes(rows, cols))
         img[rows, cols][np.isfinite(t)] = obj.luminance
         levels.append(obj.luminance)
     amplitude = scene.noise_amplitude
@@ -299,7 +299,7 @@ def _start_position(
     The jitter is applied before the mirror sign flip, so LEFT and RIGHT
     (or UP and DOWN) specs sharing a seed start at exact mirror images.
     """
-    half_h = spec.entry_fraction * math.tan(camera.hfov / 2.0)
+    half_h = spec.entry_fraction * camera._tan_half
     vfov_half = math.atan((camera.height / 2.0) / camera.focal_px)
     half_v = spec.entry_fraction * math.tan(vfov_half)
     bearing_jitter = rng.uniform(0.85, 1.0)
@@ -313,7 +313,7 @@ def _start_position(
         ortho = x * math.tan(vfov_half) * 0.25 * ortho_jitter
         return np.array([x, y * lateral, ortho])
     vertical = x * half_v * bearing_jitter
-    ortho = x * math.tan(camera.hfov / 2.0) * 0.25 * ortho_jitter
+    ortho = x * camera._tan_half * 0.25 * ortho_jitter
     return np.array([x, ortho, z * vertical])
 
 

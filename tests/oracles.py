@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from clgmd.layers import Frame
-from clgmd.stimulus import _ray_grid
 
 
 def naive_convolve(src: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -137,11 +136,36 @@ def sphere_projected_radius(f_px: float, radius: float, distance: float) -> floa
     return f_px * radius / math.sqrt(distance * distance - radius * radius)
 
 
+def ray_directions(camera) -> np.ndarray:
+    """(h, w, 3) direction (1, s, u) of the ray through each pixel center of
+    a pinhole camera looking along +x, +y left and +z up."""
+    f = (camera.width / 2.0) / math.tan(math.radians(camera.hfov_deg) / 2.0)
+    dirs = np.ones((camera.height, camera.width, 3))
+    dirs[..., 1] = ((camera.width - 1) / 2.0 - np.arange(camera.width))[None, :] / f
+    dirs[..., 2] = ((camera.height - 1) / 2.0 - np.arange(camera.height))[:, None] / f
+    return dirs
+
+
+def general_intersect(sphere, dirs: np.ndarray) -> np.ndarray:
+    """Nearest forward hit of ``sphere`` along any (h, w, 3) ray directions
+    from the origin, inf on a miss."""
+    rel = np.asarray(sphere.center, dtype=np.float64)
+    a = np.einsum("hwk,hwk->hw", dirs, dirs)
+    b = -2.0 * (dirs @ rel)
+    c0 = float(rel @ rel) - sphere.radius**2
+    disc = b * b - 4.0 * a * c0
+    hit = disc >= 0.0
+    root = np.sqrt(np.where(hit, disc, 0.0))
+    near = (-b - root) / (2.0 * a)
+    return np.where(hit & (near > 0.0), near, np.inf)
+
+
 def naive_render(scene, camera, index: int = 0, seed: int | None = None) -> np.ndarray:
-    """Luminance of a frame with the obstacle ray-cast over the full pixel grid."""
+    """Luminance of a frame with the obstacle ray-cast over the full pixel
+    grid by a general caster, one direction vector per pixel."""
     img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
     if scene.obstacle is not None:
-        t = scene.obstacle.intersect(_ray_grid(camera))
+        t = general_intersect(scene.obstacle, ray_directions(camera))
         img[t < np.inf] = scene.obstacle.luminance
     if scene.noise_amplitude > 0.0:
         rng = np.random.default_rng((seed if seed is not None else 0, index))

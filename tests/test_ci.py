@@ -37,5 +37,12 @@ def test_installs_the_test_extra(workflow):
     assert any(re.search(r"pip install .*\.\[test\]", run) for run in _runs(workflow))
 
 
+def test_test_extra_lists_pyyaml():
+    # Without it this module would skip on the CI runner instead of binding.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    assert '"pyyaml' in extra
+
+
 def test_test_step_is_the_tier1_command(workflow):
     assert TIER1 in _runs(workflow)

@@ -53,6 +53,27 @@ class TestGenerate:
         assert "direction=head_on" in manifest
         assert "frames=10" in manifest
 
+    @pytest.mark.parametrize(
+        "flags, camera",
+        [
+            ([], "width=100\nheight=100\nhfov_deg=90.0\n"),
+            (
+                ["--hfov-deg", "60", "--width", "64", "--height", "48"],
+                "width=64\nheight=48\nhfov_deg=60.0\n",
+            ),
+        ],
+        ids=["defaults", "hfov60-64x48"],
+    )
+    def test_manifest_text(self, tmp_path, capsys, flags, camera):
+        out = tmp_path / "seq"
+        assert run(["generate", str(out), "--frames", "2", *flags], capsys)[0] == 0
+        spec = (
+            "direction=head_on\nspeed=1.2\ndistance=4.0\nfps=50.0\nframes=2\nseed=0\n"
+            "noise_amplitude=0.0\nobject_radius=0.35\nobject_luminance=224.0\n"
+            "background=32.0\nentry_fraction=0.8\n"
+        )
+        assert (out / MANIFEST_NAME).read_text() == spec + camera
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["--frames", "8", "--direction", "left", "--seed", "4", "--noise", "5"]
@@ -82,7 +103,7 @@ class TestGenerate:
     def test_non_finite_float_exits_1(self, tmp_path, capsys, option, value):
         # The flags parse as plain floats; the spec and the camera reject
         # a non-finite value by field name before any output is written.
-        field = {"--noise": "noise_amplitude", "--hfov-deg": "hfov"}.get(option, option[2:])
+        field = {"--noise": "noise_amplitude", "--hfov-deg": "hfov_deg"}.get(option, option[2:])
         out = tmp_path / "x"
         code, _, err = run(["generate", str(out), f"{option}={value}"], capsys)
         assert code == 1
@@ -324,6 +345,24 @@ class TestSimulate:
         assert code == 1
         assert "warp_speed" in err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (["--config", "run.cfg"], "run.cfg:3: t_s is set again (line 1)"),
+            (["--set", "t_s=100", "--set", "t_s=200"], "--set t_s is given twice"),
+        ],
+        ids=["config-file", "set-flag"],
+    )
+    def test_key_repeated_in_one_source_exits_1(
+        self, tmp_path, capsys, monkeypatch, source, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("t_s=100\n# louder\nt_s=200\n")
+        code, stdout, err = run(["simulate", *source, "--out", "t.csv"], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not stdout and not (tmp_path / "t.csv").exists()
+
     def test_config_file_drives_trial(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("placement=right\nmax_duration=12.0\n")
@@ -418,6 +457,32 @@ class TestConfigValues:
         assert "at most 1000000" in err
         assert "OUTCOME" not in stdout
         assert not out.exists()
+
+    def test_huge_step_count_prints_the_ratio(self, tmp_path, capsys):
+        # round(20 / 1e-300) has 302 digits; the message shows 2e+301.
+        out = tmp_path / "t.csv"
+        code, _, err = run(["simulate", "--set", "dt=1e-300", "--out", str(out)], capsys)
+        assert code == 1
+        [line] = err.splitlines()
+        assert len(line) < 120 and "2e+301" in line and "at most 1000000" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["simulate", "--set", "hfov_deg=180", "--out"], "180.0"),
+            (["generate", "--hfov-deg", "0"], "0.0"),
+        ],
+        ids=["simulate", "generate"],
+    )
+    def test_field_of_view_outside_0_180_degrees_exits_1(
+        self, tmp_path, capsys, argv, value
+    ):
+        out = tmp_path / "out"
+        code, stdout, err = run([*argv, str(out)], capsys)
+        assert code == 1
+        assert err == f"error: hfov_deg must lie in (0, 180), got {value}\n"
+        assert not stdout and not out.exists()
 
 
 class TestUsage:

@@ -1,6 +1,5 @@
 """Flat key=value configuration parsing and parameter building."""
 
-import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -37,6 +36,10 @@ class TestParsing:
     def test_malformed_line_reports_location(self):
         with pytest.raises(ConfigError, match=":2:"):
             parse_config_text("a=1\nbogus line\n", source="cfg")
+
+    def test_repeated_key_reports_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^cfg:4: t_s is set again \(line 1\)$"):
+            parse_config_text("t_s=100\nc1=0.01\n\nt_s = 200\n", source="cfg")
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown config key: t_x"):
@@ -105,7 +108,7 @@ class TestBuilders:
 
     def test_camera_uses_degrees(self):
         cfg = config_from_mappings({"hfov_deg": "60"})
-        assert cfg.camera_model().hfov == pytest.approx(math.radians(60.0))
+        assert cfg.camera_model().hfov_deg == 60.0
 
     def test_trial_config_carries_overrides(self):
         cfg = config_from_mappings(

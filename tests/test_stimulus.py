@@ -18,13 +18,12 @@ from clgmd.stimulus import (
     Scene,
     Sphere,
     generate_sequence,
-    _ray_grid,
     _window,
     make_scenario,
     render_frame,
 )
 
-from oracles import naive_render, sphere_projected_radius
+from oracles import naive_render, ray_directions, sphere_projected_radius
 
 CAM = CameraModel()  # 100x100, 90 degree horizontal field of view
 
@@ -111,17 +110,21 @@ class TestRenderFrame:
         assert a.index == 4 and type(a.index) is int
         assert np.array_equal(a.luminance, b.luminance)
 
-    def test_ray_grid_is_cached_by_camera_and_inverts_the_pinhole(self):
-        camera = CameraModel(hfov=1.0, width=33, height=17)
-        dirs = _ray_grid(camera)
-        assert _ray_grid(CameraModel(hfov=1.0, width=33, height=17)) is dirs
-        assert not dirs.flags.writeable
-        assert np.all(dirs[..., 0] == 1.0)
+    def test_ray_slopes_invert_the_pinhole(self):
+        camera = CameraModel(width=33, height=17, hfov_deg=math.degrees(1.0))
+        s, u = camera._ray_slopes(slice(0, 17), slice(0, 33))
+        assert s.shape == (1, 33) and u.shape == (17, 1)
         # each pixel's ray meets the image at that pixel's center
-        col, row = camera._pixel(dirs[..., 1], dirs[..., 2])
+        col, row = camera._pixel(s, u)
         rows, cols = np.mgrid[0:17, 0:33]
         assert np.allclose(col, cols, rtol=0, atol=1e-12)
         assert np.allclose(row, rows, rtol=0, atol=1e-12)
+        dirs = ray_directions(camera)
+        assert np.array_equal(np.broadcast_to(s, (17, 33)), dirs[..., 1])
+        assert np.array_equal(np.broadcast_to(u, (17, 33)), dirs[..., 2])
+        # a window's slopes are the same entries of the full grid's
+        s_win, u_win = camera._ray_slopes(slice(4, 9), slice(30, 33))
+        assert np.array_equal(s_win, s[:, 30:33]) and np.array_equal(u_win, u[4:9])
 
     def test_noise_stays_in_range(self):
         scene = Scene(noise_amplitude=30.0, background=250.0)
@@ -132,13 +135,13 @@ class TestRenderFrame:
 class TestValidation:
     def test_camera_model(self):
         with pytest.raises(ConfigError):
-            CameraModel(hfov=0.0)
+            CameraModel(hfov_deg=0.0)
         with pytest.raises(ConfigError):
-            CameraModel(hfov=math.pi)
+            CameraModel(hfov_deg=180.0)
         with pytest.raises(ConfigError):
             CameraModel(width=4)
         with pytest.raises(ConfigError, match="finite focal length"):
-            CameraModel(hfov=1e-322)  # width / 2 / tan(hfov / 2) overflows
+            CameraModel(hfov_deg=1e-320)  # width / 2 / tan(hfov / 2) overflows
 
     def test_scene_primitives(self):
         with pytest.raises(ConfigError):
@@ -331,7 +334,7 @@ _OBSTACLES = st.builds(
 )
 _CAMERAS = st.builds(
     CameraModel,
-    hfov=st.floats(0.2, 3.0),
+    hfov_deg=st.floats(11.5, 171.8),
     width=st.integers(5, 64),
     height=st.integers(5, 64),
 )
@@ -402,7 +405,8 @@ class TestWindowedRender:
     )
     @settings(max_examples=400, deadline=None)
     def test_byte_equal_to_full_grid(self, obstacle, camera, noise, seed, index):
-        """The frame matches a full-grid cast, and the window holds every hit."""
+        """The frame matches a general full-grid cast, and the window holds
+        every hit."""
         assume(obstacle is None or obstacle.clearance() >= 0)
         scene = Scene(obstacle=obstacle, noise_amplitude=noise)
         frame = render_frame(scene, camera, index=index, seed=seed)
@@ -410,13 +414,12 @@ class TestWindowedRender:
         assert np.array_equal(frame.luminance, expected)
         if obstacle is None:
             return
-        dirs = _ray_grid(camera)
         rows, cols = _window(obstacle.center, obstacle.radius, camera)
-        t = obstacle.intersect(dirs)
+        t = obstacle.intersect(*camera._ray_slopes(slice(0, camera.height), slice(0, camera.width)))
         outside = np.ones(t.shape, dtype=bool)
         outside[rows, cols] = False
         assert not np.any(np.isfinite(t) & outside)
-        windowed = obstacle.intersect(dirs[rows, cols])
+        windowed = obstacle.intersect(*camera._ray_slopes(rows, cols))
         assert np.array_equal(windowed, t[rows, cols])
 
     @pytest.mark.parametrize(
