@@ -25,10 +25,10 @@ the border so output dimensions match the input:
   exactly.  Any other source, an int16 one outside that range included, is
   summed in float64, so no sum can wrap;
 - the 3x3 G-layer mean is a separable box sum, a row sum then a column
-  sum, divided by 9.  It needs no padded copy: both sums add contiguous
-  runs of the grid at flat offsets, and only the first and last column and
-  row are redone with the zero pad written out.  The decay rule then runs
-  only on the few cells that can survive it.
+  sum, divided by 9.  It needs no padded copy of S: the row sums add runs
+  of S at flat offsets, only the edge columns redone with the zero pad
+  written out, and land between two zero rows, the column sum's pad.  The
+  decay rule then runs only on the few cells that can survive it.
 
 ``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
 ``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
@@ -167,7 +167,8 @@ class StencilScratch:
     ``*16`` buffers: ``padded16`` holds the source inside a two-cell zero
     border (nothing writes the border, so one allocation serves every
     call), ``near16`` and ``far16`` its pair sums at x+-1 and x+-2, and
-    ``acc16`` one group sum.  The G layer owns ``rows``, its box row sums,
+    ``acc16`` one group sum.  The G layer owns ``rows``, its box row sums
+    between a zero row above and below (again a border nothing writes),
     and ``keep``, its candidate mask.  ``tmp`` holds a weighted inhibition
     group, then G's Ce and S * Ce; neither stage reads it on entry.
     """
@@ -178,7 +179,7 @@ class StencilScratch:
         self.far16 = np.empty((height + 4, width), dtype=np.int16)
         self.acc16 = np.empty((height, width), dtype=np.int16)
         self.tmp = np.empty((height, width))
-        self.rows = np.empty((height, width))
+        self.rows = np.zeros((height + 2, width))
         self.keep = np.empty((height, width), dtype=bool)
 
 
@@ -315,12 +316,12 @@ def compute_g_layer(
     ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
 
     The box sum adds whole rows: ``(s[x-1] + s[x+1]) + s[x]`` at flat
-    offsets +-1, then ``(r[y-1] + r[y]) + r[y+1]`` one row apart.  The
-    first and last column and row are redone with their zero pad written
-    out, so a -0.0 rounds as it would in a zero-padded grid.  The decay
-    rule runs only on the cells whose |S * Ce| reaches a provable lower
-    bound of every survivor's (see ``_grouping_bound``), and the rest of
-    ``out`` is zero.  The cost follows the number of candidates: with
+    offsets +-1, the first and last column redone with their zero pad
+    written out, then ``(r[y-1] + r[y]) + r[y+1]`` between the scratch's
+    zero rows, so a -0.0 rounds as it would in a zero-padded grid.  The
+    decay rule runs only on the cells whose |S * Ce| reaches a provable
+    lower bound of every survivor's (see ``_grouping_bound``), and the rest
+    of ``out`` is zero.  The cost follows the number of candidates: with
     ``t_de=0`` every cell is one.
     """
     h, w = s.shape
@@ -328,20 +329,17 @@ def compute_g_layer(
         scratch = StencilScratch(h, w)
     s = np.ascontiguousarray(s, dtype=np.float64)
     out = np.empty((h, w)) if out is None else out
-    rows, ce = scratch.rows, scratch.tmp
-    flat, row_flat = s.ravel(), rows.ravel()
+    rows, inner, ce = scratch.rows, scratch.rows[1:-1], scratch.tmp
+    flat, row_flat = s.ravel(), inner.ravel()
     np.add(flat[:-2], flat[2:], out=row_flat[1:-1])
     row_flat[1:-1] += flat[1:-1]
     for x in {0, w - 1}:
         left = s[:, x - 1] if x > 0 else 0.0
         right = s[:, x + 1] if x + 1 < w else 0.0
-        np.add(left, right, out=rows[:, x])
-        rows[:, x] += s[:, x]
-    np.add(rows[:-2], rows[1:-1], out=ce[1:-1])
-    ce[1:-1] += rows[2:]
-    for y in {0, h - 1}:
-        np.add(rows[y - 1] if y > 0 else 0.0, rows[y], out=ce[y])
-        ce[y] += rows[y + 1] if y + 1 < h else 0.0
+        np.add(left, right, out=inner[:, x])
+        inner[:, x] += s[:, x]
+    np.add(rows[:-2], rows[1:-1], out=ce)
+    ce += rows[2:]
     ce /= 9.0
     omega = params.delta_c + max(float(ce.max()), -float(ce.min())) / params.c_w
     if omega <= 0:

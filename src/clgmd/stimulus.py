@@ -195,21 +195,22 @@ def _window(offset, radius: float, camera: CameraModel) -> tuple[slice, slice]:
 
     A ray (1, s, u) meets the sphere only if its shadows on the xy- and the
     xz-plane pass within ``radius`` of the center's shadows, which bounds s
-    and u.  A sphere that reaches the camera plane (|x| ≤ radius) still
-    bounds one side of s when |y| > radius, and of u when |z| > radius,
-    since only forward hits count: its window is one-sided, and it is the
-    full grid only when neither holds or nothing of it lies in front.  The
-    one-pixel pad absorbs rounding in these bounds and in the ray quadratic.
+    and u.  A sphere with nothing in front of the camera (x + radius ≤ 0)
+    gets an empty window.  One that reaches the camera plane (|x| ≤ radius)
+    still bounds one side of s when |y| > radius, and of u when
+    |z| > radius, since only forward hits count: its window is one-sided,
+    and the full grid when neither holds.  The one-pixel pad absorbs
+    rounding in these bounds and in the ray quadratic.
     """
     x, y, z = offset
-    den = (x - radius) * (x + radius)
+    reach = x + radius
+    if not reach > 0.0:
+        return slice(0, 0), slice(0, 0)
+    den = (x - radius) * reach
     if den > 0.0:
         y_lo, y_hi = _slopes(x, y, radius, den)
         z_lo, z_hi = _slopes(x, z, radius, den)
     else:
-        reach = x + radius
-        if not reach > 0.0:
-            return slice(0, camera.height), slice(0, camera.width)
         y_lo, y_hi = _forward_slopes(y, radius, reach)
         z_lo, z_hi = _forward_slopes(z, radius, reach)
     col_lo, row_lo = camera._pixel(y_hi, z_hi)

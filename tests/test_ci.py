@@ -46,3 +46,7 @@ def test_test_extra_lists_pyyaml():
 
 def test_test_step_is_the_tier1_command(workflow):
     assert TIER1 in _runs(workflow)
+
+
+def test_a_hung_run_times_out(workflow):
+    assert workflow["jobs"]["tests"]["timeout-minutes"] == 20

@@ -16,7 +16,7 @@ from clgmd.layers import (
     compute_p_layer,
     compute_s_layer,
 )
-from clgmd.stimulus import CameraModel, ScenarioSpec, generate_sequence
+from clgmd.stimulus import CameraModel, Direction, ScenarioSpec, generate_sequence
 
 
 def stress_frames(height, width, count=40):
@@ -150,3 +150,38 @@ def test_looming_g_layer_allocates_under_a_tenth_of_a_grid():
     spec = ScenarioSpec(seed=0, noise_amplitude=5.0)
     frames = generate_sequence(spec, CameraModel(width=320, height=240))
     assert peak_allocation_in_grids(frames, 240, 320, layer="compute_g_layer") < 0.1
+
+
+def changes_and_spikes(size, direction):
+    """On the seed-0 sequence at size x size and 90 degrees: the frames whose
+    noise-free render differs from the one before, the frames on which the
+    detector spikes with noise 5, and those on which it confirms."""
+    camera = CameraModel(width=size, height=size, hfov_deg=90.0)
+    clean = generate_sequence(ScenarioSpec(direction=direction), camera)
+    changed = {
+        b.index for a, b in zip(clean, clean[1:])
+        if not np.array_equal(a.luminance, b.luminance)
+    }
+    noisy = generate_sequence(ScenarioSpec(direction=direction, noise_amplitude=5.0), camera)
+    detector = CollisionDetector(size, size)
+    results = [detector.process(frame) for frame in noisy][1:]
+    spikes = {r.frame_index for r in results if r.spike}
+    return changed, spikes, [r.frame_index for r in results if r.confirmed]
+
+
+# A pixel takes the obstacle's luminance when the ray through its centre
+# hits, so the outline moves only on the frames where it crosses a centre.
+# These pin what that does to the detector today, at the paper's 100x100
+# and at 50x50, where no run of spikes long enough to confirm forms.
+@pytest.mark.parametrize(
+    "direction, spikes_at_100",
+    [(Direction.UP, 67), (Direction.DOWN, 66), (Direction.LEFT, 67), (Direction.RIGHT, 66)],
+)
+def test_spikes_fall_on_frames_whose_outline_moved(direction, spikes_at_100):
+    changed, spikes, confirmed = changes_and_spikes(50, direction)
+    assert len(changed) == 40 and len({i for i in changed if i >= 60}) == 28
+    assert spikes == changed | {62}
+    assert confirmed == []
+    changed, spikes, confirmed = changes_and_spikes(100, direction)
+    assert len(changed) == 96 and len(spikes) == spikes_at_100 and spikes <= changed
+    assert confirmed[0] == 64

@@ -426,7 +426,8 @@ class TestGLayer:
 
     def test_one_scratch_serves_calls_of_every_survivor_count(self):
         # Dense, then sparse, then into a strided out: a candidate value or
-        # mask cell left over from one call would show in the next.
+        # mask cell left over from one call would show in the next.  The
+        # row sums' zero border must stay +0.0, since every call reads it.
         rng = np.random.default_rng(23)
         scratch = StencilScratch(17, 23)
         strided = np.full((34, 46), np.nan)[::2, ::2]
@@ -442,6 +443,8 @@ class TestGLayer:
             want = dense_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
             assert compute_g_layer(s, params, out=out, scratch=scratch) is out
             assert out.tobytes() == want.tobytes()
+            border = scratch.rows[[0, -1]]
+            assert border.tobytes() == np.zeros((2, 23)).tobytes()
             counts.append(np.count_nonzero(out))
         assert counts[0] == 17 * 23 and 0 < counts[1] < counts[2] < counts[0]
 

@@ -429,7 +429,8 @@ class TestWindowedRender:
             ((0.5, 1.5, 0.0), slice(0, 100), slice(0, 35)),  # left of column 32.8
             ((0.5, 0.0, -1.5), slice(65, 100), slice(0, 100)),  # below row 66.2
             ((0.0, 0.9, -0.9), slice(0, 100), slice(0, 100)),  # both slopes free
-            ((-1.0, 3.0, 0.0), slice(0, 100), slice(0, 100)),  # touches from behind
+            ((-1.0, 3.0, 0.0), slice(0, 0), slice(0, 0)),  # touches from behind
+            ((-2.0, 0.5, 0.0), slice(0, 0), slice(0, 0)),  # wholly behind
         ],
     )
     def test_window_of_a_sphere_astride_the_camera_plane(self, center, rows, cols):
