@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 
-from .config import RunConfig, config_from_mappings, load_config_file, split_key_value
+from .config import config_from_mappings, load_config_file, split_key_value
 from .detector import CollisionDetector
 from .errors import ConfigError, DataError, InputError, UsageError
 from .layers import Frame
 from .pgm import list_sequence, read_pgm, write_csv, write_sequence
 from .steering import select_escape
 from .stimulus import CameraModel, Direction, ScenarioSpec, generate_sequence
-from .flightsim import run_trial, write_trace_csv
+from .flightsim import TrialConfig, run_trial, write_trace_csv
 
 DETECT_COLUMNS = "frame,kappa,u,d,l,r,spike,confirmed,escape_axis,escape_value".split(",")
 
@@ -39,7 +40,7 @@ def _override_mapping(pairs: list[str]) -> dict[str, str]:
     return mapping
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_config(args) -> TrialConfig:
     mappings = []
     if args.config is not None:
         mappings.append(load_config_file(args.config))
@@ -47,14 +48,21 @@ def _load_run_config(args) -> RunConfig:
     return config_from_mappings(*mappings)
 
 
-def _detect_rows(paths, first, detector: CollisionDetector, steering):
+@contextmanager
+def _reading(path):
+    """Report an input fault raised in the block as a data error naming ``path``."""
+    try:
+        yield
+    except InputError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _detect_rows(paths, first: Frame, detector: CollisionDetector, steering):
     """One CSV row per processed frame, read and detected as it is asked for."""
     for index, path in enumerate(paths):
-        img = first if index == 0 else read_pgm(path)
-        try:
-            result = detector.process(Frame(index=index, luminance=img))
-        except InputError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        with _reading(path):
+            frame = first if index == 0 else Frame(index=index, luminance=read_pgm(path))
+            result = detector.process(frame)
         if result is None:
             continue
         escape = select_escape(result.potentials, steering)
@@ -62,17 +70,16 @@ def _detect_rows(paths, first, detector: CollisionDetector, steering):
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_config(args)
     paths = list_sequence(args.frames_dir)
-    first = read_pgm(paths[0])
-    height, width = first.shape
-    detector = CollisionDetector(
-        width, height, core=cfg.core_params(), norm=cfg.norm_params(width, height)
-    )
+    with _reading(paths[0]):
+        first = Frame(index=0, luminance=read_pgm(paths[0]))
+    norm = replace(cfg.norm, n_cell=first.width * first.height)
+    detector = CollisionDetector(first.width, first.height, core=cfg.core, norm=norm)
     rows = write_csv(
         args.out,
         DETECT_COLUMNS,
-        _detect_rows(paths, first, detector, cfg.steering_params()),
+        _detect_rows(paths, first, detector, cfg.steering),
         verbatim=("frame", "spike", "confirmed", "escape_axis"),
     )
     print(f"processed {len(paths)} frames, wrote {rows} rows to {args.out}")
@@ -98,8 +105,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_run_config(args)
-    trace = run_trial(cfg.trial_config())
+    trace = run_trial(_load_config(args))
     write_trace_csv(trace, args.out)
     print(f"OUTCOME={trace.outcome.value}")
     return 0

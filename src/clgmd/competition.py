@@ -18,7 +18,7 @@ from typing import Annotated
 import numpy as np
 
 from .errors import InputError, Kind, Positive, Real, check_fields
-from .layers import Grid
+from .layers import MIN_SIDE, Grid
 
 _PositiveCount = Annotated[int, Kind("be positive", lambda v: v > 0, integer=True)]
 
@@ -51,8 +51,8 @@ def build_quadrant_mask(width: int, height: int) -> np.ndarray:
     deterministically and symmetric pixels compare exactly.  The labels
     are a (height, width) uint8 array of ``Quadrant`` values.
     """
-    if width < 5 or height < 5:
-        raise InputError(f"mask needs at least 5x5 pixels, got {width}x{height}")
+    if width < MIN_SIDE or height < MIN_SIDE:
+        raise InputError(f"mask needs at least {MIN_SIDE}x{MIN_SIDE} pixels, got {width}x{height}")
     wm, hm = width - 1, height - 1
     # v <> u  <=>  y*(width-1) <> x*(height-1), all integers.
     a = (np.arange(height) * wm)[:, None]
@@ -100,11 +100,13 @@ def accumulate_quadrants(
 class NormParams:
     """Normalization and spiking constants.
 
-    ``c1`` and ``c2`` shape the tanh squashing of the whole-field sum;
-    by default ``c2`` is ``1 / n_cell`` so a strong full-field stimulus
-    maps near 255.  A spike fires when the squashed potential reaches
-    ``t_s``; ``n_sp`` consecutive spikes confirm a collision.  Setting
-    ``t_s`` above 255 disables spiking entirely (useful as a baseline).
+    ``c1`` and ``c2`` shape the tanh squashing of the whole-field sum.
+    ``c2`` None, the default, stays None here and is resolved at use, by
+    :func:`normalize`, as ``1 / n_cell``, so a strong full-field stimulus
+    maps near 255 at any ``n_cell``.  A spike fires when the squashed
+    potential reaches ``t_s``; ``n_sp`` consecutive spikes confirm a
+    collision.  Setting ``t_s`` above 255 disables spiking entirely
+    (useful as a baseline).
     """
 
     n_cell: _PositiveCount
@@ -115,8 +117,6 @@ class NormParams:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.c2 is None:
-            object.__setattr__(self, "c2", 1.0 / self.n_cell)
 
     @classmethod
     def for_resolution(cls, width: int, height: int, **overrides) -> "NormParams":
@@ -147,9 +147,11 @@ def normalize(
 ) -> CLgmdPotentials:
     """Squash the whole-field sum into [0, 255] and split it by proportion.
 
-    kappa = clamp(tanh(sqrt(k_f0) - n_cell*c1) / (n_cell*c2) * 255, 0, 255);
-    each directional potential is its share of the raw sum times kappa.
-    A zero-activity frame maps to all zeros.
+    kappa = clamp(tanh(sqrt(k_f0) - n_cell*c1) / (n_cell*c2) * 255, 0, 255),
+    with ``c2`` None taken as ``1.0 / n_cell`` (computed as written, so
+    n_cell*c2 need not be exactly 1); each directional potential is its
+    share of the raw sum times kappa.  A zero-activity frame maps to all
+    zeros.
     """
     for name, value in (("u0", u0), ("d0", d0), ("l0", l0), ("r0", r0)):
         if value < 0:
@@ -157,7 +159,8 @@ def normalize(
     if k_f0 <= 0.0:
         return CLgmdPotentials(k_f0=0.0, kappa=0.0, u=0.0, d=0.0, l=0.0, r=0.0)
     raw = math.tanh(math.sqrt(k_f0) - params.n_cell * params.c1)
-    kappa = raw / (params.n_cell * params.c2) * 255.0
+    c2 = params.c2 if params.c2 is not None else 1.0 / params.n_cell
+    kappa = raw / (params.n_cell * c2) * 255.0
     kappa = min(max(kappa, 0.0), 255.0)
     share = kappa / k_f0
     return CLgmdPotentials(

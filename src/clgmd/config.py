@@ -5,6 +5,14 @@ trial.  Lines are `key=value`, `#` starts a comment line, blank lines are
 ignored.  Unknown keys are rejected by name so typos fail loudly.
 Command-line overrides are applied on top of file values.
 
+The keys build one object, the :class:`~clgmd.flightsim.TrialConfig` they
+describe, with its camera, layer-stack, normalization and steering
+parameters nested in it.  Building it checks every field and every
+cross-field rule of the trial, so ``clgmd detect`` and ``clgmd simulate``
+accept and reject the same configurations.  ``detect`` then reads only
+``core``, ``norm`` (with ``n_cell`` taken from its frames) and
+``steering``.
+
 A knob is one annotated field of the parameter dataclass that uses it,
 its kind included (``c_w: Positive = 4.0``; see :mod:`clgmd.errors`).  The
 field gives the key and its default, the annotation without its kind gives
@@ -18,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import typing
-from dataclasses import fields, make_dataclass
+from dataclasses import fields
 
 from .competition import NormParams
 from .errors import ConfigError
@@ -55,53 +63,8 @@ def _flat_keys() -> list[tuple[str, object, object]]:
     return keys
 
 
-class _Builders:
-    """Parameter objects built from the flat keys of a RunConfig."""
-
-    def _pick(self, cls) -> dict:
-        """Keyword arguments for ``cls`` from its same-named keys."""
-        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _TYPES}
-
-    def _vector(self, name: str) -> tuple:
-        return tuple(getattr(self, key) for key in _VECTOR_KEYS[name])
-
-    def core_params(self) -> CoreParams:
-        return CoreParams(**self._pick(CoreParams))
-
-    def norm_params(self, width: int | None = None, height: int | None = None) -> NormParams:
-        width = width if width is not None else self.width
-        height = height if height is not None else self.height
-        return NormParams.for_resolution(width, height, **self._pick(NormParams))
-
-    def steering_params(self) -> SteeringParams:
-        return SteeringParams(**self._pick(SteeringParams))
-
-    def camera_model(self) -> CameraModel:
-        return CameraModel(**self._pick(CameraModel))
-
-    def trial_config(self) -> TrialConfig:
-        return TrialConfig(
-            obstacle_velocity=self._vector("obstacle_velocity"),
-            arena=self._vector("arena"),
-            camera=self.camera_model(),
-            core=self.core_params(),
-            norm=self.norm_params(),
-            steering=self.steering_params(),
-            **self._pick(TrialConfig),
-        )
-
-
-RunConfig = make_dataclass(
-    "RunConfig",
-    _flat_keys(),
-    bases=(_Builders,),
-    frozen=True,
-    namespace={
-        "__doc__": "Every tunable knob with its default, one flat namespace.",
-        "__module__": __name__,
-    },
-)
-_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_TYPES = {key: kind for key, kind, _ in _flat_keys()}
+_DEFAULTS = {key: default for key, _, default in _flat_keys()}
 
 
 def _convert(key: str, text: str):
@@ -152,14 +115,31 @@ def load_config_file(path) -> dict[str, str]:
         return parse_config_text(handle.read(), source=str(path))
 
 
-def config_from_mappings(*mappings: dict[str, str]) -> RunConfig:
-    """Later mappings override earlier ones; unknown keys are rejected."""
+def config_from_mappings(*mappings: dict[str, str]) -> TrialConfig:
+    """The trial the keys describe, every parameter object checked.
+
+    Later mappings override earlier ones before any text is converted, so
+    a bad value that a later mapping replaces is never read; unknown keys
+    are rejected.
+    """
     merged: dict[str, str] = {}
     for mapping in mappings:
         merged.update(mapping)
-    values = {}
+    values = dict(_DEFAULTS)
     for key, text in merged.items():
         if key not in _TYPES:
             raise ConfigError(f"unknown config key: {key}")
         values[key] = _convert(key, text)
-    return RunConfig(**values)
+
+    def pick(cls) -> dict:
+        return {f.name: values[f.name] for f in fields(cls) if f.name in values}
+
+    camera = CameraModel(**pick(CameraModel))
+    return TrialConfig(
+        **{name: tuple(values[key] for key in keys) for name, keys in _VECTOR_KEYS.items()},
+        camera=camera,
+        core=CoreParams(**pick(CoreParams)),
+        norm=NormParams.for_resolution(camera.width, camera.height, **pick(NormParams)),
+        steering=SteeringParams(**pick(SteeringParams)),
+        **pick(TrialConfig),
+    )

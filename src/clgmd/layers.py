@@ -63,6 +63,9 @@ Grid = np.ndarray
 # sums cannot overflow int16.
 INT16_SOURCE_LIMIT = 4095
 
+# The smallest frame side: the 5x5 inhibition radius must fit.
+MIN_SIDE = 5
+
 
 def to_uint8(values: np.ndarray, name: str, rule: str, error) -> np.ndarray:
     """``values`` as uint8, rounded half to even.  Only an integer or real
@@ -93,9 +96,9 @@ class Frame:
         lum = np.asarray(self.luminance)
         if lum.ndim != 2:
             raise InputError(f"luminance must be 2-D, got shape {lum.shape}")
-        if lum.shape[0] < 5 or lum.shape[1] < 5:
+        if lum.shape[0] < MIN_SIDE or lum.shape[1] < MIN_SIDE:
             raise InputError(
-                f"frame must be at least 5x5 so the inhibition radius fits, "
+                f"frame must be at least {MIN_SIDE}x{MIN_SIDE} so the inhibition radius fits, "
                 f"got {lum.shape[1]}x{lum.shape[0]}"
             )
         lum = to_uint8(lum, "luminance", "lie in [0, 255]", InputError)

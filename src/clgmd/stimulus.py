@@ -23,7 +23,7 @@ from .errors import (
     ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
     check_fields, check_value,
 )
-from .layers import Frame
+from .layers import MIN_SIDE, Frame
 
 DEFAULT_NOISE_AMPLITUDE = 5.0
 # A scenario's sphere stops approaching at this many of its radii.
@@ -42,8 +42,7 @@ class Direction(enum.Enum):
 # their range.
 _Degrees = Annotated[float, Kind("lie in (0, 180)", lambda v: 0.0 < v < 180.0)]
 _Fraction = Annotated[float, Kind("lie in (0, 1)", lambda v: 0.0 < v < 1.0)]
-# The inhibition radius needs five pixels each way.
-_Side = Annotated[int, Kind("be at least 5", lambda v: v >= 5, integer=True)]
+_Side = Annotated[int, Kind(f"be at least {MIN_SIDE}", lambda v: v >= MIN_SIDE, integer=True)]
 # A negative scenario speed plays the approach backwards; zero never looms.
 _Speed = Annotated[float, Kind("be nonzero", lambda v: v != 0)]
 

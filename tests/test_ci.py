@@ -1,9 +1,14 @@
-"""The CI workflow runs the tier-1 command on the oldest supported Python."""
+"""The CI workflow runs the installed console script, and the tier-1 command
+on the oldest supported Python."""
 
+import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from clgmd.cli import main
 
 yaml = pytest.importorskip("yaml")
 
@@ -50,3 +55,24 @@ def test_test_step_is_the_tier1_command(workflow):
 
 def test_a_hung_run_times_out(workflow):
     assert workflow["jobs"]["tests"]["timeout-minutes"] == 20
+
+
+def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypatch):
+    # The step runs the `clgmd` script that pip installs from
+    # [project.scripts]; here each line runs in-process through the same
+    # entry point, with $RUNNER_TEMP a temporary directory.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^clgmd = "clgmd\.cli:entrypoint"$', pyproject, re.M)
+    runs = _runs(workflow)
+    install = next(i for i, run in enumerate(runs) if re.search(r"pip install .*\.\[test\]", run))
+    [script] = [i for i, run in enumerate(runs) if run.startswith("clgmd ")]
+    assert install < script < runs.index(TIER1)
+    monkeypatch.setenv("RUNNER_TEMP", str(tmp_path))
+    lines = [shlex.split(os.path.expandvars(line)) for line in runs[script].splitlines()]
+    assert [argv[:2] for argv in lines] == [
+        ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"]
+    ]
+    assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
+    assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
+    for argv in lines:
+        assert main(argv[1:]) == 0

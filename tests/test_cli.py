@@ -229,6 +229,20 @@ class TestDetect:
         assert code == 3
         assert "frame_000001" in err
 
+    def test_too_small_frame_names_its_file(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for index in range(2):
+            write_pgm(seq / f"frame_{index:06d}.pgm", np.zeros((4, 4), dtype=np.uint8))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(["detect", str(seq), "--out", str(out)], capsys)
+        assert code == 3
+        assert err == (
+            f"data error: {seq / 'frame_000000.pgm'}: frame must be at least 5x5 "
+            "so the inhibition radius fits, got 4x4\n"
+        )
+        assert not stdout and not out.exists()
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         seq = tmp_path / "seq"
         seq.mkdir()
@@ -251,8 +265,9 @@ class TestDetect:
 
     @pytest.mark.parametrize("key", KEYS_DETECT_DOES_NOT_READ)
     def test_unread_key_leaves_csv_unchanged(self, tmp_path, capsys, looming, key):
-        # One config file serves both commands: detect parses every key and
-        # ignores the camera, trial, arena and integration ones.
+        # One config file serves both commands: detect checks every key, the
+        # trial's cross-field rules included, but reads only the layer-stack,
+        # normalization and steering ones.
         seq, default_csv = looming
         kind, default = FLAT_KEYS[key]
         value = "up" if kind is str else str(kind(default) + 1)
@@ -397,6 +412,31 @@ class TestConfigValues:
         assert code == 1
         assert f"{setting.split('=')[0]} must be finite" in err
         assert "OUTCOME" not in stdout
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "dt=-5",
+            "placement=bogus",
+            "width=3",
+            "hfov_deg=500",
+            "margin=-1",
+            "arena_xmin=7",
+            "obstacle_distance=0.3",
+        ],
+    )
+    def test_detect_and_simulate_reject_alike(self, tmp_path, capsys, looming, setting):
+        # Decided: one file serves both commands, so both check the whole
+        # trial, its cross-field rules included, even where detect reads
+        # none of the keys involved.
+        seq, _ = looming
+        csv_out, trace_out = tmp_path / "d.csv", tmp_path / "t.csv"
+        detect = run(["detect", str(seq), "--set", setting, "--out", str(csv_out)], capsys)
+        simulate = run(["simulate", "--set", setting, "--out", str(trace_out)], capsys)
+        assert detect[0] == simulate[0] == 1
+        assert detect[2] == simulate[2] and detect[2].startswith("error: ")
+        assert not detect[1] and not simulate[1]
+        assert not csv_out.exists() and not trace_out.exists()
 
     def test_obstacle_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -1,6 +1,7 @@
 """Quadrant partition, accumulation, normalization and spike logic."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -213,8 +214,19 @@ class TestNormalize:
 
 
 class TestNormParams:
-    def test_c2_defaults_to_reciprocal_n_cell(self):
-        assert NormParams(n_cell=1234).c2 == pytest.approx(1.0 / 1234)
+    def test_unset_c2_is_reciprocal_n_cell_at_use(self):
+        # c2 stays None on the object, and normalize divides by
+        # n_cell * (1.0 / n_cell) as written: for 49 that product is not 1.
+        assert 49 * (1.0 / 49) != 1.0
+        for n_cell in (25, 49, 10_000, 76_800):
+            unset = NormParams(n_cell=n_cell)
+            reciprocal = NormParams(n_cell=n_cell, c2=1.0 / n_cell)
+            assert unset.c2 is None
+            for above in (0.05, 0.3, 1.0, 2.5):
+                k = (n_cell * unset.c1 + above) ** 2
+                sums = (0.4 * k, 0.3 * k, 0.2 * k, 0.1 * k, k)
+                got, want = normalize(*sums, unset), normalize(*sums, reciprocal)
+                assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
 
     def test_for_resolution(self):
         p = NormParams.for_resolution(100, 80)

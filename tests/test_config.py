@@ -1,18 +1,13 @@
-"""Flat key=value configuration parsing and parameter building."""
+"""Flat key=value configuration parsing into one TrialConfig."""
 
 import re
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from clgmd.competition import NormParams
-from clgmd.config import (
-    RunConfig,
-    config_from_mappings,
-    load_config_file,
-    parse_config_text,
-)
+from clgmd.competition import NormParams, normalize
+from clgmd.config import _flat_keys, config_from_mappings, load_config_file, parse_config_text
 from clgmd.errors import ConfigError
 from clgmd.flightsim import Placement, TrialConfig
 
@@ -51,17 +46,20 @@ class TestParsing:
 
     def test_later_mapping_overrides(self):
         cfg = config_from_mappings({"t_s": "100"}, {"t_s": "200"})
-        assert cfg.t_s == 200.0
+        assert cfg.norm.t_s == 200.0
+        # Merged before conversion: an overridden bad value is never read.
+        cfg = config_from_mappings({"dt": "-5", "t_s": "high"}, {"dt": "0.01", "t_s": "100"})
+        assert (cfg.dt, cfg.norm.t_s) == (0.01, 100.0)
 
     def test_int_fields_parsed_as_int(self):
         cfg = config_from_mappings({"width": "64", "n_sp": "3"})
-        assert cfg.width == 64 and isinstance(cfg.width, int)
-        assert cfg.n_sp == 3
+        assert cfg.camera.width == 64 and isinstance(cfg.camera.width, int)
+        assert cfg.norm.n_sp == 3
 
     def test_empty_optional_value_is_none(self):
         cfg = config_from_mappings({"c2": ""})
-        assert cfg.c2 is None
-        assert cfg.norm_params().c2 == pytest.approx(1.0 / 10000)
+        assert cfg.norm.c2 is None
+        assert cfg == config_from_mappings({})
 
     @pytest.mark.parametrize("key", ["dt", "max_duration", "t_s", "obstacle_vx", "c2"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
@@ -77,38 +75,39 @@ class TestParsing:
         path = tmp_path / "run.cfg"
         path.write_text("# trial\nplacement=up\nmax_duration=8.0\n")
         cfg = config_from_mappings(load_config_file(path))
-        assert cfg.placement == "up"
+        assert cfg.placement is Placement.UP
         assert cfg.max_duration == 8.0
 
 
 class TestBuilders:
     def test_defaults_build_valid_params(self):
-        cfg = RunConfig()
-        core = cfg.core_params()
-        norm = cfg.norm_params()
-        steer = cfg.steering_params()
-        trial = cfg.trial_config()
-        assert core.delta_c == 0.5
-        assert norm.n_cell == 100 * 100
-        assert steer.speed_0 == 0.6
-        assert trial.placement is Placement.LEFT
-
-    def test_c2_defaults_to_reciprocal_cell_count(self):
-        assert RunConfig().norm_params().c2 == pytest.approx(1.0 / 10000)
-        cfg = config_from_mappings({"c2": "0.01"})
-        assert cfg.norm_params().c2 == 0.01
+        cfg = config_from_mappings({})
+        assert isinstance(cfg, TrialConfig)
+        assert cfg.core.delta_c == 0.5
+        assert cfg.norm.n_cell == 100 * 100
+        assert cfg.steering.speed_0 == 0.6
+        assert cfg.placement is Placement.LEFT
 
     def test_norm_params_follow_frame_resolution(self):
-        norm = RunConfig().norm_params(64, 32)
-        assert norm.n_cell == 64 * 32
+        cfg = config_from_mappings({"width": "64", "height": "32"})
+        assert cfg.norm.n_cell == 64 * 32
+
+    def test_c2_defaults_to_reciprocal_cell_count(self):
+        # An unset c2 stays None and normalize reads it as 1 / n_cell.
+        norm = config_from_mappings({"width": "64", "height": "48"}).norm
+        assert norm.c2 is None
+        k = (norm.n_cell * norm.c1 + 1.0) ** 2
+        explicit = replace(norm, c2=1.0 / (64 * 48))
+        assert normalize(k, 0, 0, 0, k, norm) == normalize(k, 0, 0, 0, k, explicit)
+        assert config_from_mappings({"c2": "0.01"}).norm.c2 == 0.01
 
     def test_disable_threshold_roundtrip(self):
         cfg = config_from_mappings({"t_s": "256"})
-        assert cfg.norm_params().t_s == 256.0
+        assert cfg.norm.t_s == 256.0
 
     def test_camera_uses_degrees(self):
         cfg = config_from_mappings({"hfov_deg": "60"})
-        assert cfg.camera_model().hfov_deg == 60.0
+        assert cfg.camera.hfov_deg == 60.0
 
     def test_trial_config_carries_overrides(self):
         cfg = config_from_mappings(
@@ -117,39 +116,39 @@ class TestBuilders:
                 "obstacle_vy": "0.2",
                 "arena_zmax": "5.0",
                 "tau": "0.2",
+                "c_w": "3.0",
+                "hold_duration": "0.5",
             }
         )
-        trial = cfg.trial_config()
-        assert trial.placement is Placement.DOWN
-        assert trial.obstacle_velocity == (0.0, 0.2, 0.0)
-        assert trial.arena[5] == 5.0
-        assert trial.tau == 0.2
+        assert cfg.placement is Placement.DOWN
+        assert cfg.obstacle_velocity == (0.0, 0.2, 0.0)
+        assert cfg.arena[5] == 5.0
+        assert cfg.tau == 0.2
+        assert cfg.core.c_w == 3.0
+        assert cfg.steering.hold_duration == 0.5
 
     def test_invalid_built_params_surface_as_config_errors(self):
-        cfg = config_from_mappings({"c_w": "0"})
-        with pytest.raises(ConfigError):
-            cfg.core_params()
+        with pytest.raises(ConfigError, match="c_w must be positive"):
+            config_from_mappings({"c_w": "0"})
 
 
 class TestSingleSource:
     def test_defaults_are_the_parameter_defaults(self):
         expected = TrialConfig(norm=NormParams.for_resolution(100, 100))
-        assert config_from_mappings({}).trial_config() == expected
+        assert config_from_mappings({}) == expected
 
     def test_key_types(self):
-        kinds = {f.name: f.type for f in fields(RunConfig)}
+        kinds = {key: kind for key, kind, _ in _flat_keys()}
         assert len(kinds) == 36
         ints = {"inhibition_delay", "n_sp", "width", "height", "noise_seed"}
         assert {k for k, t in kinds.items() if t is int} == ints
         assert {k for k, t in kinds.items() if t is str} == {"placement"}
         assert all(kinds[k] is float for k in kinds.keys() - ints - {"placement", "c2"})
-        assert RunConfig().placement == "left"
+        assert {key: d for key, _, d in _flat_keys()}["placement"] == "left"
 
     def test_readme_table_lists_every_key_with_its_default(self):
         section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("|")]
         documented = dict(re.findall(r"`([a-z0-9_]+)=([^`]*)`", "\n".join(rows)))
-        expected = {
-            f.name: "" if f.default is None else str(f.default) for f in fields(RunConfig)
-        }
+        expected = {key: "" if d is None else str(d) for key, _, d in _flat_keys()}
         assert documented == expected

@@ -212,7 +212,6 @@ def test_valid_values_pass_their_kind_and_numpy_twins_build_equal_objects(case):
 def test_accepted_values_build_equal_objects():
     assert CoreParams(c_w=np.float64(4.0), inhibition_delay=np.int64(0)) == CoreParams()
     assert NormParams(n_cell=np.int64(100), n_sp=np.int64(4)) == NormParams(n_cell=100)
-    assert NormParams(n_cell=100, c2=None).c2 == 0.01
     assert CameraModel(width=np.int64(100)) == CameraModel()
     assert Sphere(np.array([4, 0, 0]), 1, 255) == Sphere((4.0, 0.0, 0.0), 1.0, 255.0)
     assert ScenarioSpec(direction="left") == ScenarioSpec(direction=Direction.LEFT)
