@@ -60,9 +60,13 @@ def _reading(path):
 def _detect_rows(paths, first: Frame, detector: CollisionDetector, steering):
     """One CSV row per processed frame, read and detected as it is asked for."""
     for index, path in enumerate(paths):
-        with _reading(path):
+        # _reading's rule, inlined: a context manager per frame costs more
+        # than the try, which is free until something raises.
+        try:
             frame = first if index == 0 else Frame(index=index, luminance=read_pgm(path))
             result = detector.process(frame)
+        except InputError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         if result is None:
             continue
         escape = select_escape(result.potentials, steering)
@@ -173,6 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array; a bare MemoryError names nothing.
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: frame or camera too large to allocate{detail}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -13,14 +13,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Annotated
 
 import numpy as np
 
-from .errors import InputError, Kind, Positive, Real, check_fields
+from .errors import InputError, Positive, PositiveCount, Real, check_fields
 from .layers import MIN_SIDE, Grid
-
-_PositiveCount = Annotated[int, Kind("be positive", lambda v: v > 0, integer=True)]
 
 
 class Quadrant(enum.IntEnum):
@@ -109,11 +106,11 @@ class NormParams:
     (useful as a baseline).
     """
 
-    n_cell: _PositiveCount
+    n_cell: PositiveCount
     c1: Real = 0.005
     c2: Positive | None = None
     t_s: Real = 150.0
-    n_sp: _PositiveCount = 4
+    n_sp: PositiveCount = 4
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -58,6 +58,7 @@ Positive = Annotated[float, Kind("be positive", lambda v: v > 0)]
 NonNegative = Annotated[float, Kind("be non-negative", lambda v: v >= 0)]
 Luminance = Annotated[float, Kind("lie in [0, 255]", lambda v: 0 <= v <= 255)]
 Count = Annotated[int, Kind("be non-negative", lambda v: v >= 0, integer=True)]
+PositiveCount = Annotated[int, Kind("be positive", lambda v: v > 0, integer=True)]
 Vec3 = Annotated[tuple[float, float, float], Kind("be a finite 3-vector", size=3)]
 
 _MAX = sys.float_info.max

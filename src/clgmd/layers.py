@@ -19,16 +19,20 @@ the border so output dimensions match the input:
   (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8).  It reads shifted slices of one
   zero-bordered copy of the source.  The taps of each weight group are
   summed from shared horizontal pair sums at x+-1 and x+-2, and each group
-  sum is multiplied by its weight once.  An int16 source whose values lie
-  in [-4095, 4095] is summed in int16: a group has at most eight taps, so
-  every sum stays within 8 * 4095 = 32,760 and equals the float64 sum
-  exactly.  Any other source, an int16 one outside that range included, is
-  summed in float64, so no sum can wrap;
+  sum is multiplied by its weight once.  One tap table lists those slices;
+  for the detector's int16 buffers it is built once, with the scratch, so a
+  frame slices nothing.  An int16 source whose values lie in [-4095, 4095]
+  is summed in int16: a group has at most eight taps, so every sum stays
+  within 8 * 4095 = 32,760 and equals the float64 sum exactly.  Any other
+  source, an int16 one outside that range included, is summed in float64,
+  so no sum can wrap;
 - the 3x3 G-layer mean is a separable box sum, a row sum then a column
   sum, divided by 9.  It needs no padded copy of S: the row sums add runs
   of S at flat offsets, only the edge columns redone with the zero pad
   written out, and land between two zero rows, the column sum's pad.  The
-  decay rule then runs only on the few cells that can survive it.
+  division by 9 is made only where needed: the extremes of the box sum
+  give the adaptive scale, a bound on |box * S| picks the few cells that
+  can survive the decay rule, and only those get their mean and the rule.
 
 ``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
 ``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
@@ -36,10 +40,10 @@ the two stencils a ``scratch=`` :class:`StencilScratch` of work buffers.
 Omitted, each is allocated fresh.  Each scratch buffer has one role: the
 int16 ones belong to inhibition, the row sums and candidate mask to G, and
 ``tmp`` holds one stage's float work at a time.  A float64 inhibition
-source, which the detector never hands over, gets its padded copy and pair
-sums allocated per call.  The functions keep no state between calls;
-streaming state (previous frame, previous P grid) and the reused buffers
-belong to :class:`clgmd.detector.CollisionDetector`.
+source, which the detector never hands over, gets its padded copy, pair
+sums and tap table built per call.  The functions keep no state between
+calls; streaming state (previous frame, previous P grid) and the reused
+buffers belong to :class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
@@ -164,16 +168,22 @@ def _require_same_shape(a: Grid, b: Grid, what: str) -> None:
 
 
 class StencilScratch:
-    """Work buffers for the detector's two stencils on grids of one shape.
+    """Work buffers for the detector's two stencils on grids of one shape,
+    and the views of them each call reads, built once.
 
     Inhibition of an int16 source within ``INT16_SOURCE_LIMIT`` owns the
     ``*16`` buffers: ``padded16`` holds the source inside a two-cell zero
     border (nothing writes the border, so one allocation serves every
     call), ``near16`` and ``far16`` its pair sums at x+-1 and x+-2, and
-    ``acc16`` one group sum.  The G layer owns ``rows``, its box row sums
-    between a zero row above and below (again a border nothing writes),
-    and ``keep``, its candidate mask.  ``tmp`` holds a weighted inhibition
-    group, then G's Ce and S * Ce; neither stage reads it on entry.
+    ``acc16`` one group sum.  ``interior16`` is the view of ``padded16``
+    the source is copied into, and ``taps16`` the inhibition tap table
+    over these buffers (see ``_inhibition_taps``).  The G layer owns
+    ``rows``, its box row sums between a zero row above and below (again a
+    border nothing writes), with ``row_sums`` the flat run the row adds
+    write and ``above``, ``centre`` and ``below`` the three row views the
+    column sum adds; and ``keep``, its candidate mask.  ``tmp`` holds a
+    weighted inhibition group, then G's box sum; neither stage reads it on
+    entry.
     """
 
     def __init__(self, height: int, width: int) -> None:
@@ -181,9 +191,40 @@ class StencilScratch:
         self.near16 = np.empty((height + 4, width), dtype=np.int16)
         self.far16 = np.empty((height + 4, width), dtype=np.int16)
         self.acc16 = np.empty((height, width), dtype=np.int16)
+        self.interior16 = self.padded16[2:-2, 2:-2]
+        self.taps16 = _inhibition_taps(self.padded16, self.near16, self.far16)
         self.tmp = np.empty((height, width))
         self.rows = np.zeros((height + 2, width))
+        self.above, self.centre, self.below = self.rows[:-2], self.rows[1:-1], self.rows[2:]
+        # Whole rows of a C-contiguous array, so the ravel is a view.
+        self.row_sums = self.centre.ravel()[1:-1]
         self.keep = np.empty((height, width), dtype=bool)
+
+
+def _inhibition_taps(q: Grid, near: Grid, far: Grid):
+    """The inhibition tap table over the zero-bordered source ``q``.
+
+    Returns ``(pairs, groups)``.  Each pair ``(left, right, into)`` is
+    summed into ``near`` (x+-1) or ``far`` (x+-2); each group
+    ``(weight index, taps)`` lists, in kernel order, the (h, w) views whose
+    sum is that weight's group sum, the x-shifts folded into the pair sums
+    and ``centre``.
+    """
+    h, w = q.shape[0] - 4, q.shape[1] - 4
+    centre = q[:, 2 : w + 2]
+    pairs = ((q[:, 1 : w + 1], q[:, 3 : w + 3], near), (q[:, 0:w], q[:, 4 : w + 4], far))
+
+    def tap(rows: Grid, dy: int) -> Grid:
+        return rows[2 + dy : 2 + dy + h]
+
+    groups = (
+        ((2, 3), (tap(near, 0), tap(centre, -1), tap(centre, 1))),
+        ((3, 3), (tap(near, -1), tap(near, 1))),
+        ((2, 4), (tap(far, 0), tap(centre, -2), tap(centre, 2))),
+        ((3, 4), (tap(far, -1), tap(far, 1), tap(near, -2), tap(near, 2))),
+        ((4, 4), (tap(far, -2), tap(far, 2))),
+    )
+    return pairs, groups
 
 
 def _sums_fit_int16(grid: Grid) -> bool:
@@ -241,34 +282,25 @@ def compute_inhibition(
         scratch = StencilScratch(h, w)
     in_int16 = _sums_fit_int16(source)
     if in_int16:
-        q, near, far = scratch.padded16, scratch.near16, scratch.far16
-        q[2:-2, 2:-2] = source
+        np.copyto(scratch.interior16, source)
+        pairs, groups = scratch.taps16
     else:
-        q, near, far = np.pad(np.asarray(source, dtype=np.float64), 2), None, None
+        q = np.pad(np.asarray(source, dtype=np.float64), 2)
+        pairs, groups = _inhibition_taps(q, np.empty((h + 4, w)), np.empty((h + 4, w)))
     out = np.empty((h, w)) if out is None else out
-    near = np.add(q[:, 1 : w + 1], q[:, 3 : w + 3], out=near)
-    far = np.add(q[:, 0:w], q[:, 4 : w + 4], out=far)
-    centre = q[:, 2 : w + 2]
+    for left, right, into in pairs:
+        np.add(left, right, out=into)
     weights = kernel.weights
-    # (weight, taps): a tap (rows, dy) reads rows[y + dy], x-shifts folded in.
-    groups = (
-        (weights[2, 3], ((near, 0), (centre, -1), (centre, 1))),
-        (weights[3, 3], ((near, -1), (near, 1))),
-        (weights[2, 4], ((far, 0), (centre, -2), (centre, 2))),
-        (weights[3, 4], ((far, -1), (far, 1), (near, -2), (near, 2))),
-        (weights[4, 4], ((far, -2), (far, 2))),
-    )
-    for n, (weight, taps) in enumerate(groups):
+    for n, (at, (first, second, *rest)) in enumerate(groups):
         weighted = out if n == 0 else scratch.tmp
         acc = scratch.acc16 if in_int16 else weighted
-        (first, dy0), (second, dy1), *rest = taps
-        np.add(first[2 + dy0 : 2 + dy0 + h], second[2 + dy1 : 2 + dy1 + h], out=acc)
-        for rows, dy in rest:
-            acc += rows[2 + dy : 2 + dy + h]
+        np.add(first, second, out=acc)
+        for tap in rest:
+            acc += tap
         if in_int16:
             # Widen, then scale in float64: faster than one mixed-dtype multiply.
             np.copyto(weighted, acc)
-        weighted *= weight
+        weighted *= weights[at]
         if n:
             out += weighted
     return out
@@ -285,24 +317,29 @@ def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
 
 
 def _grouping_bound(omega: float, c_de: float, t_de: float) -> float:
-    """A lower bound of |S * Ce| on every cell the decay rule keeps, or 0.0.
+    """A lower bound of |box * S| on every cell the decay rule keeps, or 0.0.
 
-    A cell survives when ``abs(S * Ce / omega) * c_de >= t_de``.  With
-    ``t_de``, ``t_de / c_de`` and the bound all finite and normal, each of
-    the three roundings here and the two in the rule is within a factor
-    1 +- 2**-53, and (1 + 2**-53)**6 < 1 / (1 - 2**-20), so no survivor has
-    |S * Ce| below the bound.  Anywhere else, zero keeps every cell a
-    candidate.  Python floats keep an overflow quiet, and ``c_de`` is
-    checked first because their division by zero raises.
+    ``box`` is the 3x3 box sum and Ce = box / 9.0, so a cell survives when
+    ``abs(Ce * S / omega) * c_de >= t_de``.  The bound is 9 * t_de / c_de *
+    omega less a slack.  With ``t_de`` and ``t_de / c_de`` normal and the
+    bound in [2**-20, inf), each of the four roundings here, the three in
+    the rule, the division that forms Ce and the product box * S that the
+    candidate test forms is within a factor 1 +- 2**-53, and
+    (1 + 2**-53)**9 < 1 / (1 - 2**-20), so no survivor has |box * S| below
+    the bound.  The one exception, a Ce rounded into the subnormal range,
+    is off by at most 2**-1075, which a finite |S| < 2**1024 turns into at
+    most 2**-51 of |Ce * S|: at a bound of 2**-20 or more the slack covers
+    it.  Anywhere else, zero keeps every cell a candidate.  Python floats
+    keep an overflow quiet, and ``c_de`` is checked first because their
+    division by zero raises.
     """
     omega, c_de, t_de = float(omega), float(c_de), float(t_de)
     if not c_de > 0:
         return 0.0
     ratio = t_de / c_de
-    bound = ratio * omega * (1 - 2**-20)
-    if all(sys.float_info.min <= v < math.inf for v in (t_de, ratio, bound)):
-        return bound
-    return 0.0
+    bound = ratio * omega * 9.0 * (1 - 2**-20)
+    normal = all(sys.float_info.min <= v < math.inf for v in (t_de, ratio))
+    return bound if normal and 2**-20 <= bound < math.inf else 0.0
 
 
 def compute_g_layer(
@@ -321,39 +358,45 @@ def compute_g_layer(
     The box sum adds whole rows: ``(s[x-1] + s[x+1]) + s[x]`` at flat
     offsets +-1, the first and last column redone with their zero pad
     written out, then ``(r[y-1] + r[y]) + r[y+1]`` between the scratch's
-    zero rows, so a -0.0 rounds as it would in a zero-padded grid.  The
-    decay rule runs only on the cells whose |S * Ce| reaches a provable
-    lower bound of every survivor's (see ``_grouping_bound``), and the rest
-    of ``out`` is zero.  The cost follows the number of candidates: with
-    ``t_de=0`` every cell is one.
+    zero rows, so a -0.0 rounds as it would in a zero-padded grid.  Ce is
+    never formed over the grid: division by 9 rounds monotonically, so
+    max(Ce) and min(Ce) are ``max(box) / 9.0`` and ``min(box) / 9.0``, and
+    the candidates are the cells whose |box * S| reaches a provable lower
+    bound of every survivor's (see ``_grouping_bound``).  Only there is
+    Ce = box / 9.0 formed and the decay rule run, with the same roundings
+    as on the whole grid; the rest of ``out`` is zero.  The cost follows
+    the number of candidates: with ``t_de=0`` every cell is one.
     """
     h, w = s.shape
     if scratch is None:
         scratch = StencilScratch(h, w)
     s = np.ascontiguousarray(s, dtype=np.float64)
     out = np.empty((h, w)) if out is None else out
-    rows, inner, ce = scratch.rows, scratch.rows[1:-1], scratch.tmp
-    flat, row_flat = s.ravel(), inner.ravel()
-    np.add(flat[:-2], flat[2:], out=row_flat[1:-1])
-    row_flat[1:-1] += flat[1:-1]
+    inner, box, flat = scratch.centre, scratch.tmp, s.ravel()
+    np.add(flat[:-2], flat[2:], out=scratch.row_sums)
+    scratch.row_sums += flat[1:-1]
     for x in {0, w - 1}:
         left = s[:, x - 1] if x > 0 else 0.0
         right = s[:, x + 1] if x + 1 < w else 0.0
         np.add(left, right, out=inner[:, x])
         inner[:, x] += s[:, x]
-    np.add(rows[:-2], rows[1:-1], out=ce)
-    ce += rows[2:]
-    ce /= 9.0
-    omega = params.delta_c + max(float(ce.max()), -float(ce.min())) / params.c_w
+    np.add(scratch.above, inner, out=box)
+    box += scratch.below
+    # Division by 9 rounds monotonically: these are max(Ce) and min(Ce).
+    top, bottom = float(box.max()) / 9.0, float(box.min()) / 9.0
+    omega = params.delta_c + max(top, -bottom) / params.c_w
     if omega <= 0:
         raise ConfigError(
             f"grouping scale is {omega}; delta_c must keep it positive when Ce is zero"
         )
-    product = np.multiply(ce, s, out=ce)
-    np.abs(product, out=out)
     bound = _grouping_bound(omega, params.c_de, params.t_de)
+    np.abs(np.multiply(box, s, out=out), out=out)
     candidates = np.flatnonzero(np.greater_equal(out, bound, out=scratch.keep))
-    g = product.ravel()[candidates] / omega
+    # Ce, Ce * S and G on the candidates, rounded as on the whole grid.
+    g = box.ravel()[candidates]
+    g /= 9.0
+    g *= flat[candidates]
+    g /= omega
     g[~(np.abs(g) * params.c_de >= params.t_de)] = 0.0
     out.fill(0.0)
     np.put(out, candidates, g)

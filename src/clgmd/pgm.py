@@ -61,7 +61,8 @@ def _header_tokens(data: bytes, path) -> tuple[list[int], int]:
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as handle:
+    # Unbuffered: the whole file is read at once, so a buffer only copies.
+    with open(path, "rb", buffering=0) as handle:
         data = handle.read()
     (width, height, maxval), offset = _header_tokens(data, path)
     if width <= 0 or height <= 0:
@@ -131,16 +132,17 @@ def list_sequence(directory) -> list[Path]:
 def write_csv(path, columns, rows, verbatim=()) -> int:
     """Header plus one line per row, LF line endings; returns the row count.
 
-    Values in the ``verbatim`` columns are written as they are, all others
-    as ``%.6f``.  Rows are written as they are produced, so an error raised
-    while producing one leaves the rows before it on disk.
+    Values in the ``verbatim`` columns are written as they are (``%s``,
+    unquoted, so they must hold no comma, quote or line break), all others
+    as ``%.6f``, through one format string per row.  Rows are written as
+    they are produced, so an error raised while producing one leaves the
+    rows before it on disk.
     """
-    fixed = [column not in verbatim for column in columns]
+    line = ",".join("%s" if column in verbatim else "%.6f" for column in columns) + "\n"
     count = 0
     with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
+        csv.writer(handle, lineterminator="\n").writerow(columns)
         for row in rows:
-            writer.writerow([f"{v:.6f}" if f else v for f, v in zip(fixed, row)])
+            handle.write(line % tuple(row))
             count += 1
     return count

@@ -48,13 +48,17 @@ def select_quietest(potentials: CLgmdPotentials) -> Quadrant:
     Start from UP and replace the candidate whenever the next field in
     D, L, R order is at least as quiet, so ties resolve toward RIGHT.
     """
-    values = potentials.as_tuple()
-    if not all(math.isfinite(v) for v in values):
-        raise InputError(f"potentials must be finite, got {values}")
-    best, best_value = Quadrant.UP, values[0]
-    for quadrant, value in zip(Quadrant, values):
-        if best_value >= value:
-            best, best_value = quadrant, value
+    u, d, l, r = potentials.as_tuple()
+    # Each value, not their sum, which can overflow to inf from finite ones.
+    if not (math.isfinite(u) and math.isfinite(d) and math.isfinite(l) and math.isfinite(r)):
+        raise InputError(f"potentials must be finite, got {(u, d, l, r)}")
+    best, best_value = Quadrant.UP, u
+    if best_value >= d:
+        best, best_value = Quadrant.DOWN, d
+    if best_value >= l:
+        best, best_value = Quadrant.LEFT, l
+    if best_value >= r:
+        best = Quadrant.RIGHT
     return best
 
 

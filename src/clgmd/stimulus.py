@@ -20,8 +20,8 @@ import numpy as np
 
 from .competition import SIDE_UNIT, Quadrant
 from .errors import (
-    ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
-    check_fields, check_value,
+    ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, PositiveCount,
+    Vec3, check_fields, check_value,
 )
 from .layers import MIN_SIDE, Frame
 
@@ -274,7 +274,7 @@ class ScenarioSpec:
     speed: _Speed = 1.2
     distance: Positive = 4.0
     fps: Positive = 50.0
-    frames: Count = 120
+    frames: PositiveCount = 120
     seed: Count = 0
     noise_amplitude: NonNegative = 0.0
     object_radius: Positive = 0.35

@@ -7,6 +7,8 @@ second, structurally different computation.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -94,6 +96,19 @@ def dense_group(
     drop = np.logical_not(np.greater_equal(ce, t_de))
     np.copyto(out, 0.0, where=drop)
     return out
+
+
+def csv_writer_table(columns, rows, verbatim=()) -> str:
+    """The text ``pgm.write_csv`` wrote when every row went through
+    ``csv.writer``: each cell outside ``verbatim`` formatted ``f"{v:.6f}"``,
+    the others handed over as they are."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    fixed = [column not in verbatim for column in columns]
+    for row in rows:
+        writer.writerow([f"{v:.6f}" if f else v for f, v in zip(fixed, row)])
+    return text.getvalue()
 
 
 def region_sums(g: np.ndarray, labels: np.ndarray) -> tuple[float, float, float, float]:

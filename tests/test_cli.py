@@ -1,13 +1,18 @@
 """End-to-end command-line behavior and exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clgmd import config
+import clgmd
+from clgmd import cli, config, flightsim
 from clgmd.cli import main
 from clgmd.competition import NormParams
 from clgmd.layers import CoreParams
@@ -124,6 +129,8 @@ class TestGenerate:
         "flags, message",
         [
             (["--seed", "-1"], "seed must be non-negative, got -1"),
+            # detect rejects a sequence with no frame, so generate writes none.
+            (["--frames", "0"], "frames must be positive, got 0"),
             (["--distance", "0.3"], "start distance 0.3 is inside the standoff 0.367"),
         ],
     )
@@ -523,6 +530,71 @@ class TestConfigValues:
         assert code == 1
         assert err == f"error: hfov_deg must lie in (0, 180), got {value}\n"
         assert not stdout and not out.exists()
+
+
+def counting(patch, module, names):
+    """Wrap each ``module.<name>`` global so calls to it are counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        patch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestBenchmarkHooks:
+    """The benchmark times a frame from these module globals, looked up
+    once per frame; were a call to bypass one, its timings would read 0."""
+
+    def test_detect_reads_and_steers_through_cli_globals(self, tmp_path, capsys, monkeypatch):
+        seq, frames = tmp_path / "seq", 9
+        assert run(["generate", str(seq), "--frames", str(frames)], capsys)[0] == 0
+        calls = counting(monkeypatch, cli, ("read_pgm", "Frame", "select_escape"))
+        assert run(["detect", str(seq), "--out", str(tmp_path / "d.csv")], capsys)[0] == 0
+        assert calls == {"read_pgm": frames, "Frame": frames, "select_escape": frames - 1}
+
+    def test_trial_renders_through_flightsim_global(self, tmp_path, capsys, monkeypatch):
+        calls = counting(monkeypatch, flightsim, ("render_frame",))
+        out = tmp_path / "trace.csv"
+        argv = ["simulate", "--set", "width=32", "--set", "height=24", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        assert calls == {"render_frame": len(read_rows(out))} != {"render_frame": 0}
+
+
+# Set in the child before numpy loads: an address space that no camera
+# of 100000x100000 fits in, so no test ever makes that allocation.
+TOO_LARGE_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from clgmd.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", "width=100000", "--set", "height=100000", "--out"],
+        ["generate", "--frames", "1", "--width", "100000", "--height", "100000"],
+    ],
+    ids=["simulate", "generate"],
+)
+def test_camera_too_large_to_allocate_exits_1(tmp_path, argv):
+    out = tmp_path / "out"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(clgmd.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", TOO_LARGE_CHILD, *argv, str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: frame or camera too large to allocate")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not done.stdout and not out.exists()
 
 
 class TestUsage:

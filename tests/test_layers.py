@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -413,6 +413,38 @@ class TestGLayer:
             params = CoreParams(t_de=abs(g) * 0.5)
             out = assert_same_bytes_as_dense(s, params)
             assert out[y, x] == g != 0.0
+
+    @pytest.mark.parametrize("t_de", [CoreParams.t_de, 0.0])
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+            elements=st.floats(-120, 120),
+        ),
+        st.integers(0, 143),
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_bytes_equal_dense_grouping_at_the_threshold(self, t_de, s, cell, ulps):
+        # S is scaled so that one cell's |S * Ce| / omega lands on
+        # t_de / c_de, then that cell is moved a few ulps either way: the
+        # candidate test on the box sum must keep every survivor there.
+        params = CoreParams(t_de=t_de)
+        y, x = np.unravel_index(cell % s.size, s.shape)
+        if t_de > 0:
+            padded = np.pad(s, 1)
+            ce = sum(padded[dy : dy + s.shape[0], dx : dx + s.shape[1]]
+                     for dy in range(3) for dx in range(3)) / 9.0
+            p0, m0 = abs(float(s[y, x] * ce[y, x])), float(np.abs(ce).max())
+            assume(p0 > 1e-3)
+            # a * a * p0 = ratio * (delta_c + a * m0 / c_w), solved for a.
+            ratio, b = params.t_de / params.c_de, params.t_de / params.c_de * m0 / params.c_w
+            a = (b + math.sqrt(b * b + 4 * p0 * ratio * params.delta_c)) / (2 * p0)
+            s = s * a
+        step = math.inf if ulps > 0 else -math.inf
+        for _ in range(abs(ulps)):
+            s[y, x] = math.nextafter(s[y, x], step)
+        assert_same_bytes_as_dense(s, params)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (5, 7)])
     def test_negative_zero_edges_keep_their_sign(self, shape):

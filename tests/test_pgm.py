@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clgmd.errors import DataError
@@ -11,9 +11,11 @@ from clgmd.pgm import (
     frame_path,
     list_sequence,
     read_pgm,
+    write_csv,
     write_pgm,
     write_sequence,
 )
+from oracles import csv_writer_table
 
 
 class TestSingleFile:
@@ -216,3 +218,48 @@ class TestSequence:
         write_pgm(tmp_path / name, np.zeros((5, 5), dtype=np.uint8))
         with pytest.raises(DataError, match=f"{name}: not a frame name"):
             list_sequence(tmp_path)
+
+
+# Signed zeros, subnormals, the extremes of the tuned range and beyond,
+# and the non-finite values, each drawn often.
+CSV_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+    float("nan"), float("inf"), -float("inf"), 0.0000005, -0.0000005,
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, verbatim, rows): verbatim cells are ints or the axis
+    strings, the others ints or floats of any magnitude."""
+    # Two columns at least: csv.writer quotes a one-column row holding '',
+    # and every table the package writes has ten or eighteen.
+    columns = [f"c{i}" for i in range(draw(st.integers(2, 18)))]
+    verbatim = tuple(c for c in columns if draw(st.booleans()))
+    integers = st.integers(-(10**12), 10**12)
+    fixed = st.one_of(integers, st.sampled_from(CSV_EDGE_FLOATS), st.floats())
+    as_is = st.one_of(integers, st.sampled_from(("", "y", "z")))
+    row = st.tuples(*(as_is if c in verbatim else fixed for c in columns))
+    return columns, verbatim, draw(st.lists(row, max_size=6))
+
+
+class TestCsv:
+    @given(csv_tables())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_csv_writer(self, tmp_path, table):
+        columns, verbatim, rows = table
+        path = tmp_path / "t.csv"
+        assert write_csv(path, columns, iter(rows), verbatim=verbatim) == len(rows)
+        want = csv_writer_table(columns, rows, verbatim)
+        assert path.read_bytes() == want.encode("ascii")
+
+    def test_rows_before_an_error_stay_on_disk(self, tmp_path):
+        def rows():
+            yield (1, 2.5)
+            raise DataError("frame 2 is corrupt")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(DataError):
+            write_csv(path, ("frame", "x"), rows(), verbatim=("frame",))
+        assert path.read_text() == "frame,x\n1,2.500000\n"

@@ -187,8 +187,10 @@ class TestValidation:
 
 
 class TestScenarios:
-    def test_zero_frames_empty(self):
-        assert generate_sequence(ScenarioSpec(frames=0)) == []
+    def test_zero_frames_rejected(self):
+        # An empty sequence is one that detect rejects, so none is made.
+        with pytest.raises(ConfigError, match="frames must be positive, got 0"):
+            ScenarioSpec(frames=0)
 
     def test_sequence_length(self):
         assert len(generate_sequence(ScenarioSpec(frames=17))) == 17
