@@ -327,11 +327,11 @@ def _grouping_bound(omega: float, c_de: float, t_de: float) -> float:
     candidate test forms is within a factor 1 +- 2**-53, and
     (1 + 2**-53)**9 < 1 / (1 - 2**-20), so no survivor has |box * S| below
     the bound.  The one exception, a Ce rounded into the subnormal range,
-    is off by at most 2**-1075, which a finite |S| < 2**1024 turns into at
-    most 2**-51 of |Ce * S|: at a bound of 2**-20 or more the slack covers
-    it.  Anywhere else, zero keeps every cell a candidate.  Python floats
-    keep an overflow quiet, and ``c_de`` is checked first because their
-    division by zero raises.
+    is off by at most 2**-1075 absolutely, which a finite |S| < 2**1024
+    turns into at most 2**-51 in Ce * S: at a bound of 2**-20 or more the
+    slack covers that too.  Anywhere else, zero keeps every cell a
+    candidate.  Python floats keep an overflow quiet, and ``c_de`` is
+    checked first because their division by zero raises.
     """
     omega, c_de, t_de = float(omega), float(c_de), float(t_de)
     if not c_de > 0:

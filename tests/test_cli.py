@@ -129,9 +129,9 @@ class TestGenerate:
         "flags, message",
         [
             (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--distance", "0.3"], "start distance 0.3 is inside the standoff 0.367"),
             # detect rejects a sequence with no frame, so generate writes none.
             (["--frames", "0"], "frames must be positive, got 0"),
-            (["--distance", "0.3"], "start distance 0.3 is inside the standoff 0.367"),
         ],
     )
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):

@@ -438,7 +438,8 @@ class TestGLayer:
             p0, m0 = abs(float(s[y, x] * ce[y, x])), float(np.abs(ce).max())
             assume(p0 > 1e-3)
             # a * a * p0 = ratio * (delta_c + a * m0 / c_w), solved for a.
-            ratio, b = params.t_de / params.c_de, params.t_de / params.c_de * m0 / params.c_w
+            ratio = params.t_de / params.c_de
+            b = ratio * m0 / params.c_w
             a = (b + math.sqrt(b * b + 4 * p0 * ratio * params.delta_c)) / (2 * p0)
             s = s * a
         step = math.inf if ulps > 0 else -math.inf
