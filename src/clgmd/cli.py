@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 from .config import config_from_mappings, load_config_file, split_key_value
@@ -48,20 +47,11 @@ def _load_config(args) -> TrialConfig:
     return config_from_mappings(*mappings)
 
 
-@contextmanager
-def _reading(path):
-    """Report an input fault raised in the block as a data error naming ``path``."""
-    try:
-        yield
-    except InputError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def _detect_rows(paths, first: Frame, detector: CollisionDetector, steering):
     """One CSV row per processed frame, read and detected as it is asked for."""
     for index, path in enumerate(paths):
-        # _reading's rule, inlined: a context manager per frame costs more
-        # than the try, which is free until something raises.
+        # An input fault is a data error naming the file; the try is free
+        # until something raises.
         try:
             frame = first if index == 0 else Frame(index=index, luminance=read_pgm(path))
             result = detector.process(frame)
@@ -76,8 +66,10 @@ def _detect_rows(paths, first: Frame, detector: CollisionDetector, steering):
 def cmd_detect(args) -> int:
     cfg = _load_config(args)
     paths = list_sequence(args.frames_dir)
-    with _reading(paths[0]):
+    try:
         first = Frame(index=0, luminance=read_pgm(paths[0]))
+    except InputError as exc:
+        raise DataError(f"{paths[0]}: {exc}") from exc
     norm = replace(cfg.norm, n_cell=first.width * first.height)
     detector = CollisionDetector(first.width, first.height, core=cfg.core, norm=norm)
     rows = write_csv(

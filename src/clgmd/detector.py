@@ -5,8 +5,9 @@ into a single object that consumes frames one at a time.  The first
 frame only primes the differencing buffer and yields no result.  Every
 layer grid and stencil buffer is allocated once, when the detector is
 built, and reused for each frame.  P is kept in two int16 grids, the
-current and the previous frame's, so inhibition sums it in int16 and the
-delayed branch reads the previous one; I, S and G are float64.
+current and the previous frame's, so inhibition sums it in int16 and,
+with ``inhibition_delay`` 1, spreads the previous one; I, S and G are
+float64.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .layers import (
     CoreParams,
     Frame,
     Grid,
-    InhibitionKernel,
     StencilScratch,
     compute_g_layer,
     compute_inhibition,
@@ -70,7 +70,6 @@ class CollisionDetector:
         self.norm = (
             norm if norm is not None else NormParams.for_resolution(width, height)
         )
-        self.kernel = InhibitionKernel()
         self.mask = build_quadrant_mask(width, height)
         self._prev_frame: Frame | None = None
         # P is double-buffered in int16: each frame writes P into the first
@@ -95,10 +94,10 @@ class CollisionDetector:
             self._prev_frame = frame
             return None
         p = compute_p_layer(self._prev_frame, frame, out=self._p_grids[0])
-        delayed = self._prev_p if self._prev_p is not None else p
-        i = compute_inhibition(
-            p, delayed, self.kernel, self.core, out=self._i, scratch=self._scratch
-        )
+        # inhibition_delay 1 spreads the previous frame's P; the first
+        # processed frame has none and spreads its own.
+        source = self._prev_p if self.core.inhibition_delay and self._prev_p is not None else p
+        i = compute_inhibition(source, out=self._i, scratch=self._scratch)
         s = compute_s_layer(p, i, out=self._s)
         g = compute_g_layer(s, self.core, out=self._g, scratch=self._scratch)
         u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self.mask)

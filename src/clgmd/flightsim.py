@@ -154,7 +154,7 @@ class TrialConfig:
         gap = self.scene_at(0.0, VehicleState().position).obstacle.clearance()
         if gap <= self.margin:
             raise ConfigError(
-                f"obstacle overlaps the start position: its clearance {gap:.3f} "
+                f"obstacle overlaps the start position: its clearance {gap:.6g} "
                 f"is within the margin {self.margin}"
             )
 

@@ -16,10 +16,11 @@ integer in [-255, 255], so int16 holds it exactly.  Both stencils zero-pad
 the border so output dimensions match the input:
 
 - the 5x5 inhibition kernel is symmetric, so it has five distinct weights
-  (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8).  It reads shifted slices of one
-  zero-bordered copy of the source.  The taps of each weight group are
-  summed from shared horizontal pair sums at x+-1 and x+-2, and each group
-  sum is multiplied by its weight once.  One tap table lists those slices;
+  (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8), read once at import.  It
+  spreads the one grid it is given, through shifted slices of one
+  zero-bordered copy of it.  The taps of each weight group are summed
+  from shared horizontal pair sums at x+-1 and x+-2, and each group sum
+  is multiplied by its weight once.  One tap table lists those slices;
   for the detector's int16 buffers it is built once, with the scratch, so a
   frame slices nothing.  An int16 source whose values lie in [-4095, 4095]
   is summed in int16: a group has at most eight taps, so every sum stays
@@ -42,14 +43,16 @@ int16 ones belong to inhibition, the row sums and candidate mask to G, and
 ``tmp`` holds one stage's float work at a time.  A float64 inhibition
 source, which the detector never hands over, gets its padded copy, pair
 sums and tap table built per call.  The functions keep no state between
-calls; streaming state (previous frame, previous P grid) and the reused
-buffers belong to :class:`clgmd.detector.CollisionDetector`.
+calls; streaming state (previous frame, previous P grid), the choice of
+inhibition source that ``inhibition_delay`` makes, and the reused buffers
+belong to :class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -138,6 +141,12 @@ class InhibitionKernel:
         object.__setattr__(self, "weights", w)
 
 
+# The kernel's five distinct weights, at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8,
+# in the order of the inhibition tap table's groups.
+_GROUP_WEIGHTS = tuple(
+    float(InhibitionKernel().weights[at]) for at in ((2, 3), (3, 3), (2, 4), (3, 4), (4, 4))
+)
+
 # Inhibition spreads the current P grid (0) or the previous frame's (1).
 _Delay = Annotated[int, Kind("be 0 or 1", lambda v: v in (0, 1), integer=True)]
 
@@ -147,9 +156,11 @@ class CoreParams:
     """Tuning constants for the layer stack.
 
     ``inhibition_delay`` selects whether inhibition spreads the current P
-    grid (0) or the previous frame's P grid (1).  The grouping constants
-    control the G stage: ``delta_c`` and ``c_w`` shape the adaptive scale,
-    while cells with ``|G| * c_de < t_de`` are decayed to zero.
+    grid (0) or the previous frame's P grid (1).  The layers never read it:
+    :class:`clgmd.detector.CollisionDetector` picks the grid it hands
+    ``compute_inhibition``.  The grouping constants control the G stage:
+    ``delta_c`` and ``c_w`` shape the adaptive scale, while cells with
+    ``|G| * c_de < t_de`` are decayed to zero.
     """
 
     inhibition_delay: _Delay = 0
@@ -160,11 +171,6 @@ class CoreParams:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-
-def _require_same_shape(a: Grid, b: Grid, what: str) -> None:
-    if a.shape != b.shape:
-        raise InputError(f"{what}: shapes differ, {a.shape} vs {b.shape}")
 
 
 class StencilScratch:
@@ -205,10 +211,10 @@ def _inhibition_taps(q: Grid, near: Grid, far: Grid):
     """The inhibition tap table over the zero-bordered source ``q``.
 
     Returns ``(pairs, groups)``.  Each pair ``(left, right, into)`` is
-    summed into ``near`` (x+-1) or ``far`` (x+-2); each group
-    ``(weight index, taps)`` lists, in kernel order, the (h, w) views whose
-    sum is that weight's group sum, the x-shifts folded into the pair sums
-    and ``centre``.
+    summed into ``near`` (x+-1) or ``far`` (x+-2); each group lists, in
+    kernel order, the (h, w) views whose sum is the group sum of the
+    matching entry of ``_GROUP_WEIGHTS``, the x-shifts folded into the pair
+    sums and ``centre``.
     """
     h, w = q.shape[0] - 4, q.shape[1] - 4
     centre = q[:, 2 : w + 2]
@@ -218,11 +224,11 @@ def _inhibition_taps(q: Grid, near: Grid, far: Grid):
         return rows[2 + dy : 2 + dy + h]
 
     groups = (
-        ((2, 3), (tap(near, 0), tap(centre, -1), tap(centre, 1))),
-        ((3, 3), (tap(near, -1), tap(near, 1))),
-        ((2, 4), (tap(far, 0), tap(centre, -2), tap(centre, 2))),
-        ((3, 4), (tap(far, -1), tap(far, 1), tap(near, -2), tap(near, 2))),
-        ((4, 4), (tap(far, -2), tap(far, 2))),
+        (tap(near, 0), tap(centre, -1), tap(centre, 1)),
+        (tap(near, -1), tap(near, 1)),
+        (tap(far, 0), tap(centre, -2), tap(centre, 2)),
+        (tap(far, -1), tap(far, 1), tap(near, -2), tap(near, 2)),
+        (tap(far, -2), tap(far, 2)),
     )
     return pairs, groups
 
@@ -257,26 +263,17 @@ def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Gri
 
 
 def compute_inhibition(
-    p: Grid,
-    p_delayed: Grid,
-    kernel: InhibitionKernel,
-    params: CoreParams,
-    *,
-    out: Grid | None = None,
-    scratch: StencilScratch | None = None,
+    source: Grid, *, out: Grid | None = None, scratch: StencilScratch | None = None
 ) -> Grid:
-    """Spread excitation into inhibition by convolving with the 5x5 kernel.
+    """Spread ``source`` into inhibition by convolving it with the 5x5 kernel.
 
-    The source grid is the current P layer, or the previous frame's P layer
-    when ``params.inhibition_delay`` is 1.  Borders are zero-padded.  An
-    int16 source with every |value| <= ``INT16_SOURCE_LIMIT`` has its group
-    sums taken in int16; any other source, in float64.  Either way each
-    group sum is widened to float64 once, multiplied by its weight, and the
-    five weighted groups are added in the same order, so an integer source
-    gives bit-identical I in either dtype.
+    Borders are zero-padded.  An int16 source with every |value| <=
+    ``INT16_SOURCE_LIMIT`` has its group sums taken in int16; any other
+    source, in float64.  Either way each group sum is widened to float64
+    once, multiplied by its weight, and the five weighted groups are added
+    in the same order, so an integer source gives bit-identical I in either
+    dtype.
     """
-    _require_same_shape(p, p_delayed, "inhibition input")
-    source = p if params.inhibition_delay == 0 else p_delayed
     h, w = source.shape
     if scratch is None:
         scratch = StencilScratch(h, w)
@@ -290,8 +287,7 @@ def compute_inhibition(
     out = np.empty((h, w)) if out is None else out
     for left, right, into in pairs:
         np.add(left, right, out=into)
-    weights = kernel.weights
-    for n, (at, (first, second, *rest)) in enumerate(groups):
+    for n, (weight, (first, second, *rest)) in enumerate(zip(_GROUP_WEIGHTS, groups)):
         weighted = out if n == 0 else scratch.tmp
         acc = scratch.acc16 if in_int16 else weighted
         np.add(first, second, out=acc)
@@ -300,7 +296,7 @@ def compute_inhibition(
         if in_int16:
             # Widen, then scale in float64: faster than one mixed-dtype multiply.
             np.copyto(weighted, acc)
-        weighted *= weights[at]
+        weighted *= weight
         if n:
             out += weighted
     return out
@@ -312,7 +308,8 @@ def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
     ``e`` may be the int16 P grid: it is widened to float64 exactly, then
     the float64 ``i`` is subtracted, so S equals the float64 subtraction.
     """
-    _require_same_shape(e, i, "summing input")
+    if e.shape != i.shape:
+        raise InputError(f"summing input: shapes differ, {e.shape} vs {i.shape}")
     return np.subtract(e, i, out=out)
 
 
@@ -397,7 +394,10 @@ def compute_g_layer(
     g /= 9.0
     g *= flat[candidates]
     g /= omega
-    g[~(np.abs(g) * params.c_de >= params.t_de)] = 0.0
+    # Only |c_de| > 1 can overflow |G| * c_de; the +-inf it gives keeps or
+    # decays the cell as exact arithmetic would, so the warning is muted.
+    with np.errstate(over="ignore") if abs(params.c_de) > 1 else nullcontext():
+        g[~(np.abs(g) * params.c_de >= params.t_de)] = 0.0
     out.fill(0.0)
     np.put(out, candidates, g)
     return out

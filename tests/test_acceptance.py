@@ -17,7 +17,6 @@ from clgmd import (
     CameraModel,
     CLgmdPotentials,
     CollisionDetector,
-    CoreParams,
     Direction,
     DetectorState,
     Frame,
@@ -162,13 +161,12 @@ def test_c03_convolution_oracle():
     kernel = InhibitionKernel()
     probe = abs(float(kernel.weights.sum()) - 3.4551)
     rng = np.random.default_rng(20240811)
-    params = CoreParams()
     worst = 0.0
     for _ in range(100):
         height = int(rng.integers(5, 33))
         width = int(rng.integers(5, 33))
         p = rng.uniform(-100.0, 100.0, size=(height, width))
-        fast = compute_inhibition(p, p, kernel, params)
+        fast = compute_inhibition(p)
         slow = naive_convolve(p, kernel.weights)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     print(f"worst abs diff {worst:.3e}, kernel-sum probe off by {probe:.2e}")

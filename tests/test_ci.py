@@ -4,6 +4,7 @@ on the oldest supported Python."""
 import os
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,5 +75,9 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
+    # PYTHONWARNINGS=error makes any warning from the run fail the step.
+    assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
     for argv in lines:
-        assert main(argv[1:]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv[1:]) == 0

@@ -490,6 +490,32 @@ class TestConfigValues:
         assert "OUTCOME" not in stdout
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("c_de", ["1e308", "-1e308"])
+    def test_huge_decay_coefficient_runs_quietly(self, tmp_path, capsys, looming, command, c_de):
+        # |G| * c_de overflows to +-inf, which keeps or decays the cell as
+        # exact arithmetic would: no warning reaches stderr.
+        argv = [command, "--set", f"c_de={c_de}", "--out", str(tmp_path / "o.csv")]
+        if command == "detect":
+            argv.insert(1, str(looming[0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(argv, capsys)
+        assert code == 0
+        assert not caught and err == ""
+
+    def test_obstacle_enclosing_the_start_prints_a_short_clearance(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--set", "obstacle_radius=1e150", "--out", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert err == (
+            "error: obstacle overlaps the start position: its clearance -1e+150 "
+            "is within the margin 0.1\n"
+        )
+        assert "OUTCOME" not in stdout
+        assert not out.exists()
+
     def test_seed_key_rejected(self, tmp_path, capsys):
         code, _, err = run(
             ["simulate", "--set", "seed=1", "--out", str(tmp_path / "t.csv")], capsys

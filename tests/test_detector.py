@@ -47,12 +47,35 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
     prev_p = None
     for prev, curr in zip(frames, frames[1:]):
         p = compute_p_layer(prev, curr)
-        i = compute_inhibition(p, p if prev_p is None else prev_p, detector.kernel, core)
+        # Delay 1 spreads the previous frame's P, once there is one.
+        i = compute_inhibition(prev_p if delay and prev_p is not None else p)
         g = compute_g_layer(compute_s_layer(p, i), core)
         want = normalize(*accumulate_quadrants(g, detector.mask), detector.norm)
         got = detector.process(curr).potentials
         assert got == want, f"frame {curr.index}"
         prev_p = p
+
+
+def test_delayed_inhibition_spreads_the_previous_p(monkeypatch):
+    # With inhibition_delay 1, frame t's S is P_t - I(P_t-1); the first
+    # processed frame has no previous P and inhibits its own.
+    seen = []
+
+    def recording(e, i, **kwargs):
+        s = compute_s_layer(e, i, **kwargs)
+        seen.append(s.copy())
+        return s
+
+    monkeypatch.setattr(detector_module, "compute_s_layer", recording)
+    detector = CollisionDetector(37, 23, core=CoreParams(inhibition_delay=1))
+    frames = stress_frames(23, 37, count=6)
+    for frame in frames:
+        detector.process(frame)
+    ps = [compute_p_layer(a, b) for a, b in zip(frames, frames[1:])]
+    assert len(seen) == len(ps)
+    for p, source, s in zip(ps, [ps[0], *ps[:-1]], seen):
+        assert np.array_equal(s, p - compute_inhibition(source))
+    assert not np.array_equal(seen[1], ps[1] - compute_inhibition(ps[1]))
 
 
 # The clgmd.detector globals the benchmark tracer wraps to time each layer.
