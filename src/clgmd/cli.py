@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .config import config_from_mappings, load_config_file, split_key_value
 from .detector import CollisionDetector
@@ -47,14 +47,13 @@ def _load_config(args) -> TrialConfig:
     return config_from_mappings(*mappings)
 
 
-def _detect_rows(paths, first: Frame, detector: CollisionDetector, steering):
+def _detect_rows(paths, detector: CollisionDetector, steering):
     """One CSV row per processed frame, read and detected as it is asked for."""
     for index, path in enumerate(paths):
         # An input fault is a data error naming the file; the try is free
         # until something raises.
         try:
-            frame = first if index == 0 else Frame(index=index, luminance=read_pgm(path))
-            result = detector.process(frame)
+            result = detector.process(Frame(index=index, luminance=read_pgm(path)))
         except InputError as exc:
             raise DataError(f"{path}: {exc}") from exc
         if result is None:
@@ -66,16 +65,11 @@ def _detect_rows(paths, first: Frame, detector: CollisionDetector, steering):
 def cmd_detect(args) -> int:
     cfg = _load_config(args)
     paths = list_sequence(args.frames_dir)
-    try:
-        first = Frame(index=0, luminance=read_pgm(paths[0]))
-    except InputError as exc:
-        raise DataError(f"{paths[0]}: {exc}") from exc
-    norm = replace(cfg.norm, n_cell=first.width * first.height)
-    detector = CollisionDetector(first.width, first.height, core=cfg.core, norm=norm)
+    detector = CollisionDetector(core=cfg.core, norm=cfg.norm)
     rows = write_csv(
         args.out,
         DETECT_COLUMNS,
-        _detect_rows(paths, first, detector, cfg.steering),
+        _detect_rows(paths, detector, cfg.steering),
         verbatim=("frame", "spike", "confirmed", "escape_axis"),
     )
     print(f"processed {len(paths)} frames, wrote {rows} rows to {args.out}")

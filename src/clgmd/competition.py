@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, Positive, PositiveCount, Real, check_fields
+from .errors import InputError, Positive, PositiveCount, Real, check_fields, check_value
 from .layers import MIN_SIDE, Grid
 
 
@@ -97,16 +97,16 @@ def accumulate_quadrants(
 class NormParams:
     """Normalization and spiking constants.
 
-    ``c1`` and ``c2`` shape the tanh squashing of the whole-field sum.
-    ``c2`` None, the default, stays None here and is resolved at use, by
-    :func:`normalize`, as ``1 / n_cell``, so a strong full-field stimulus
-    maps near 255 at any ``n_cell``.  A spike fires when the squashed
+    ``c1`` and ``c2`` shape the tanh squashing of the whole-field sum over
+    the frame's n_cell pixels.  ``c2`` None, the default, stays None here
+    and is resolved at use, by :func:`normalize`, as ``1 / n_cell``, one
+    over the frame's pixel count, so a strong full-field stimulus maps
+    near 255 at any frame size.  A spike fires when the squashed
     potential reaches ``t_s``; ``n_sp`` consecutive spikes confirm a
     collision.  Setting ``t_s`` above 255 disables spiking entirely
     (useful as a baseline).
     """
 
-    n_cell: PositiveCount
     c1: Real = 0.005
     c2: Positive | None = None
     t_s: Real = 150.0
@@ -114,10 +114,6 @@ class NormParams:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-    @classmethod
-    def for_resolution(cls, width: int, height: int, **overrides) -> "NormParams":
-        return cls(n_cell=width * height, **overrides)
 
 
 @dataclass(frozen=True)
@@ -140,24 +136,25 @@ class CLgmdPotentials:
 
 
 def normalize(
-    u0: float, d0: float, l0: float, r0: float, k_f0: float, params: NormParams
+    u0: float, d0: float, l0: float, r0: float, k_f0: float, params: NormParams, *, n_cell: int
 ) -> CLgmdPotentials:
     """Squash the whole-field sum into [0, 255] and split it by proportion.
 
     kappa = clamp(tanh(sqrt(k_f0) - n_cell*c1) / (n_cell*c2) * 255, 0, 255),
-    with ``c2`` None taken as ``1.0 / n_cell`` (computed as written, so
-    n_cell*c2 need not be exactly 1); each directional potential is its
-    share of the raw sum times kappa.  A zero-activity frame maps to all
-    zeros.
+    where ``n_cell`` is the frame's pixel count, with ``c2`` None taken as
+    ``1.0 / n_cell`` (computed as written, so n_cell*c2 need not be exactly
+    1); each directional potential is its share of the raw sum times kappa.
+    A zero-activity frame maps to all zeros.
     """
+    n_cell = check_value("n_cell", PositiveCount, n_cell, InputError)
     for name, value in (("u0", u0), ("d0", d0), ("l0", l0), ("r0", r0)):
         if value < 0:
             raise InputError(f"{name} must be non-negative, got {value}")
     if k_f0 <= 0.0:
         return CLgmdPotentials(k_f0=0.0, kappa=0.0, u=0.0, d=0.0, l=0.0, r=0.0)
-    raw = math.tanh(math.sqrt(k_f0) - params.n_cell * params.c1)
-    c2 = params.c2 if params.c2 is not None else 1.0 / params.n_cell
-    kappa = raw / (params.n_cell * c2) * 255.0
+    raw = math.tanh(math.sqrt(k_f0) - n_cell * params.c1)
+    c2 = params.c2 if params.c2 is not None else 1.0 / n_cell
+    kappa = raw / (n_cell * c2) * 255.0
     kappa = min(max(kappa, 0.0), 255.0)
     share = kappa / k_f0
     return CLgmdPotentials(

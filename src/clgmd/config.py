@@ -10,8 +10,9 @@ describe, with its camera, layer-stack, normalization and steering
 parameters nested in it.  Building it checks every field and every
 cross-field rule of the trial, so ``clgmd detect`` and ``clgmd simulate``
 accept and reject the same configurations.  ``detect`` then reads only
-``core``, ``norm`` (with ``n_cell`` taken from its frames) and
-``steering``.
+``core``, ``norm`` and ``steering``.  No key sets the normalization's
+n_cell: the detector takes it from its first frame, so an unset ``c2``
+means one over the frame's pixel count.
 
 A knob is one annotated field of the parameter dataclass that uses it,
 its kind included (``c_w: Positive = 4.0``; see :mod:`clgmd.errors`).  The
@@ -35,9 +36,9 @@ from .layers import CoreParams
 from .steering import SteeringParams
 from .stimulus import CameraModel
 
-# Fields that are not flat keys: derived from the frame size (n_cell) or
-# built from the other keys (the nested parameter objects).
-_NOT_KEYS = {"n_cell", "camera", "core", "norm", "steering"}
+# Fields that are not flat keys: the nested parameter objects, built from
+# the other keys.
+_NOT_KEYS = {"camera", "core", "norm", "steering"}
 
 # Vector fields spread over one float key per component.
 _VECTOR_KEYS = {
@@ -134,12 +135,11 @@ def config_from_mappings(*mappings: dict[str, str]) -> TrialConfig:
     def pick(cls) -> dict:
         return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
-    camera = CameraModel(**pick(CameraModel))
     return TrialConfig(
         **{name: tuple(values[key] for key in keys) for name, keys in _VECTOR_KEYS.items()},
-        camera=camera,
+        camera=CameraModel(**pick(CameraModel)),
         core=CoreParams(**pick(CoreParams)),
-        norm=NormParams.for_resolution(camera.width, camera.height, **pick(NormParams)),
+        norm=NormParams(**pick(NormParams)),
         steering=SteeringParams(**pick(SteeringParams)),
         **pick(TrialConfig),
     )

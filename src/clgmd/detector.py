@@ -2,12 +2,13 @@
 
 Wires the layer stack, the four-field competition and the spike logic
 into a single object that consumes frames one at a time.  The first
-frame only primes the differencing buffer and yields no result.  Every
-layer grid and stencil buffer is allocated once, when the detector is
-built, and reused for each frame.  P is kept in two int16 grids, the
-current and the previous frame's, so inhibition sums it in int16 and,
-with ``inhibition_delay`` 1, spreads the previous one; I, S and G are
-float64.
+frame only primes the differencing buffer and yields no result; it also
+sizes the detector.  Every layer grid and stencil buffer is allocated
+once, at that frame's size, and reused for each later frame, which must
+have the same size; the normalization's n_cell is its pixel count.  P is
+kept in two int16 grids, the current and the previous frame's, so
+inhibition sums it in int16 and, with ``inhibition_delay`` 1, spreads the
+previous one; I, S and G are float64.
 """
 
 from __future__ import annotations
@@ -55,53 +56,51 @@ class DetectionResult:
 
 
 class CollisionDetector:
-    """Runs the full pipeline over a stream of same-sized frames."""
+    """Runs the full pipeline over a stream of frames of one size, the
+    size of the first."""
 
     def __init__(
-        self,
-        width: int,
-        height: int,
-        core: CoreParams | None = None,
-        norm: NormParams | None = None,
+        self, *, core: CoreParams = CoreParams(), norm: NormParams = NormParams()
     ) -> None:
-        self.width = width
-        self.height = height
-        self.core = core if core is not None else CoreParams()
-        self.norm = (
-            norm if norm is not None else NormParams.for_resolution(width, height)
-        )
-        self.mask = build_quadrant_mask(width, height)
+        self.core = core
+        self.norm = norm
+        self.state = DetectorState()
         self._prev_frame: Frame | None = None
+        self._prev_p: Grid | None = None
+
+    def _allocate(self, width: int, height: int) -> None:
+        self._n_cell = width * height
+        self._mask = build_quadrant_mask(width, height)
         # P is double-buffered in int16: each frame writes P into the first
         # grid and then swaps them, so the previous P, which inhibition reads
         # when inhibition_delay is 1, survives in the other.
         self._p_grids = [np.empty((height, width), dtype=np.int16) for _ in range(2)]
-        self._prev_p: Grid | None = None
         self._i: Grid = np.empty((height, width))
         self._s: Grid = np.empty((height, width))
         self._g: Grid = np.empty((height, width))
         self._scratch = StencilScratch(height, width)
-        self.state = DetectorState()
 
     def process(self, frame: Frame) -> DetectionResult | None:
         """Feed one frame; returns None for the very first frame."""
-        if frame.width != self.width or frame.height != self.height:
-            raise InputError(
-                f"frame is {frame.width}x{frame.height}, "
-                f"detector expects {self.width}x{self.height}"
-            )
-        if self._prev_frame is None:
+        prev = self._prev_frame
+        if prev is None:
+            self._allocate(frame.width, frame.height)
             self._prev_frame = frame
             return None
-        p = compute_p_layer(self._prev_frame, frame, out=self._p_grids[0])
+        if frame.width != prev.width or frame.height != prev.height:
+            raise InputError(
+                f"frame is {frame.width}x{frame.height}, "
+                f"detector expects {prev.width}x{prev.height}"
+            )
+        p = compute_p_layer(prev, frame, out=self._p_grids[0])
         # inhibition_delay 1 spreads the previous frame's P; the first
         # processed frame has none and spreads its own.
         source = self._prev_p if self.core.inhibition_delay and self._prev_p is not None else p
         i = compute_inhibition(source, out=self._i, scratch=self._scratch)
         s = compute_s_layer(p, i, out=self._s)
         g = compute_g_layer(s, self.core, out=self._g, scratch=self._scratch)
-        u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self.mask)
-        potentials = normalize(u0, d0, l0, r0, k_f0, self.norm)
+        u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self._mask)
+        potentials = normalize(u0, d0, l0, r0, k_f0, self.norm, n_cell=self._n_cell)
         self.state = update_spike_state(potentials.kappa, self.norm, self.state)
         spike = self.state.spike_run > 0
         self._prev_frame = frame

@@ -63,6 +63,12 @@ Vec3 = Annotated[tuple[float, float, float], Kind("be a finite 3-vector", size=3
 
 _MAX = sys.float_info.max
 
+# Uniform noise of amplitude a spans 2·a, which must be a finite float.
+Amplitude = Annotated[
+    float,
+    Kind("be non-negative and at most half the largest float", lambda v: 0 <= v <= _MAX / 2),
+]
+
 
 def _number(value, integer: bool = False) -> bool:
     """True for a finite real that fits in a float, integral if ``integer``;

@@ -21,7 +21,7 @@ from typing import Annotated, NamedTuple
 from .competition import SIDE_UNIT, NormParams, Quadrant
 from .detector import CollisionDetector
 from .errors import (
-    ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
+    Amplitude, ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, Vec3,
     check_fields, check_value,
 )
 from .layers import CoreParams
@@ -97,7 +97,7 @@ class TrialConfig:
     obstacle_velocity: Vec3 = (0.0, 0.0, 0.0)
     obstacle_luminance: Luminance = 224.0
     background: Luminance = Scene.background
-    noise_amplitude: NonNegative = 0.0
+    noise_amplitude: Amplitude = 0.0
     noise_seed: Count = 0
     arena: _Arena = (-1.0, 6.0, -3.0, 3.0, -3.0, 3.0)
     dt: Positive = 0.02
@@ -106,7 +106,7 @@ class TrialConfig:
     tau: Positive = 0.3
     camera: CameraModel = field(default_factory=CameraModel)
     core: CoreParams = field(default_factory=CoreParams)
-    norm: NormParams | None = None
+    norm: NormParams = field(default_factory=NormParams)
     steering: SteeringParams = field(default_factory=SteeringParams)
 
     def __post_init__(self) -> None:
@@ -235,9 +235,7 @@ def run_trial(config: TrialConfig) -> TrialTrace:
     and the arena exit, and step i+1 renders it.
     """
     camera = config.camera
-    detector = CollisionDetector(
-        camera.width, camera.height, core=config.core, norm=config.norm
-    )
+    detector = CollisionDetector(core=config.core, norm=config.norm)
     state = VehicleState(velocity=(config.cruise_speed, 0.0, 0.0))
     records: list[TrialRecord] = []
     outcome = Outcome.TIMEOUT

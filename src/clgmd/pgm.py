@@ -9,6 +9,7 @@ the header, as the format allows; the header numbers must be ASCII digits.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import re
 from pathlib import Path
@@ -134,15 +135,19 @@ def write_csv(path, columns, rows, verbatim=()) -> int:
 
     Values in the ``verbatim`` columns are written as they are (``%s``,
     unquoted, so they must hold no comma, quote or line break), all others
-    as ``%.6f``, through one format string per row.  Rows are written as
+    as ``%.6f``, through one format string per row.  The file is opened
+    once the first row is produced, or the rows end, so an error raised
+    while producing the first leaves no file; later rows are written as
     they are produced, so an error raised while producing one leaves the
     rows before it on disk.
     """
     line = ",".join("%s" if column in verbatim else "%.6f" for column in columns) + "\n"
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))
     count = 0
     with open(path, "w", newline="\n") as handle:
         csv.writer(handle, lineterminator="\n").writerow(columns)
-        for row in rows:
+        for row in itertools.chain(first, rows):
             handle.write(line % tuple(row))
             count += 1
     return count

@@ -20,8 +20,8 @@ import numpy as np
 
 from .competition import SIDE_UNIT, Quadrant
 from .errors import (
-    ConfigError, Count, InputError, Kind, Luminance, NonNegative, Positive, PositiveCount,
-    Vec3, check_fields, check_value,
+    Amplitude, ConfigError, Count, InputError, Kind, Luminance, Positive, PositiveCount, Vec3,
+    check_fields, check_value,
 )
 from .layers import MIN_SIDE, Frame
 
@@ -83,7 +83,7 @@ class Scene:
 
     obstacle: Sphere | None = None
     background: Luminance = 32.0
-    noise_amplitude: NonNegative = 0.0
+    noise_amplitude: Amplitude = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -246,8 +246,6 @@ def render_frame(
     amplitude = scene.noise_amplitude
     if amplitude > 0.0:
         span = amplitude - (-amplitude)
-        if math.isinf(span):
-            raise InputError(f"noise amplitude {amplitude} is too large to draw")
         noise = np.random.default_rng((seed, index)).random(img.shape)
         noise *= span
         noise += -amplitude
@@ -276,7 +274,7 @@ class ScenarioSpec:
     fps: Positive = 50.0
     frames: PositiveCount = 120
     seed: Count = 0
-    noise_amplitude: NonNegative = 0.0
+    noise_amplitude: Amplitude = 0.0
     object_radius: Positive = 0.35
     object_luminance: Luminance = 224.0
     background: Luminance = Scene.background

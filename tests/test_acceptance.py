@@ -68,7 +68,7 @@ def _run_looming_trial(
     spec = ScenarioSpec(
         direction=direction, seed=seed, noise_amplitude=noise_amplitude
     )
-    detector = CollisionDetector(camera.width, camera.height)
+    detector = CollisionDetector()
     series: list[tuple[float, float, float, float]] = []
     confirmed_at = None
     for frame in generate_sequence(spec, camera):
@@ -136,7 +136,7 @@ def test_c01_decomposition_identity():
 
 def test_c02_normalization_contract():
     rng = np.random.default_rng(11)
-    params = NormParams.for_resolution(100, 100)
+    params = NormParams()
     vectors = [
         (0.0, 0.0, 0.0, 0.0),
         (5000.0, 0.0, 0.0, 0.0),
@@ -150,7 +150,7 @@ def test_c02_normalization_contract():
     worst = 0.0
     for u0, d0, l0, r0 in vectors:
         k_f0 = u0 + d0 + l0 + r0
-        p = normalize(u0, d0, l0, r0, k_f0, params)
+        p = normalize(u0, d0, l0, r0, k_f0, params, n_cell=100 * 100)
         assert 0.0 <= p.kappa <= 255.0
         worst = max(worst, abs((p.u + p.d + p.l + p.r) - p.kappa))
     print(f"worst share-sum error {worst:.3e} over 1000 vectors")
@@ -177,7 +177,7 @@ def test_c03_convolution_oracle():
 def test_c04_static_scene_silence():
     rng = np.random.default_rng(3)
     image = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
-    detector = CollisionDetector(64, 64)
+    detector = CollisionDetector()
     confirmed = False
     kappas = []
     for index in range(100):
@@ -269,7 +269,7 @@ def test_c08_closed_loop_avoidance():
     disabled = run_trial(
         TrialConfig(
             placement=Placement.CENTERED,
-            norm=NormParams(n_cell=10000, t_s=256.0),
+            norm=NormParams(t_s=256.0),
         )
     )
     assert disabled.outcome is Outcome.COLLIDED
@@ -277,7 +277,7 @@ def test_c08_closed_loop_avoidance():
 
 
 def test_c09_spike_window_rule():
-    params = NormParams(n_cell=100, t_s=150.0, n_sp=4)
+    params = NormParams(t_s=150.0, n_sp=4)
     state = DetectorState()
     flags = []
     for kappa in (200.0, 200.0, 100.0, 200.0, 200.0, 200.0, 200.0):

@@ -4,9 +4,12 @@ on the oldest supported Python."""
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import numpy
 import pytest
 
 from clgmd.cli import main
@@ -15,6 +18,7 @@ yaml = pytest.importorskip("yaml")
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+VERSIONS = 'python -c "import sys, numpy; print(sys.version.split()[0], numpy.__version__)"'
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +56,18 @@ def test_test_extra_lists_pyyaml():
 
 def test_test_step_is_the_tier1_command(workflow):
     assert TIER1 in _runs(workflow)
+
+
+def test_versions_are_printed_before_the_tests(workflow):
+    # Each leg's log records the numpy it installed, ahead of the tests.
+    runs = _runs(workflow)
+    install = next(i for i, run in enumerate(runs) if re.search(r"pip install .*\.\[test\]", run))
+    assert install < runs.index(VERSIONS) < runs.index(TIER1)
+    argv = shlex.split(VERSIONS)
+    printed = subprocess.run(
+        [sys.executable, *argv[1:]], capture_output=True, text=True, check=True
+    ).stdout
+    assert printed == f"{sys.version.split()[0]} {numpy.__version__}\n"
 
 
 def test_a_hung_run_times_out(workflow):

@@ -132,6 +132,10 @@ class TestGenerate:
             (["--distance", "0.3"], "start distance 0.3 is inside the standoff 0.367"),
             # detect rejects a sequence with no frame, so generate writes none.
             (["--frames", "0"], "frames must be positive, got 0"),
+            (
+                ["--noise", "1e308"],
+                "noise_amplitude must be non-negative and at most half the largest float",
+            ),
         ],
     )
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
@@ -248,6 +252,26 @@ class TestDetect:
             f"data error: {seq / 'frame_000000.pgm'}: frame must be at least 5x5 "
             "so the inhibition radius fits, got 4x4\n"
         )
+        assert not stdout and not out.exists()
+
+    def test_one_frame_writes_the_header_only(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        write_pgm(seq / "frame_000000.pgm", np.zeros((9, 9), dtype=np.uint8))
+        out = tmp_path / "o.csv"
+        code, stdout, err = run(["detect", str(seq), "--out", str(out)], capsys)
+        assert code == 0 and not err
+        assert stdout == f"processed 1 frames, wrote 0 rows to {out}\n"
+        assert out.read_bytes() == (",".join(cli.DETECT_COLUMNS) + "\n").encode()
+
+    def test_error_on_the_first_row_writes_nothing(self, tmp_path, capsys, looming):
+        # The grouping scale is checked against each frame's data, on the
+        # first processed frame here, before any row exists.
+        out = tmp_path / "o.csv"
+        argv = ["detect", str(looming[0]), "--set", "delta_c=-1e308", "--out", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: grouping scale is -1e+308;") and err.count("\n") == 1
         assert not stdout and not out.exists()
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
@@ -465,6 +489,10 @@ class TestConfigValues:
             (
                 ["obstacle_distance=0.35", "placement=up", "obstacle_offset=0.1"],
                 "overlaps the start position",
+            ),
+            (
+                ["noise_amplitude=1e308"],
+                "noise_amplitude must be non-negative and at most half the largest float",
             ),
         ],
     )

@@ -166,24 +166,24 @@ class TestAccumulate:
 
 class TestNormalize:
     def test_zero_activity(self):
-        p = normalize(0, 0, 0, 0, 0, NormParams(n_cell=100))
+        p = normalize(0, 0, 0, 0, 0, NormParams(), n_cell=100)
         assert (p.kappa, p.u, p.d, p.l, p.r, p.k_f0) == (0, 0, 0, 0, 0, 0)
 
     def test_equal_sums_split_evenly(self):
-        p = normalize(10, 10, 10, 10, 40, NormParams(n_cell=25))
+        p = normalize(10, 10, 10, 10, 40, NormParams(), n_cell=25)
         assert p.u == p.d == p.l == p.r == pytest.approx(p.kappa / 4.0, rel=1e-12)
 
     def test_proportional_split_worked_example(self):
         # c2 tuned so kappa lands at 200 for k_f0=100 on a 5x5 field
-        params = NormParams(n_cell=25, c2=255.0 / (25.0 * 200.0))
-        p = normalize(60, 20, 15, 5, 100, params)
+        params = NormParams(c2=255.0 / (25.0 * 200.0))
+        p = normalize(60, 20, 15, 5, 100, params, n_cell=25)
         assert p.kappa == pytest.approx(200.0, abs=1e-5)
         assert (p.u, p.d, p.l, p.r) == pytest.approx((120, 40, 30, 10), abs=1e-4)
 
     def test_formula_matches_direct_evaluation(self):
-        params = NormParams(n_cell=400, c1=0.004, c2=0.005, t_s=120.0)
+        params = NormParams(c1=0.004, c2=0.005, t_s=120.0)
         k = 9.0
-        p = normalize(3, 3, 2, 1, k, params)
+        p = normalize(3, 3, 2, 1, k, params, n_cell=400)
         kappa = math.tanh(math.sqrt(k) - 400 * 0.004) / (400 * 0.005) * 255.0
         assert 0.0 < kappa < 255.0  # exercises the unclamped branch
         assert p.kappa == pytest.approx(kappa, rel=1e-12)
@@ -191,11 +191,24 @@ class TestNormalize:
 
     def test_negative_sum_rejected(self):
         with pytest.raises(InputError):
-            normalize(-1, 0, 0, 0, 0, NormParams(n_cell=25))
+            normalize(-1, 0, 0, 0, 0, NormParams(), n_cell=25)
+
+    @pytest.mark.parametrize("n_cell", [0, -25, 1.5, 25.0, True, "25", None])
+    def test_n_cell_must_be_a_positive_count(self, n_cell):
+        with pytest.raises(InputError, match="n_cell must be"):
+            normalize(10, 10, 10, 10, 40, NormParams(), n_cell=n_cell)
+
+    def test_n_cell_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            normalize(10, 10, 10, 10, 40, NormParams(), 25)
+
+    def test_integral_numpy_n_cell_matches_int(self):
+        got = normalize(10, 10, 10, 10, 40, NormParams(), n_cell=np.int64(25))
+        assert got == normalize(10, 10, 10, 10, 40, NormParams(), n_cell=25)
 
     def test_small_activity_clamps_to_zero(self):
         # tanh goes negative below n_cell*c1; clamping must floor at 0
-        p = normalize(1, 0, 0, 0, 1, NormParams(n_cell=10000))
+        p = normalize(1, 0, 0, 0, 1, NormParams(), n_cell=10000)
         assert p.kappa == 0.0 and p.u == 0.0
 
     @given(
@@ -206,7 +219,7 @@ class TestNormalize:
     def test_contract_holds_for_random_sums(self, sums, n_cell):
         u0, d0, l0, r0 = sums
         k = u0 + d0 + l0 + r0
-        p = normalize(u0, d0, l0, r0, k, NormParams(n_cell=n_cell))
+        p = normalize(u0, d0, l0, r0, k, NormParams(), n_cell=n_cell)
         assert 0.0 <= p.kappa <= 255.0
         assert p.u + p.d + p.l + p.r == pytest.approx(p.kappa, abs=1e-6)
         for v in p.as_tuple():
@@ -219,29 +232,24 @@ class TestNormParams:
         # n_cell * (1.0 / n_cell) as written: for 49 that product is not 1.
         assert 49 * (1.0 / 49) != 1.0
         for n_cell in (25, 49, 10_000, 76_800):
-            unset = NormParams(n_cell=n_cell)
-            reciprocal = NormParams(n_cell=n_cell, c2=1.0 / n_cell)
+            unset = NormParams()
+            reciprocal = NormParams(c2=1.0 / n_cell)
             assert unset.c2 is None
             for above in (0.05, 0.3, 1.0, 2.5):
                 k = (n_cell * unset.c1 + above) ** 2
                 sums = (0.4 * k, 0.3 * k, 0.2 * k, 0.1 * k, k)
-                got, want = normalize(*sums, unset), normalize(*sums, reciprocal)
+                got = normalize(*sums, unset, n_cell=n_cell)
+                want = normalize(*sums, reciprocal, n_cell=n_cell)
                 assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
-
-    def test_for_resolution(self):
-        p = NormParams.for_resolution(100, 80)
-        assert p.n_cell == 8000
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            NormParams(n_cell=0)
+            NormParams(c2=-1.0)
         with pytest.raises(ConfigError):
-            NormParams(n_cell=10, c2=-1.0)
-        with pytest.raises(ConfigError):
-            NormParams(n_cell=10, n_sp=0)
+            NormParams(n_sp=0)
 
     def test_disable_threshold_above_255_allowed(self):
-        assert NormParams(n_cell=10, t_s=256.0).t_s == 256.0
+        assert NormParams(t_s=256.0).t_s == 256.0
 
 
 class TestSpikeState:
@@ -254,11 +262,11 @@ class TestSpikeState:
         return flags
 
     def test_all_below_threshold_never_confirms(self):
-        params = NormParams(n_cell=100, t_s=150.0, n_sp=4)
+        params = NormParams(t_s=150.0, n_sp=4)
         assert self.run_stream([100.0] * 20, params) == [False] * 20
 
     def test_four_spikes_confirm_at_fourth(self):
-        params = NormParams(n_cell=100, t_s=150.0, n_sp=4)
+        params = NormParams(t_s=150.0, n_sp=4)
         assert self.run_stream([200, 200, 200, 200], params) == [
             False,
             False,
@@ -267,17 +275,17 @@ class TestSpikeState:
         ]
 
     def test_gap_resets_the_run(self):
-        params = NormParams(n_cell=100, t_s=150.0, n_sp=4)
+        params = NormParams(t_s=150.0, n_sp=4)
         flags = self.run_stream([200, 200, 100, 200, 200, 200, 200], params)
         assert flags == [False, False, False, False, False, False, True]
 
     def test_threshold_is_inclusive(self):
-        params = NormParams(n_cell=100, t_s=150.0, n_sp=1)
+        params = NormParams(t_s=150.0, n_sp=1)
         assert self.run_stream([150.0], params) == [True]
         assert self.run_stream([149.999], params) == [False]
 
     def test_kappa_out_of_range_rejected(self):
-        params = NormParams(n_cell=100)
+        params = NormParams()
         with pytest.raises(InputError):
             update_spike_state(-0.1, params, DetectorState())
         with pytest.raises(InputError):
@@ -286,7 +294,7 @@ class TestSpikeState:
     @given(st.lists(st.sampled_from([0.0, 255.0]), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_confirmed_iff_trailing_run_long_enough(self, kappas):
-        params = NormParams(n_cell=100, t_s=150.0, n_sp=3)
+        params = NormParams(t_s=150.0, n_sp=3)
         state = DetectorState()
         for k in kappas:
             state = update_spike_state(k, params, state)

@@ -4,12 +4,15 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clgmd.competition import NormParams, normalize
 from clgmd.config import _flat_keys, config_from_mappings, load_config_file, parse_config_text
+from clgmd.detector import CollisionDetector
 from clgmd.errors import ConfigError
 from clgmd.flightsim import Placement, TrialConfig
+from clgmd.layers import Frame
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,21 +87,32 @@ class TestBuilders:
         cfg = config_from_mappings({})
         assert isinstance(cfg, TrialConfig)
         assert cfg.core.delta_c == 0.5
-        assert cfg.norm.n_cell == 100 * 100
+        assert cfg.norm == NormParams()
         assert cfg.steering.speed_0 == 0.6
         assert cfg.placement is Placement.LEFT
 
     def test_norm_params_follow_frame_resolution(self):
+        # No key sets n_cell: the detector counts the pixels of its frames.
         cfg = config_from_mappings({"width": "64", "height": "32"})
-        assert cfg.norm.n_cell == 64 * 32
+        assert cfg.norm == NormParams()
+        rng = np.random.default_rng(0)
+        frames = [Frame(i, rng.integers(0, 16, (32, 64), dtype=np.uint8)) for i in range(2)]
+        detector = CollisionDetector(core=cfg.core, norm=cfg.norm)
+        detector.process(frames[0])
+        got = detector.process(frames[1]).potentials
+        sums = (got.k_f0, 0, 0, 0, got.k_f0)
+        assert normalize(*sums, cfg.norm, n_cell=64 * 32).kappa == got.kappa > 254.0
+        assert normalize(*sums, cfg.norm, n_cell=100 * 100).kappa == 0.0
 
     def test_c2_defaults_to_reciprocal_cell_count(self):
         # An unset c2 stays None and normalize reads it as 1 / n_cell.
         norm = config_from_mappings({"width": "64", "height": "48"}).norm
         assert norm.c2 is None
-        k = (norm.n_cell * norm.c1 + 1.0) ** 2
-        explicit = replace(norm, c2=1.0 / (64 * 48))
-        assert normalize(k, 0, 0, 0, k, norm) == normalize(k, 0, 0, 0, k, explicit)
+        n_cell = 64 * 48
+        k = (n_cell * norm.c1 + 1.0) ** 2
+        explicit = replace(norm, c2=1.0 / n_cell)
+        got = normalize(k, 0, 0, 0, k, norm, n_cell=n_cell)
+        assert got == normalize(k, 0, 0, 0, k, explicit, n_cell=n_cell)
         assert config_from_mappings({"c2": "0.01"}).norm.c2 == 0.01
 
     def test_disable_threshold_roundtrip(self):
@@ -134,8 +148,7 @@ class TestBuilders:
 
 class TestSingleSource:
     def test_defaults_are_the_parameter_defaults(self):
-        expected = TrialConfig(norm=NormParams.for_resolution(100, 100))
-        assert config_from_mappings({}) == expected
+        assert config_from_mappings({}) == TrialConfig()
 
     def test_key_types(self):
         kinds = {key: kind for key, kind, _ in _flat_keys()}

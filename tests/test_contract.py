@@ -36,7 +36,7 @@ LUMINANCE = np.zeros((5, 5), dtype=np.uint8)
 # Valid keyword arguments for each checked class, and the error it raises.
 CHECKED = {
     CoreParams: ({}, ConfigError),
-    NormParams: ({"n_cell": 100}, ConfigError),
+    NormParams: ({}, ConfigError),
     SteeringParams: ({}, ConfigError),
     Sphere: ({"center": (4.0, 0.0, 0.0), "radius": 0.3, "luminance": 200.0}, ConfigError),
     Scene: ({}, ConfigError),
@@ -211,7 +211,7 @@ def test_valid_values_pass_their_kind_and_numpy_twins_build_equal_objects(case):
 
 def test_accepted_values_build_equal_objects():
     assert CoreParams(c_w=np.float64(4.0), inhibition_delay=np.int64(0)) == CoreParams()
-    assert NormParams(n_cell=np.int64(100), n_sp=np.int64(4)) == NormParams(n_cell=100)
+    assert NormParams(n_sp=np.int64(4)) == NormParams()
     assert CameraModel(width=np.int64(100)) == CameraModel()
     assert Sphere(np.array([4, 0, 0]), 1, 255) == Sphere((4.0, 0.0, 0.0), 1.0, 255.0)
     assert ScenarioSpec(direction="left") == ScenarioSpec(direction=Direction.LEFT)
@@ -232,9 +232,9 @@ nan, inf = math.nan, math.inf
 @pytest.mark.parametrize(
     "make, error",
     [
-        (lambda: NormParams(n_cell=100, t_s=nan), ConfigError),
-        (lambda: NormParams(n_cell=1.5), ConfigError),
-        (lambda: NormParams(n_cell=True), ConfigError),
+        (lambda: NormParams(t_s=nan), ConfigError),
+        (lambda: NormParams(n_sp=1.5), ConfigError),
+        (lambda: NormParams(n_sp=True), ConfigError),
         (lambda: CoreParams(inhibition_delay=True), ConfigError),
         (lambda: CoreParams(inhibition_delay=1.0), ConfigError),
         (lambda: SteeringParams(speed_0=inf), ConfigError),

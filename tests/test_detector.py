@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from clgmd import detector as detector_module
-from clgmd.competition import accumulate_quadrants, normalize
+from clgmd.competition import NormParams, accumulate_quadrants, build_quadrant_mask, normalize
 from clgmd.detector import CollisionDetector
+from clgmd.errors import InputError
 from clgmd.layers import (
     CoreParams,
     Frame,
@@ -41,19 +42,37 @@ def stress_frames(height, width, count=40):
 @pytest.mark.parametrize("height,width", [(100, 100), (23, 37)])
 def test_reused_buffers_match_fresh_layers(height, width, delay):
     core = CoreParams(inhibition_delay=delay)
-    detector = CollisionDetector(width, height, core=core)
+    detector = CollisionDetector(core=core)
     frames = stress_frames(height, width)
     assert detector.process(frames[0]) is None
+    mask = build_quadrant_mask(width, height)
     prev_p = None
     for prev, curr in zip(frames, frames[1:]):
         p = compute_p_layer(prev, curr)
         # Delay 1 spreads the previous frame's P, once there is one.
         i = compute_inhibition(prev_p if delay and prev_p is not None else p)
         g = compute_g_layer(compute_s_layer(p, i), core)
-        want = normalize(*accumulate_quadrants(g, detector.mask), detector.norm)
+        want = normalize(*accumulate_quadrants(g, mask), NormParams(), n_cell=width * height)
         got = detector.process(curr).potentials
         assert got == want, f"frame {curr.index}"
         prev_p = p
+
+
+def test_first_frame_sizes_the_detector():
+    detector = CollisionDetector()
+    frames = stress_frames(23, 37, count=3)
+    assert detector.process(frames[0]) is None
+    assert detector.process(frames[1]).frame_index == 1
+    other = Frame(2, np.zeros((37, 23), dtype=np.uint8))
+    with pytest.raises(InputError, match="^frame is 23x37, detector expects 37x23$"):
+        detector.process(other)
+    assert detector.process(frames[2]).frame_index == 2
+
+
+def test_size_and_parameters_are_not_positional():
+    for args in ((100, 100), (100, 100, CoreParams()), (CoreParams(),)):
+        with pytest.raises(TypeError):
+            CollisionDetector(*args)
 
 
 def test_delayed_inhibition_spreads_the_previous_p(monkeypatch):
@@ -67,7 +86,7 @@ def test_delayed_inhibition_spreads_the_previous_p(monkeypatch):
         return s
 
     monkeypatch.setattr(detector_module, "compute_s_layer", recording)
-    detector = CollisionDetector(37, 23, core=CoreParams(inhibition_delay=1))
+    detector = CollisionDetector(core=CoreParams(inhibition_delay=1))
     frames = stress_frames(23, 37, count=6)
     for frame in frames:
         detector.process(frame)
@@ -104,7 +123,7 @@ def test_process_calls_each_traced_global_once_per_frame(monkeypatch, delay):
 
     for name in TRACED_GLOBALS:
         monkeypatch.setattr(detector_module, name, counting(name, getattr(detector_module, name)))
-    detector = CollisionDetector(37, 23, core=CoreParams(inhibition_delay=delay))
+    detector = CollisionDetector(core=CoreParams(inhibition_delay=delay))
     frames = stress_frames(23, 37, count=12)
     detector.process(frames[0])
     assert calls == dict.fromkeys(TRACED_GLOBALS, 0)
@@ -118,7 +137,7 @@ def peak_allocation_in_grids(frames, height, width, layer=None):
     grids, on the frames after the first four.  Given the name of a
     ``clgmd.detector`` global, only the calls to it within ``process``
     are measured."""
-    detector = CollisionDetector(width, height, core=CoreParams(inhibition_delay=1))
+    detector = CollisionDetector(core=CoreParams(inhibition_delay=1))
     for frame in frames[:4]:
         detector.process(frame)
     grid_bytes = height * width * 8
@@ -186,7 +205,7 @@ def changes_and_spikes(size, direction):
         if not np.array_equal(a.luminance, b.luminance)
     }
     noisy = generate_sequence(ScenarioSpec(direction=direction, noise_amplitude=5.0), camera)
-    detector = CollisionDetector(size, size)
+    detector = CollisionDetector()
     results = [detector.process(frame) for frame in noisy][1:]
     spikes = {r.frame_index for r in results if r.spike}
     return changed, spikes, [r.frame_index for r in results if r.confirmed]

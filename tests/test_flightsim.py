@@ -203,7 +203,7 @@ class TestTrialConfig:
 
 
 def _quiet_norm():
-    return NormParams(n_cell=100 * 100, t_s=256.0)
+    return NormParams(t_s=256.0)
 
 
 class TestRunTrial:

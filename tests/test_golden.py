@@ -155,7 +155,7 @@ def test_k_f0_is_bit_identical():
                 direction=Direction(direction), seed=0, noise_amplitude=5.0, frames=120
             )
             core = CoreParams(inhibition_delay=delay)
-            detector = CollisionDetector(width, height, core=core)
+            detector = CollisionDetector(core=core)
             for frame in generate_sequence(spec, camera):
                 result = detector.process(frame)
                 if result is not None:

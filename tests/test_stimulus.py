@@ -1,6 +1,7 @@
 """Renderer geometry, scenario trajectories, determinism and mirrors."""
 
 import math
+import sys
 import tracemalloc
 import types
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from clgmd.competition import Quadrant, build_quadrant_mask
 from clgmd.errors import ConfigError, InputError
+from clgmd.flightsim import TrialConfig
 from clgmd.stimulus import (
     CameraModel,
     Direction,
@@ -155,6 +157,17 @@ class TestValidation:
             Scene(background=-5.0)
         with pytest.raises(ConfigError):
             Scene(noise_amplitude=-1.0)
+
+    def test_noise_too_large_to_draw_is_a_config_error(self):
+        # Noise of amplitude a spans 2·a, which must stay a finite float.
+        largest = sys.float_info.max / 2
+        for make in (Scene, ScenarioSpec, TrialConfig):
+            for amplitude in (1e308, math.nextafter(largest, math.inf), math.inf):
+                with pytest.raises(ConfigError, match="^noise_amplitude must be "):
+                    make(noise_amplitude=amplitude)
+            assert make(noise_amplitude=largest).noise_amplitude == largest
+        frame = render_frame(Scene(noise_amplitude=largest), CAM)
+        assert set(np.unique(frame.luminance).tolist()) <= {0, 255}
 
     def test_scene_rejects_non_primitive(self):
         lookalike = types.SimpleNamespace(center=(2.0, 0.0, 0.0), radius=0.3, luminance=200.0)
@@ -450,11 +463,6 @@ class TestWindowedRender:
         assert {0, 255} <= set(np.unique(first.luminance).tolist())
         assert np.array_equal(first.luminance, again.luminance)
         assert not np.shares_memory(first.luminance, again.luminance)
-
-    def test_noise_too_large_to_draw_is_an_input_error(self):
-        scene = Scene(noise_amplitude=1e308)
-        with pytest.raises(InputError, match="too large to draw"):
-            render_frame(scene, CAM)
 
     def test_noisy_render_allocates_under_three_and_a_half_grids(self):
         # The closed-loop start: one sphere 4 m ahead, sensor noise 5.
