@@ -150,21 +150,6 @@ def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -
         )
 
 
-def _slopes(x: float, v: float, radius: float, den: float) -> tuple[float, float]:
-    """Least and greatest s for which the line through the origin along
-    (1, s) passes within ``radius`` of (x, v), given den = x² − radius² > 0.
-
-    These are the roots of den·s² − 2·x·v·s + v² − radius², taken in the
-    form that subtracts no nearly equal terms.
-    """
-    b = x * v
-    q = b + math.copysign(radius * math.sqrt(den + v * v), b)
-    if q == 0.0:  # radius·sqrt(...) underflowed: no usable bound
-        return -math.inf, math.inf
-    s1, s2 = q / den, (v - radius) * (v + radius) / q
-    return min(s1, s2), max(s1, s2)
-
-
 def _span(lo: float, hi: float, n: int) -> slice:
     """Indices in [lo, hi], either of which may be infinite, padded by one
     on each side and clamped to range(n)."""
@@ -173,45 +158,38 @@ def _span(lo: float, hi: float, n: int) -> slice:
     return slice(max(start, 0), min(stop, n))
 
 
-def _forward_slopes(v: float, radius: float, reach: float) -> tuple[float, float]:
-    """Least and greatest s for which the ray along (1, s) hits the circle
-    of ``radius`` about (x, v) at a depth t in (0, reach], given
-    reach = x + radius > 0.
+def _slope_range(v: float, radius: float, near: float, far: float) -> tuple[float, float]:
+    """Least and greatest s with t·s within ``radius`` of v for some depth t
+    in [near, far], given 0 ≤ near < far.
 
-    A hit has t·s within ``radius`` of v.  If v − radius > 0, then
-    s ≥ (v − radius)/t ≥ (v − radius)/reach, and the mirrored bound holds
-    for v + radius < 0; otherwise s is unbounded.
+    The least s is (v − radius)/t at the depth that makes it least: ``far``
+    when v − radius > 0, ``near`` otherwise, where near = 0 leaves it
+    unbounded.  The greatest s mirrors this.
     """
-    if v > radius:
-        return (v - radius) / reach, math.inf
-    if v < -radius:
-        return -math.inf, (v + radius) / reach
-    return -math.inf, math.inf
+    lo, hi = v - radius, v + radius
+    s_lo = lo / far if lo > 0.0 else lo / near if near > 0.0 else -math.inf
+    s_hi = hi / far if hi < 0.0 else hi / near if near > 0.0 else math.inf
+    return s_lo, s_hi
 
 
 def _window(offset, radius: float, camera: CameraModel) -> tuple[slice, slice]:
     """Rows and columns that hold every ray able to hit a sphere at ``offset``.
 
-    A ray (1, s, u) meets the sphere only if its shadows on the xy- and the
-    xz-plane pass within ``radius`` of the center's shadows, which bounds s
-    and u.  A sphere with nothing in front of the camera (x + radius ≤ 0)
-    gets an empty window.  One that reaches the camera plane (|x| ≤ radius)
-    still bounds one side of s when |y| > radius, and of u when
-    |z| > radius, since only forward hits count: its window is one-sided,
-    and the full grid when neither holds.  The one-pixel pad absorbs
-    rounding in these bounds and in the ray quadratic.
+    A hit (t, t·s, t·u) in front of the camera lies in the sphere's bounding
+    box, so its depth t lies in [near, far] = [max(x − radius, 0), x + radius],
+    and t·s and t·u lie within ``radius`` of y and z, which bounds s and u.
+    A sphere with nothing in front of the camera (far ≤ 0) gets an empty
+    window.  One astride the camera plane (near = 0) gets a window bounded
+    on one side of s when |y| > radius, and of u when |z| > radius, and the
+    full grid when neither holds.  The one-pixel pad absorbs rounding in
+    these bounds and in the ray quadratic.
     """
     x, y, z = offset
-    reach = x + radius
-    if not reach > 0.0:
+    near, far = max(x - radius, 0.0), x + radius
+    if not far > 0.0:
         return slice(0, 0), slice(0, 0)
-    den = (x - radius) * reach
-    if den > 0.0:
-        y_lo, y_hi = _slopes(x, y, radius, den)
-        z_lo, z_hi = _slopes(x, z, radius, den)
-    else:
-        y_lo, y_hi = _forward_slopes(y, radius, reach)
-        z_lo, z_hi = _forward_slopes(z, radius, reach)
+    y_lo, y_hi = _slope_range(y, radius, near, far)
+    z_lo, z_hi = _slope_range(z, radius, near, far)
     col_lo, row_lo = camera._pixel(y_hi, z_hi)
     col_hi, row_hi = camera._pixel(y_lo, z_lo)
     return _span(row_lo, row_hi, camera.height), _span(col_lo, col_hi, camera.width)
@@ -348,6 +326,8 @@ def make_scenario(
                 noise_amplitude=spec.noise_amplitude,
             )
         )
+    # A receding sphere is farthest at its last frame.
+    check_reach(scenes[-1].obstacle.center, spec.object_radius, camera)
     return scenes
 
 

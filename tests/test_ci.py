@@ -87,10 +87,16 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     monkeypatch.setenv("RUNNER_TEMP", str(tmp_path))
     lines = [shlex.split(os.path.expandvars(line)) for line in runs[script].splitlines()]
     assert [argv[:2] for argv in lines] == [
-        ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"]
+        ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
+        ["clgmd", "simulate"], ["clgmd", "generate"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
+    # A full default trial whose obstacle passes beside and then behind the
+    # camera, so the render takes windows astride and behind its plane.
+    assert "placement=up" in lines[3] and not any("max_duration" in a for a in lines[3])
+    # A receding sequence: the sphere is farthest at its last frame.
+    assert "--frames" in lines[4] and "--speed=-1.2" in lines[4]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
     for argv in lines:

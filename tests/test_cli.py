@@ -125,6 +125,16 @@ class TestGenerate:
         assert "too large to ray-cast" in err
         assert not out.exists()
 
+    def test_receding_out_of_reach_exits_1(self, tmp_path, capsys):
+        # The start is in reach; the sphere leaves it before the last frame.
+        out = tmp_path / "x"
+        code, stdout, err = run(["generate", str(out), "--frames", "4", "--speed=-1e160"], capsys)
+        assert code == 1
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "too large to ray-cast" in line
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -194,6 +194,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="too large to ray-cast"):
             make_scenario(ScenarioSpec(distance=1e200, frames=1))
 
+    def test_receding_out_of_reach_rejected(self):
+        # The start is in reach; the last frame, 1.8e158 m out, is not.
+        with pytest.raises(ConfigError, match="too large to ray-cast"):
+            make_scenario(ScenarioSpec(speed=-1e160, frames=4))
+        assert len(make_scenario(ScenarioSpec(speed=-1e150, fps=1.0))) == 120
+
     def test_start_inside_standoff_rejected(self):
         with pytest.raises(ConfigError):
             make_scenario(ScenarioSpec(distance=0.3, object_radius=0.35))
@@ -411,6 +417,34 @@ class TestWindowedRender:
         seed=2,
         index=5,
     )
+    @example(  # a camera touching the sphere in front: near = 0, the full grid
+        obstacle=Sphere((5.0, 0.0, 0.0), 5.0, 200.0),
+        camera=CAM,
+        noise=0.0,
+        seed=1,
+        index=3,
+    )
+    @example(  # a camera touching the sphere astride the camera plane
+        obstacle=Sphere((3.0, 4.0, 0.0), 5.0, 200.0),
+        camera=CAM,
+        noise=0.0,
+        seed=1,
+        index=3,
+    )
+    @example(  # the same, touching it above
+        obstacle=Sphere((0.0, 3.0, 4.0), 5.0, 200.0),
+        camera=CAM,
+        noise=0.0,
+        seed=1,
+        index=3,
+    )
+    @example(  # near a tiny positive, so a slope bound leaves the image by far
+        obstacle=Sphere((1.0 + 2**-52, 0.3, 0.2), 1.0, 200.0),
+        camera=CAM,
+        noise=0.0,
+        seed=1,
+        index=3,
+    )
     @example(  # no obstacle
         obstacle=None,
         camera=CAM,
@@ -450,6 +484,17 @@ class TestWindowedRender:
     )
     def test_window_of_a_sphere_astride_the_camera_plane(self, center, rows, cols):
         assert _window(center, 1.0, CAM) == (rows, cols)
+
+    @pytest.mark.parametrize(
+        "center, radius, rows, cols",
+        [
+            ((4.0, 0.25, 0.0), 0.3, slice(44, 56), slice(41, 53)),  # the closed-loop start
+            ((2.0, 1.5, -0.5), 0.35, slice(51, 78), slice(0, 28)),  # partly off screen
+        ],
+    )
+    def test_window_of_a_sphere_in_front_of_the_camera(self, center, radius, rows, cols):
+        # The depth interval [x - R, x + R] bounds each slope on both sides.
+        assert _window(center, radius, CAM) == (rows, cols)
 
     def test_noise_clips_at_both_ends_and_frames_are_fresh(self):
         scene = Scene(
