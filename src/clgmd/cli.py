@@ -7,19 +7,35 @@ Exit codes: 0 success, 1 usage or configuration error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import enum
 import sys
 from dataclasses import asdict
 
-from .config import config_from_mappings, load_config_file, split_key_value
+from .config import config_from_mappings, load_config_file, parse_pairs
 from .detector import CollisionDetector
 from .errors import ConfigError, DataError, InputError, UsageError
 from .layers import Frame
-from .pgm import list_sequence, read_pgm, write_csv, write_sequence
+from .pgm import first_frame_from, list_sequence, read_pgm, write_csv, write_sequence
 from .steering import select_escape
-from .stimulus import CameraModel, Direction, ScenarioSpec, generate_sequence
+from .stimulus import CameraModel, ScenarioSpec, generate_sequence
 from .flightsim import TrialConfig, run_trial, write_trace_csv
 
 DETECT_COLUMNS = "frame,kappa,u,d,l,r,spike,confirmed,escape_axis,escape_value".split(",")
+
+# generate's flags as (flag, owner dataclass, field, help): each flag takes
+# its default, and its type, from the default of the field it sets.
+_GENERATE_FLAGS = (
+    ("--direction", ScenarioSpec, "direction", None),
+    ("--speed", ScenarioSpec, "speed", "m/s, <0 recedes"),
+    ("--distance", ScenarioSpec, "distance", "start distance m"),
+    ("--frames", ScenarioSpec, "frames", None),
+    ("--fps", ScenarioSpec, "fps", None),
+    ("--seed", ScenarioSpec, "seed", None),
+    ("--noise", ScenarioSpec, "noise_amplitude", "uniform noise amplitude, try 5.0"),
+    ("--width", CameraModel, "width", None),
+    ("--height", CameraModel, "height", None),
+    ("--hfov-deg", CameraModel, "hfov_deg", None),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,22 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _override_mapping(pairs: list[str]) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for pair in pairs:
-        key, value = split_key_value(pair, UsageError(f"--set expects KEY=VALUE, got {pair!r}"))
-        if key in mapping:
-            raise UsageError(f"--set {key} is given twice")
-        mapping[key] = value
-    return mapping
-
-
 def _load_config(args) -> TrialConfig:
-    mappings = []
-    if args.config is not None:
-        mappings.append(load_config_file(args.config))
-    mappings.append(_override_mapping(args.overrides))
-    return config_from_mappings(*mappings)
+    in_file = {} if args.config is None else load_config_file(args.config)
+    flags = enumerate(args.overrides, start=1)
+    return config_from_mappings(in_file, parse_pairs((f"--set #{i}", text) for i, text in flags))
 
 
 def _detect_rows(paths, detector: CollisionDetector, steering):
@@ -77,16 +81,18 @@ def cmd_detect(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = ScenarioSpec(
-        direction=Direction(args.direction),
-        speed=args.speed,
-        distance=args.distance,
-        fps=args.fps,
-        frames=args.frames,
-        seed=args.seed,
-        noise_amplitude=args.noise,
+    spec, camera = (
+        owner(**{name: getattr(args, name) for _, cls, name, _ in _GENERATE_FLAGS if cls is owner})
+        for owner in (ScenarioSpec, CameraModel)
     )
-    camera = CameraModel(width=args.width, height=args.height, hfov_deg=args.hfov_deg)
+    # A frame left past the new count would join the new ones into one
+    # sequence, which detect reads whole.
+    stale = first_frame_from(args.out_dir, spec.frames)
+    if stale is not None:
+        raise UsageError(
+            f"{stale} is past --frames {spec.frames}: {args.out_dir} holds a longer "
+            "sequence; generate into an empty directory"
+        )
     frames = generate_sequence(spec, camera)
     manifest = {**asdict(spec), "direction": spec.direction.value, **asdict(camera)}
     write_sequence(args.out_dir, (f.luminance for f in frames), manifest)
@@ -128,24 +134,15 @@ def build_parser() -> _Parser:
 
     generate = sub.add_parser("generate", help="write a synthetic stimulus sequence")
     generate.add_argument("out_dir", help="output directory for frames + manifest")
-    generate.add_argument(
-        "--direction",
-        choices=[d.value for d in Direction],
-        default=ScenarioSpec.direction.value,
-    )
-    for flag, default, help_text in (
-        ("--speed", ScenarioSpec.speed, "m/s, <0 recedes"),
-        ("--distance", ScenarioSpec.distance, "start distance m"),
-        ("--frames", ScenarioSpec.frames, None),
-        ("--fps", ScenarioSpec.fps, None),
-        ("--seed", ScenarioSpec.seed, None),
-        ("--noise", ScenarioSpec.noise_amplitude, "uniform noise amplitude, try 5.0"),
-        ("--width", CameraModel.width, None),
-        ("--height", CameraModel.height, None),
-        ("--hfov-deg", CameraModel.hfov_deg, None),
-    ):
-        kind = int if isinstance(default, int) else float
-        generate.add_argument(flag, type=kind, default=default, help=help_text)
+    for flag, owner, name, help_text in _GENERATE_FLAGS:
+        default = getattr(owner, name)
+        if isinstance(default, enum.Enum):
+            choices = [member.value for member in type(default)]
+            options = {"choices": choices, "default": default.value}
+        else:  # keep the metavar argparse takes from the flag, not from dest
+            metavar = flag[2:].replace("-", "_").upper()
+            options = {"type": type(default), "default": default, "metavar": metavar}
+        generate.add_argument(flag, dest=name, help=help_text, **options)
     generate.set_defaults(func=cmd_generate)
 
     simulate = sub.add_parser(

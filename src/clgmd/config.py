@@ -3,7 +3,8 @@
 One file configures the detector, the steering stage and the closed-loop
 trial.  Lines are `key=value`, `#` starts a comment line, blank lines are
 ignored.  Unknown keys are rejected by name so typos fail loudly.
-Command-line overrides are applied on top of file values.
+Command-line ``--set`` flags are read by the same rules, through
+:func:`parse_pairs`, and applied on top of file values.
 
 The keys build one object, the :class:`~clgmd.flightsim.TrialConfig` they
 describe, with its camera, layer-stack, normalization and steering
@@ -64,8 +65,9 @@ def _flat_keys() -> list[tuple[str, object, object]]:
     return keys
 
 
-_TYPES = {key: kind for key, kind, _ in _flat_keys()}
-_DEFAULTS = {key: default for key, _, default in _flat_keys()}
+_KEYS = _flat_keys()
+_TYPES = {key: kind for key, kind, _ in _KEYS}
+_DEFAULTS = {key: default for key, _, default in _KEYS}
 
 
 def _convert(key: str, text: str):
@@ -85,35 +87,39 @@ def _convert(key: str, text: str):
     return value
 
 
-def split_key_value(text: str, error: Exception) -> tuple[str, str]:
-    """``key=value`` text as its stripped key and value; raises ``error``
-    when the text holds no ``=``."""
-    key, eq, value = text.partition("=")
-    if not eq:
-        raise error
-    return key.strip(), value.strip()
-
-
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """key=value lines to a raw string mapping; comments and blanks skipped,
-    a key set on two lines rejected."""
+def parse_pairs(entries) -> dict[str, str]:
+    """``(where, text)`` entries of ``key=value`` text to a raw string mapping,
+    each split at its first ``=``; a text with no ``=`` or a key set twice
+    raises, naming where (and, for a repeat, where the key was first set)."""
     mapping: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        error = ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, value = split_key_value(line, error)
+    first: dict[str, str] = {}
+    for where, text in entries:
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise ConfigError(f"{where}: expected KEY=VALUE, got {text!r}")
+        key = key.strip()
         if key in mapping:
-            raise ConfigError(f"{source}:{lineno}: {key} is set again (line {first_line[key]})")
-        mapping[key], first_line[key] = value, lineno
+            raise ConfigError(f"{where}: {key} is set again ({first[key]})")
+        mapping[key], first[key] = value.strip(), where
     return mapping
 
 
+def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+    """key=value lines to a raw string mapping; comments and blanks skipped."""
+    return parse_pairs(
+        (f"{source}:{lineno}", line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    )
+
+
 def load_config_file(path) -> dict[str, str]:
-    with open(path, "r") as handle:
-        return parse_config_text(handle.read(), source=str(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config_text(text, source=str(path))
 
 
 def config_from_mappings(*mappings: dict[str, str]) -> TrialConfig:

@@ -8,7 +8,6 @@ the header, as the format allows; the header numbers must be ASCII digits.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 import re
@@ -98,6 +97,17 @@ def write_sequence(directory, images, manifest: dict[str, object] | None = None)
     return paths
 
 
+def first_frame_from(directory, start: int) -> Path | None:
+    """The lowest-numbered frame file in ``directory`` whose index is
+    ``start`` or more, or None."""
+    indexed = [
+        (int(match[1]), path)
+        for path in Path(directory).glob("*.pgm")
+        if (match := _FRAME_NAME.fullmatch(path.name)) and int(match[1]) >= start
+    ]
+    return min(indexed)[1] if indexed else None
+
+
 def list_sequence(directory) -> list[Path]:
     """Numbered frame files in index order.
 
@@ -133,20 +143,20 @@ def list_sequence(directory) -> list[Path]:
 def write_csv(path, columns, rows, verbatim=()) -> int:
     """Header plus one line per row, LF line endings; returns the row count.
 
-    Values in the ``verbatim`` columns are written as they are (``%s``,
-    unquoted, so they must hold no comma, quote or line break), all others
-    as ``%.6f``, through one format string per row.  The file is opened
-    once the first row is produced, or the rows end, so an error raised
-    while producing the first leaves no file; later rows are written as
-    they are produced, so an error raised while producing one leaves the
-    rows before it on disk.
+    Column names, and values in the ``verbatim`` columns, are written as
+    they are (``%s``, unquoted, so they must hold no comma, quote or line
+    break), all other values as ``%.6f``, through one format string per
+    row.  The file is opened once the first row is produced, or the rows
+    end, so an error raised while producing the first leaves no file; later
+    rows are written as they are produced, so an error raised while
+    producing one leaves the rows before it on disk.
     """
     line = ",".join("%s" if column in verbatim else "%.6f" for column in columns) + "\n"
     rows = iter(rows)
     first = list(itertools.islice(rows, 1))
     count = 0
     with open(path, "w", newline="\n") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(columns)
+        handle.write(",".join(columns) + "\n")
         for row in itertools.chain(first, rows):
             handle.write(line % tuple(row))
             count += 1

@@ -310,10 +310,15 @@ def make_scenario(
     check_reach(start, spec.object_radius, camera)
     span = float(np.linalg.norm(start))
     toward = -start / span
+    travels = [min(speed * i / spec.fps, span - standoff) for i in range(spec.frames)]
+    # Only a receding travel is unclamped; it is longest at the last frame.
+    if not math.isfinite(travels[-1]):
+        raise ConfigError(
+            f"speed {spec.speed} at fps {spec.fps} overflows the travel "
+            f"over {spec.frames} frames"
+        )
     scenes = []
-    for i in range(spec.frames):
-        travel = speed * i / spec.fps
-        travel = min(travel, span - standoff)
+    for travel in travels:
         sphere = Sphere(
             center=tuple(start + toward * travel),
             radius=spec.object_radius,

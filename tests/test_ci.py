@@ -43,6 +43,22 @@ def test_matrix_includes_the_requires_python_floor(workflow):
     assert floor in [str(v) for v in versions]
 
 
+def test_a_leg_pins_the_declared_numpy_floor(workflow):
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^    "numpy>=([\d.]+)",$', pyproject, re.M).group(1)
+    python = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M).group(1)
+    matrix = workflow["jobs"]["tests"]["strategy"]["matrix"]
+    assert matrix["numpy"] == ["newest"]
+    legs = [{key: str(value) for key, value in leg.items()} for leg in matrix["include"]]
+    assert {"python-version": python, "numpy": f"{floor}.*"} in legs
+    # The pin replaces the numpy the test extra resolved, ahead of the tests.
+    runs = _runs(workflow)
+    install = next(i for i, run in enumerate(runs) if re.search(r"pip install .*\.\[test\]", run))
+    pin = runs.index('pip install "numpy==${{ matrix.numpy }}"')
+    assert install < pin < runs.index(TIER1)
+    assert workflow["jobs"]["tests"]["steps"][pin]["if"] == "matrix.numpy != 'newest'"
+
+
 def test_installs_the_test_extra(workflow):
     assert any(re.search(r"pip install .*\.\[test\]", run) for run in _runs(workflow))
 

@@ -146,6 +146,11 @@ class TestGenerate:
                 ["--noise", "1e308"],
                 "noise_amplitude must be non-negative and at most half the largest float",
             ),
+            # A receding travel past the largest float, not a nan centre.
+            (
+                ["--speed=-1e308", "--frames", "3"],
+                "speed -1e+308 at fps 50.0 overflows the travel over 3 frames",
+            ),
         ],
     )
     def test_bad_spec_writes_nothing(self, tmp_path, capsys, flags, message):
@@ -154,6 +159,24 @@ class TestGenerate:
         assert code == 1
         assert message in err
         assert not out.exists()
+
+    def test_shorter_rerun_into_a_used_directory_exits_1(self, tmp_path, capsys):
+        # detect would read the old frames past the new count as part of
+        # the new sequence.
+        out = tmp_path / "d"
+        argv = ["generate", str(out), "--width", "16", "--height", "16"]
+        assert run([*argv, "--frames", "6", "--direction", "left"], capsys)[0] == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        code, stdout, err = run([*argv, "--frames", "3", "--seed", "5"], capsys)
+        assert code == 1 and not stdout
+        assert err == (
+            f"error: {out / 'frame_000003.pgm'} is past --frames 3: {out} holds a longer "
+            "sequence; generate into an empty directory\n"
+        )
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        for frames in ("6", "8"):  # the same or a larger count overwrites
+            assert run([*argv, "--frames", frames, "--direction", "up"], capsys)[0] == 0
+        assert len(list(out.glob("*.pgm"))) == 8
 
     def test_bad_direction_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
@@ -404,8 +427,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "source, message",
         [
-            (["--config", "run.cfg"], "run.cfg:3: t_s is set again (line 1)"),
-            (["--set", "t_s=100", "--set", "t_s=200"], "--set t_s is given twice"),
+            (["--config", "run.cfg"], "run.cfg:3: t_s is set again (run.cfg:1)"),
+            (["--set", "t_s=100", "--set", "t_s=200"], "--set #2: t_s is set again (--set #1)"),
         ],
         ids=["config-file", "set-flag"],
     )
@@ -418,6 +441,15 @@ class TestSimulate:
         assert code == 1
         assert err == f"error: {message}\n"
         assert not stdout and not (tmp_path / "t.csv").exists()
+
+    def test_config_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"t_s=100\n\xff\xfe\n")
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 1 and not stdout
+        assert err.startswith(f"error: {cfg}: not UTF-8 text (") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file_drives_trial(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -674,4 +706,4 @@ class TestUsage:
         write_pgm(seq / "frame_000000.pgm", np.zeros((9, 9), dtype=np.uint8))
         code, _, err = run(["detect", str(seq), "--set", "t_s:150"], capsys)
         assert code == 1
-        assert "KEY=VALUE" in err
+        assert err == "error: --set #1: expected KEY=VALUE, got 't_s:150'\n"

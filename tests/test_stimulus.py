@@ -1,6 +1,7 @@
 """Renderer geometry, scenario trajectories, determinism and mirrors."""
 
 import math
+import re
 import sys
 import tracemalloc
 import types
@@ -199,6 +200,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="too large to ray-cast"):
             make_scenario(ScenarioSpec(speed=-1e160, frames=4))
         assert len(make_scenario(ScenarioSpec(speed=-1e150, fps=1.0))) == 120
+
+    @pytest.mark.parametrize(
+        "speed, fps, frames", [(-1e308, 50.0, 3), (-1e160, 1e-300, 2)], ids=["speed", "fps"]
+    )
+    def test_receding_travel_that_overflows_rejected(self, speed, fps, frames):
+        # speed * i / fps is -inf: rejected by name, before -inf * 0 makes
+        # a nan centre (and numpy's warning).
+        message = f"speed {speed} at fps {fps} overflows the travel over {frames} frames"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_scenario(ScenarioSpec(speed=speed, fps=fps, frames=frames))
+
+    def test_approach_that_overflows_parks_at_the_standoff(self):
+        scenes = make_scenario(ScenarioSpec(speed=1e308, frames=3))
+        assert scenes[1].obstacle.center == scenes[2].obstacle.center
 
     def test_start_inside_standoff_rejected(self):
         with pytest.raises(ConfigError):
