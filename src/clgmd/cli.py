@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import sys
 from dataclasses import asdict
 
@@ -95,8 +96,8 @@ def cmd_generate(args) -> int:
         )
     frames = generate_sequence(spec, camera)
     manifest = {**asdict(spec), "direction": spec.direction.value, **asdict(camera)}
-    write_sequence(args.out_dir, (f.luminance for f in frames), manifest)
-    print(f"wrote {len(frames)} frames to {args.out_dir}")
+    paths = write_sequence(args.out_dir, (f.luminance for f in frames), manifest)
+    print(f"wrote {len(paths)} frames to {args.out_dir}")
     return 0
 
 
@@ -107,7 +108,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: a parse keeps no
+    state in it."""
     parser = _Parser(
         prog="clgmd",
         description="Competitive looming detection: run it on frame sequences, "
@@ -130,7 +134,6 @@ def build_parser() -> _Parser:
     )
     detect.add_argument("frames_dir", help="directory of numbered P5 PGM frames")
     detect.add_argument("--out", default="detections.csv", help="output CSV path")
-    detect.set_defaults(func=cmd_detect)
 
     generate = sub.add_parser("generate", help="write a synthetic stimulus sequence")
     generate.add_argument("out_dir", help="output directory for frames + manifest")
@@ -143,21 +146,20 @@ def build_parser() -> _Parser:
             metavar = flag[2:].replace("-", "_").upper()
             options = {"type": type(default), "default": default, "metavar": metavar}
         generate.add_argument(flag, dest=name, help=help_text, **options)
-    generate.set_defaults(func=cmd_generate)
 
     simulate = sub.add_parser(
         "simulate", parents=[run_config], help="run one closed-loop avoidance trial"
     )
     simulate.add_argument("--out", default="trace.csv", help="trace CSV path")
-    simulate.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # Looked up by name at each call, not bound into the parser built
+        # once, so a cmd_* replaced on this module is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

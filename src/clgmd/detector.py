@@ -8,7 +8,8 @@ once, at that frame's size, and reused for each later frame, which must
 have the same size; the normalization's n_cell is its pixel count.  P is
 kept in two int16 grids, the current and the previous frame's, so
 inhibition sums it in int16 and, with ``inhibition_delay`` 1, spreads the
-previous one; I, S and G are float64.
+previous one.  I, S and G are float64 and share one grid: S is written
+over I and G over S, as each stage is the last reader of the one before.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ class CollisionDetector:
         # grid and then swaps them, so the previous P, which inhibition reads
         # when inhibition_delay is 1, survives in the other.
         self._p_grids = [np.empty((height, width), dtype=np.int16) for _ in range(2)]
-        self._i: Grid = np.empty((height, width))
-        self._s: Grid = np.empty((height, width))
-        self._g: Grid = np.empty((height, width))
+        self._grid: Grid = np.empty((height, width))
         self._scratch = StencilScratch(height, width)
 
     def process(self, frame: Frame) -> DetectionResult | None:
@@ -96,9 +95,9 @@ class CollisionDetector:
         # inhibition_delay 1 spreads the previous frame's P; the first
         # processed frame has none and spreads its own.
         source = self._prev_p if self.core.inhibition_delay and self._prev_p is not None else p
-        i = compute_inhibition(source, out=self._i, scratch=self._scratch)
-        s = compute_s_layer(p, i, out=self._s)
-        g = compute_g_layer(s, self.core, out=self._g, scratch=self._scratch)
+        i = compute_inhibition(source, out=self._grid, scratch=self._scratch)
+        s = compute_s_layer(p, i, out=i)
+        g = compute_g_layer(s, self.core, out=s, scratch=self._scratch)
         u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self._mask)
         potentials = normalize(u0, d0, l0, r0, k_f0, self.norm, n_cell=self._n_cell)
         self.state = update_spike_state(potentials.kappa, self.norm, self.state)

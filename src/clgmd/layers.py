@@ -38,8 +38,11 @@ the border so output dimensions match the input:
 ``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
 ``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
 the two stencils a ``scratch=`` :class:`StencilScratch` of work buffers.
-Omitted, each is allocated fresh.  Each scratch buffer has one role: the
-int16 ones belong to inhibition, the row sums and candidate mask to G, and
+Omitted, each is allocated fresh.  S may be written over I
+(``compute_s_layer(p, i, out=i)``) and G over S
+(``compute_g_layer(s, core, out=s)``), so the float64 stages share one
+grid.  Each scratch buffer has one role: the int16 ones belong to
+inhibition, the row sums, then |box * S|, and the candidate mask to G, and
 ``tmp`` holds one stage's float work at a time.  A float64 inhibition
 source, which the detector never hands over, gets its padded copy, pair
 sums and tap table built per call.  The functions keep no state between
@@ -187,9 +190,9 @@ class StencilScratch:
     ``rows``, its box row sums between a zero row above and below (again a
     border nothing writes), with ``row_sums`` the flat run the row adds
     write and ``above``, ``centre`` and ``below`` the three row views the
-    column sum adds; and ``keep``, its candidate mask.  ``tmp`` holds a
-    weighted inhibition group, then G's box sum; neither stage reads it on
-    entry.
+    column sum adds, after which ``centre`` takes |box * S|; and ``keep``,
+    its candidate mask.  ``tmp`` holds a weighted inhibition group, then
+    G's box sum; neither stage reads it on entry.
     """
 
     def __init__(self, height: int, width: int) -> None:
@@ -307,6 +310,7 @@ def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
 
     ``e`` may be the int16 P grid: it is widened to float64 exactly, then
     the float64 ``i`` is subtracted, so S equals the float64 subtraction.
+    ``out`` may be ``i``: each cell is read before it is written.
     """
     if e.shape != i.shape:
         raise InputError(f"summing input: shapes differ, {e.shape} vs {i.shape}")
@@ -362,7 +366,9 @@ def compute_g_layer(
     bound of every survivor's (see ``_grouping_bound``).  Only there is
     Ce = box / 9.0 formed and the decay rule run, with the same roundings
     as on the whole grid; the rest of ``out`` is zero.  The cost follows
-    the number of candidates: with ``t_de=0`` every cell is one.
+    the number of candidates: with ``t_de=0`` every cell is one.  |box * S|
+    goes into the scratch's dead row sums, so S is read whole before
+    ``out`` is written, and ``out`` may be ``s``.
     """
     h, w = s.shape
     if scratch is None:
@@ -387,8 +393,9 @@ def compute_g_layer(
             f"grouping scale is {omega}; delta_c must keep it positive when Ce is zero"
         )
     bound = _grouping_bound(omega, params.c_de, params.t_de)
-    np.abs(np.multiply(box, s, out=out), out=out)
-    candidates = np.flatnonzero(np.greater_equal(out, bound, out=scratch.keep))
+    # The row sums are dead once the box sum exists.
+    np.abs(np.multiply(box, s, out=inner), out=inner)
+    candidates = np.flatnonzero(np.greater_equal(inner, bound, out=scratch.keep))
     # Ce, Ce * S and G on the candidates, rounded as on the whole grid.
     g = box.ravel()[candidates]
     g /= 9.0

@@ -83,11 +83,19 @@ def frame_path(directory, index: int) -> Path:
 
 
 def write_sequence(directory, images, manifest: dict[str, object] | None = None) -> list[Path]:
-    """Write numbered frames plus a key=value manifest; returns the paths."""
+    """Write numbered frames plus a key=value manifest; returns the paths.
+
+    Each image is written as it is produced.  The directory is made once
+    the first image, or with no images the manifest, is ready, so an error
+    raised while producing the first image leaves nothing behind; as in
+    :func:`write_csv`, the frames before a later error stay on disk.
+    """
     directory = Path(directory)
+    images = iter(images)
+    first = list(itertools.islice(images, 1))
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for i, img in enumerate(images):
+    for i, img in enumerate(itertools.chain(first, images)):
         path = frame_path(directory, i)
         write_pgm(path, img)
         paths.append(path)

@@ -6,13 +6,16 @@ A scene holds at most one flat-shaded sphere, given in the camera's
 frame; a pixel takes its luminance exactly when its ray hits the sphere
 in front of the camera.  Scenario builders move the sphere along a
 straight constant-bearing line toward the camera so the silhouette
-expands in place inside one quadrant of the field of view.
+expands in place inside one quadrant of the field of view.  A sequence is
+rendered one frame at a time, each into one float64 image, so its memory
+does not grow with its length.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -201,16 +204,20 @@ def render_frame(
     """Render one frame; noise (if any) is keyed by (seed, index).
 
     The obstacle is ray-cast only over the window of pixels it can cover,
-    with the window's slopes computed per call.
-    Noise of amplitude a is drawn as ``default_rng((seed, index)).random``
-    and scaled in place to ``-a + 2a·r``, bit for bit numpy's
-    ``uniform(-a, a)``.  The image is clipped to [0, 255] (only if noise
-    can take it out) and rounded half to even in place, and ``Frame`` gets
-    a fresh uint8 copy, as the detector keeps the previous frame.
+    with the window's slopes computed per call.  The image is one float64
+    buffer.  Noise of amplitude a is drawn into it as
+    ``default_rng((seed, index)).random`` and scaled in place to
+    ``-a + 2a·r``, bit for bit numpy's ``uniform(-a, a)``.  The noise under
+    the obstacle is set aside with its luminance added, the background is
+    added everywhere, and the obstacle's pixels are written back: addition
+    commutes, so every pixel is its level plus its noise, rounded once.
+    Without noise the buffer is filled with the background.  The image is
+    clipped to [0, 255] (only if noise can take it out) and rounded half to
+    even in place, and ``Frame`` gets a fresh uint8 copy, as the detector
+    keeps the previous frame.
     """
     index = check_value("index", Count, index, InputError)
     seed = check_value("seed", Count, seed, InputError)
-    img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
     levels = [scene.background]
     obj = scene.obstacle
     if obj is not None:
@@ -218,16 +225,24 @@ def render_frame(
         if obj.clearance() < 0:
             raise InputError(f"the camera is inside {obj!r}")
         rows, cols = _window(obj.center, obj.radius, camera)
-        t = obj.intersect(*camera._ray_slopes(rows, cols))
-        img[rows, cols][np.isfinite(t)] = obj.luminance
-        levels.append(obj.luminance)
+        hit = np.isfinite(obj.intersect(*camera._ray_slopes(rows, cols)))
+        on_obj = obj.luminance
+        levels.append(on_obj)
+    shape = (camera.height, camera.width)
     amplitude = scene.noise_amplitude
     if amplitude > 0.0:
         span = amplitude - (-amplitude)
-        noise = np.random.default_rng((seed, index)).random(img.shape)
-        noise *= span
-        noise += -amplitude
-        img += noise
+        img = np.random.default_rng((seed, index)).random(shape)
+        img *= span
+        img += -amplitude
+        if obj is not None:
+            on_obj = img[rows, cols][hit]
+            on_obj += obj.luminance
+        img += scene.background
+    else:
+        img = np.full(shape, scene.background)
+    if obj is not None:
+        img[rows, cols][hit] = on_obj
     # Noise lies in [-a, a], and rounding is monotone, so the image can leave
     # [0, 255] only if a level does once a is added or taken away.
     if min(levels) - amplitude < 0.0 or max(levels) + amplitude > 255.0:
@@ -293,6 +308,43 @@ def _start_position(
     return np.array([x, ortho, z * vertical])
 
 
+def _scenes(spec: ScenarioSpec, camera: CameraModel) -> Iterator[Scene]:
+    """The scenes of :func:`make_scenario`, each built when it is asked
+    for; the spec is checked at the call."""
+    rng = np.random.default_rng(spec.seed)
+    start = _start_position(spec, camera, rng)
+    speed = spec.speed * rng.uniform(0.9, 1.1)
+    standoff = spec.object_radius * _STANDOFF_RADII
+    check_reach(start, spec.object_radius, camera)
+    span = float(np.linalg.norm(start))
+    toward = -start / span
+
+    def travel(i: int) -> float:
+        return min(speed * i / spec.fps, span - standoff)
+
+    # Only a receding travel is unclamped; it is longest at the last frame,
+    # where the sphere is farthest.
+    last = travel(spec.frames - 1)
+    if not math.isfinite(last):
+        raise ConfigError(
+            f"speed {spec.speed} at fps {spec.fps} overflows the travel "
+            f"over {spec.frames} frames"
+        )
+    check_reach(start + toward * last, spec.object_radius, camera)
+    return (
+        Scene(
+            obstacle=Sphere(
+                center=tuple(start + toward * travel(i)),
+                radius=spec.object_radius,
+                luminance=spec.object_luminance,
+            ),
+            background=spec.background,
+            noise_amplitude=spec.noise_amplitude,
+        )
+        for i in range(spec.frames)
+    )
+
+
 def make_scenario(
     spec: ScenarioSpec, camera: CameraModel | None = None
 ) -> list[Scene]:
@@ -302,46 +354,21 @@ def make_scenario(
     parks at a small standoff just outside its own radius, so the
     silhouette expands without the camera ever entering the object.
     """
-    camera = camera if camera is not None else CameraModel()
-    rng = np.random.default_rng(spec.seed)
-    start = _start_position(spec, camera, rng)
-    speed = spec.speed * rng.uniform(0.9, 1.1)
-    standoff = spec.object_radius * _STANDOFF_RADII
-    check_reach(start, spec.object_radius, camera)
-    span = float(np.linalg.norm(start))
-    toward = -start / span
-    travels = [min(speed * i / spec.fps, span - standoff) for i in range(spec.frames)]
-    # Only a receding travel is unclamped; it is longest at the last frame.
-    if not math.isfinite(travels[-1]):
-        raise ConfigError(
-            f"speed {spec.speed} at fps {spec.fps} overflows the travel "
-            f"over {spec.frames} frames"
-        )
-    scenes = []
-    for travel in travels:
-        sphere = Sphere(
-            center=tuple(start + toward * travel),
-            radius=spec.object_radius,
-            luminance=spec.object_luminance,
-        )
-        scenes.append(
-            Scene(
-                obstacle=sphere,
-                background=spec.background,
-                noise_amplitude=spec.noise_amplitude,
-            )
-        )
-    # A receding sphere is farthest at its last frame.
-    check_reach(scenes[-1].obstacle.center, spec.object_radius, camera)
-    return scenes
+    return list(_scenes(spec, camera if camera is not None else CameraModel()))
 
 
 def generate_sequence(
     spec: ScenarioSpec, camera: CameraModel | None = None
-) -> list[Frame]:
+) -> Iterator[Frame]:
+    """The frames of :func:`make_scenario`'s scenes, each rendered when it
+    is asked for.
+
+    The spec is checked at the call.  Neither a scene nor a frame is kept
+    once returned, so memory does not grow with ``spec.frames``.  Wrap the
+    iterator in ``list()`` to index it.
+    """
     camera = camera if camera is not None else CameraModel()
-    scenes = make_scenario(spec, camera)
-    return [
+    return (
         render_frame(scene, camera, index=i, seed=spec.seed)
-        for i, scene in enumerate(scenes)
-    ]
+        for i, scene in enumerate(_scenes(spec, camera))
+    )

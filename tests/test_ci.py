@@ -104,7 +104,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     lines = [shlex.split(os.path.expandvars(line)) for line in runs[script].splitlines()]
     assert [argv[:2] for argv in lines] == [
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
-        ["clgmd", "simulate"], ["clgmd", "generate"],
+        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -113,6 +113,12 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert "placement=up" in lines[3] and not any("max_duration" in a for a in lines[3])
     # A receding sequence: the sphere is farthest at its last frame.
     assert "--frames" in lines[4] and "--speed=-1.2" in lines[4]
+    # A noisy 320x240 sequence, whose float64 render image is past glibc's
+    # 128 KiB mmap threshold, read back through the delayed-inhibition path,
+    # which spreads the previous P while I, S and G share one grid.
+    assert lines[5][2:] == [lines[6][2], "--frames", "4", "--width", "320", "--height", "240",
+                            "--noise", "5"]
+    assert lines[6][3:5] == ["--set", "inhibition_delay=1"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
     for argv in lines:

@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -183,6 +184,25 @@ class TestGenerate:
             ["generate", str(tmp_path / "x"), "--direction", "diagonal"], capsys
         )
         assert code == 1
+
+
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, capsys):
+        # Each frame is written as it is rendered and then dropped: past
+        # set-up, an extra frame adds only its path to the peak, far less
+        # than its pixels.
+        size = ["--width", "64", "--height", "48", "--noise", "5"]
+        assert run(["generate", str(tmp_path / "warm"), "--frames", "2", *size], capsys)[0] == 0
+
+        def peak(frames):
+            argv = ["generate", str(tmp_path / f"seq{frames}"), "--frames", str(frames), *size]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(60) - peak(6)) / (60 - 6) < 64 * 48 / 2
 
 
 class TestDetect:
@@ -657,6 +677,21 @@ class TestBenchmarkHooks:
         argv = ["simulate", "--set", "width=32", "--set", "height=24", "--out", str(out)]
         assert run(argv, capsys)[0] == 0
         assert calls == {"render_frame": len(read_rows(out))} != {"render_frame": 0}
+
+
+    def test_parser_is_built_once_and_a_patched_command_runs(self, tmp_path, capsys, monkeypatch):
+        # The parser outlives a call, but the command is looked up at each
+        # one, so a probe set on cli.cmd_detect after the first still runs.
+        cli.build_parser.cache_clear()
+        seq = tmp_path / "seq"
+        assert run(["generate", str(seq), "--frames", "3"], capsys)[0] == 0
+        calls = counting(monkeypatch, cli, ("cmd_detect",))
+        argv = ["detect", str(seq), "--out", str(tmp_path / "d.csv"), "--set", "t_s=100"]
+        assert run(argv, capsys)[0] == 0
+        assert calls == {"cmd_detect": 1}
+        assert cli.build_parser.cache_info().misses == 1
+        # An appended flag does not leak into the next parse.
+        assert cli.build_parser().parse_args(argv[:2]).overrides == []
 
 
 # Set in the child before numpy loads: an address space that no camera

@@ -1,6 +1,7 @@
-"""Drawn command lines at numeric extremes, and corrupted frame sequences:
-``main`` returns a documented exit code, nothing escapes it, not even a
-warning, and a rejected run leaves no file behind.
+"""Drawn command lines and ``--config`` files at numeric extremes, and
+corrupted frame sequences: ``main`` returns a documented exit code,
+nothing escapes it, not even a warning, and a rejected run leaves no file
+behind.
 
 No drawn value may size an allocation or a loop: ``--frames`` stays at
 most 3, a camera side at most 16 and a trial at most 50 steps, because a
@@ -61,10 +62,33 @@ def generate_flags(draw):
 
 
 @st.composite
-def set_flags(draw):
-    """One or two distinct ``--set`` keys, each at an extreme."""
-    chosen = draw(st.lists(st.sampled_from(sorted(DEFAULTS)), min_size=1, max_size=2, unique=True))
+def set_flags(draw, most=2, keys=tuple(sorted(DEFAULTS))):
+    """One to ``most`` distinct ``--set`` keys of ``keys``, each at an extreme."""
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=most, unique=True))
     return {key: draw(_values(key, KINDS[key])) for key in chosen}
+
+
+# Lines a config file may hold besides its keys, the last three faults.
+CONFIG_NOISE = {
+    "comment": b"# a comment",
+    "blank": b"  ",
+    "no equals sign": b"t_s 150",
+    "repeated key": None,  # the first drawn key, set again
+    "not UTF-8": b"# caf\xe9",
+}
+
+
+@st.composite
+def config_files(draw):
+    """``--config`` bytes: the small base case and one to four drawn keys,
+    each at an extreme, with some of ``CONFIG_NOISE`` among them; and the
+    drawn keys' mapping."""
+    drawn = draw(set_flags(4, sorted(set(DEFAULTS) - set(RUN_BASE))))
+    lines = [f"{key}={value}".encode() for key, value in {**RUN_BASE, **drawn}.items()]
+    for name in draw(st.lists(st.sampled_from(sorted(CONFIG_NOISE)), max_size=3)):
+        line = CONFIG_NOISE[name] or f"{next(iter(drawn))}=1".encode()
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return b"\n".join(lines) + b"\n", drawn
 
 
 def _run(argv):
@@ -180,5 +204,29 @@ def test_simulate(overrides):
     with tempfile.TemporaryDirectory() as root:
         out = Path(root) / "trace.csv"
         code, _ = _run(["simulate", "--out", str(out), *_run_config(root, overrides)])
+        if code == 1:
+            assert not out.exists()
+
+
+@FUZZ
+@given(config=config_files(), overrides=set_flags(3), command=st.sampled_from(["detect", "simulate"]))
+def test_config_file_and_set_flags(config, overrides, command):
+    text, in_file = config
+    if command == "simulate":
+        steps = _steps({**in_file, **overrides})
+        assume(steps is None or steps <= 50 or steps > MAX_STEPS + 1)
+    with tempfile.TemporaryDirectory() as root:
+        path, out = Path(root) / "run.cfg", Path(root) / "out.csv"
+        path.write_bytes(text)
+        flags = ["--config", str(path), *(f"--set={key}={value}" for key, value in overrides.items())]
+        argv = [command, "--out", str(out), *flags]
+        if command == "detect":
+            seq = Path(root) / "seq"
+            seq.mkdir()
+            _write_frames(seq, "none", 0)
+            argv.insert(1, str(seq))
+        code, err = _run(argv)
+        if command == "detect":
+            assert code in (0, 1), err
         if code == 1:
             assert not out.exists()

@@ -12,6 +12,7 @@ from clgmd.errors import InputError
 from clgmd.layers import (
     CoreParams,
     Frame,
+    StencilScratch,
     compute_g_layer,
     compute_inhibition,
     compute_p_layer,
@@ -56,6 +57,24 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
         got = detector.process(curr).potentials
         assert got == want, f"frame {curr.index}"
         prev_p = p
+
+
+@pytest.mark.parametrize("core", [CoreParams(), CoreParams(t_de=0.0)], ids=["default", "t_de=0"])
+@pytest.mark.parametrize("height,width", [(100, 100), (23, 37)])
+def test_s_over_i_and_g_over_s_match_fresh_layers(height, width, core):
+    # The detector keeps I, S and G in one grid, each written over the last.
+    scratch = StencilScratch(height, width)
+    frames = stress_frames(height, width)
+    for prev, curr in zip(frames, frames[1:]):
+        p = compute_p_layer(prev, curr)
+        i = compute_inhibition(p)
+        s = compute_s_layer(p, i)
+        g = compute_g_layer(s, core)
+        grid = i.copy()
+        assert compute_s_layer(p, grid, out=grid) is grid
+        assert grid.tobytes() == s.tobytes(), f"S, frame {curr.index}"
+        assert compute_g_layer(grid, core, out=grid, scratch=scratch) is grid
+        assert grid.tobytes() == g.tobytes(), f"G, frame {curr.index}"
 
 
 def test_first_frame_sizes_the_detector():
@@ -182,7 +201,7 @@ def test_looming_frame_allocates_under_half_a_grid():
     # On a looming sequence G keeps under 2 % of its cells, and the
     # quadrant sums allocate only for those.
     spec = ScenarioSpec(seed=0, noise_amplitude=5.0)
-    frames = generate_sequence(spec, CameraModel(width=320, height=240))
+    frames = list(generate_sequence(spec, CameraModel(width=320, height=240)))
     assert peak_allocation_in_grids(frames, 240, 320) < 0.5
 
 
@@ -190,7 +209,7 @@ def test_looming_g_layer_allocates_under_a_tenth_of_a_grid():
     # The G layer's candidate indices and values follow the few cells that
     # can survive the decay, not the grid.
     spec = ScenarioSpec(seed=0, noise_amplitude=5.0)
-    frames = generate_sequence(spec, CameraModel(width=320, height=240))
+    frames = list(generate_sequence(spec, CameraModel(width=320, height=240)))
     assert peak_allocation_in_grids(frames, 240, 320, layer="compute_g_layer") < 0.1
 
 
@@ -199,7 +218,7 @@ def changes_and_spikes(size, direction):
     noise-free render differs from the one before, the frames on which the
     detector spikes with noise 5, and those on which it confirms."""
     camera = CameraModel(width=size, height=size, hfov_deg=90.0)
-    clean = generate_sequence(ScenarioSpec(direction=direction), camera)
+    clean = list(generate_sequence(ScenarioSpec(direction=direction), camera))
     changed = {
         b.index for a, b in zip(clean, clean[1:])
         if not np.array_equal(a.luminance, b.luminance)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from clgmd import stimulus
 from clgmd.competition import Quadrant, build_quadrant_mask
 from clgmd.errors import ConfigError, InputError
 from clgmd.flightsim import TrialConfig
@@ -226,8 +227,23 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="frames must be positive, got 0"):
             ScenarioSpec(frames=0)
 
+    def test_sequence_is_checked_at_the_call_and_rendered_on_demand(self, monkeypatch):
+        with pytest.raises(ConfigError, match="too large to ray-cast"):
+            generate_sequence(ScenarioSpec(speed=-1e160, frames=4))
+        rendered = []
+
+        def counting(*args, **kwargs):
+            rendered.append(kwargs["index"])
+            return render_frame(*args, **kwargs)
+
+        monkeypatch.setattr(stimulus, "render_frame", counting)
+        frames = generate_sequence(ScenarioSpec(frames=5), CAM)
+        assert rendered == []
+        assert next(frames).index == 0 and rendered == [0]
+        assert [frame.index for frame in frames] == [1, 2, 3, 4] == rendered[1:]
+
     def test_sequence_length(self):
-        assert len(generate_sequence(ScenarioSpec(frames=17))) == 17
+        assert len(list(generate_sequence(ScenarioSpec(frames=17)))) == 17
 
     def test_determinism_bit_identical(self):
         spec = ScenarioSpec(direction=Direction.LEFT, seed=5, noise_amplitude=5.0)
@@ -253,7 +269,7 @@ class TestScenarios:
     def test_left_entry_stays_in_left_region(self):
         mask = build_quadrant_mask(CAM.width, CAM.height)
         spec = ScenarioSpec(direction=Direction.LEFT, seed=2)
-        frames = generate_sequence(spec, CAM)
+        frames = list(generate_sequence(spec, CAM))
         checked = 0
         for frame in frames[:20]:
             obj = object_pixels(frame, spec.background)
@@ -537,3 +553,20 @@ class TestWindowedRender:
             tracemalloc.stop()
         assert frame.luminance.dtype == np.uint8
         assert (peak - before) / (CAM.height * CAM.width * 8) < 3.5
+
+    def test_noisy_render_keeps_one_float_image(self):
+        # The noise is drawn into the image itself and only the obstacle's
+        # pixels are set aside: at 320x240 the one float64 image dwarfs the
+        # uint8 frame and the ray-cast window.
+        camera = CameraModel(width=320, height=240)
+        scene = Scene(obstacle=Sphere((4.0, 0.25, 0.0), 0.3, 224.0), noise_amplitude=5.0)
+        render_frame(scene, camera, index=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frame = render_frame(scene, camera, index=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(frame.luminance > 150) > 400  # the obstacle is in view
+        assert (peak - before) / (camera.height * camera.width * 8) < 1.5
