@@ -90,19 +90,25 @@ def write_sequence(directory, images, manifest: dict[str, object] | None = None)
     raised while producing the first image leaves nothing behind; as in
     :func:`write_csv`, the frames before a later error stay on disk.
     """
+    count = _write_frames(directory, images, manifest)
+    return [frame_path(directory, i) for i in range(count)]
+
+
+def _write_frames(directory, images, manifest: dict[str, object] | None) -> int:
+    """:func:`write_sequence`, returning only the count of frames, so that
+    nothing is kept per frame."""
     directory = Path(directory)
-    images = iter(images)
-    first = list(itertools.islice(images, 1))
+    count = 0
+    for img in images:
+        if not count:
+            os.makedirs(directory, exist_ok=True)
+        write_pgm(frame_path(directory, count), img)
+        count += 1
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    for i, img in enumerate(itertools.chain(first, images)):
-        path = frame_path(directory, i)
-        write_pgm(path, img)
-        paths.append(path)
     if manifest is not None:
         lines = [f"{key}={value}" for key, value in manifest.items()]
         (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
-    return paths
+    return count
 
 
 def first_frame_from(directory, start: int) -> Path | None:

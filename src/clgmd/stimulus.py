@@ -240,7 +240,7 @@ def render_frame(
             on_obj += obj.luminance
         img += scene.background
     else:
-        img = np.full(shape, scene.background)
+        img = np.full(shape, scene.background, dtype=np.float64)
     if obj is not None:
         img[rows, cols][hit] = on_obj
     # Noise lies in [-a, a], and rounding is monotone, so the image can leave

@@ -130,6 +130,19 @@ class TestRenderFrame:
         s_win, u_win = camera._ray_slopes(slice(4, 9), slice(30, 33))
         assert np.array_equal(s_win, s[:, 30:33]) and np.array_equal(u_win, u[4:9])
 
+    @pytest.mark.parametrize("noise", [0, 5])
+    def test_integer_levels_render_as_their_floats(self, noise):
+        # The fields take Python ints as they are; the image must still be
+        # float64, or the obstacle's level and the rounding would fail.
+        def frame(kind):
+            sphere = Sphere((3.0, 0.4, 0.0), 0.5, kind(224))
+            scene = Scene(obstacle=sphere, background=kind(32), noise_amplitude=kind(noise))
+            return render_frame(scene, CAM, index=2, seed=7).luminance
+
+        ints = frame(int)
+        assert np.count_nonzero(ints == 224) > 100 or noise
+        assert ints.tobytes() == frame(float).tobytes()
+
     def test_noise_stays_in_range(self):
         scene = Scene(noise_amplitude=30.0, background=250.0)
         frame = render_frame(scene, CAM, index=0, seed=1)
