@@ -16,7 +16,7 @@ from .config import config_from_mappings, load_config_file, parse_pairs
 from .detector import CollisionDetector
 from .errors import ConfigError, DataError, InputError, UsageError
 from .layers import Frame
-from .pgm import _write_frames, first_frame_from, list_sequence, read_pgm, write_csv
+from .pgm import first_frame_from, list_sequence, read_pgm, write_csv, write_sequence
 from .steering import select_escape
 from .stimulus import CameraModel, ScenarioSpec, generate_sequence
 from .flightsim import TrialConfig, run_trial, write_trace_csv
@@ -96,7 +96,7 @@ def cmd_generate(args) -> int:
         )
     frames = generate_sequence(spec, camera)
     manifest = {**asdict(spec), "direction": spec.direction.value, **asdict(camera)}
-    count = _write_frames(args.out_dir, (f.luminance for f in frames), manifest)
+    count = write_sequence(args.out_dir, (f.luminance for f in frames), manifest)
     print(f"wrote {count} frames to {args.out_dir}")
     return 0
 

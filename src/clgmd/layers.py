@@ -136,7 +136,8 @@ class InhibitionKernel:
 
     def __post_init__(self) -> None:
         ys, xs = np.mgrid[-2:3, -2:3]
-        dist = np.hypot(xs, ys)
+        # Exact integer sums under a correctly rounded sqrt, not libm's hypot.
+        dist = np.sqrt(xs * xs + ys * ys)
         w = np.zeros((5, 5))
         off = dist > 0
         w[off] = 0.25 / dist[off]

@@ -82,21 +82,16 @@ def frame_path(directory, index: int) -> Path:
     return Path(directory) / FRAME_PATTERN.format(index)
 
 
-def write_sequence(directory, images, manifest: dict[str, object] | None = None) -> list[Path]:
-    """Write numbered frames plus a key=value manifest; returns the paths.
+def write_sequence(directory, images, manifest: dict[str, object] | None = None) -> int:
+    """Write numbered frames plus a key=value manifest; returns the count
+    of frames.
 
-    Each image is written as it is produced.  The directory is made once
-    the first image, or with no images the manifest, is ready, so an error
-    raised while producing the first image leaves nothing behind; as in
-    :func:`write_csv`, the frames before a later error stay on disk.
+    Each image is written as it is produced, and nothing is kept per
+    frame.  The directory is made once the first image, or with no images
+    the manifest, is ready, so an error raised while producing the first
+    image leaves nothing behind; as in :func:`write_csv`, the frames before
+    a later error stay on disk.
     """
-    count = _write_frames(directory, images, manifest)
-    return [frame_path(directory, i) for i in range(count)]
-
-
-def _write_frames(directory, images, manifest: dict[str, object] | None) -> int:
-    """:func:`write_sequence`, returning only the count of frames, so that
-    nothing is kept per frame."""
     directory = Path(directory)
     count = 0
     for img in images:

@@ -50,6 +50,13 @@ _Side = Annotated[int, Kind(f"be at least {MIN_SIDE}", lambda v: v >= MIN_SIDE, 
 _Speed = Annotated[float, Kind("be nonzero", lambda v: v != 0)]
 
 
+def _norm2(v) -> float:
+    """x·x + y·y + z·z of a 3-vector in Python floats, summed left to right:
+    the same on every host, unlike a BLAS dot, whose order varies by CPU."""
+    x, y, z = (float(c) for c in v)
+    return x * x + y * y + z * z
+
+
 @dataclass(frozen=True)
 class Sphere:
     """A sphere whose ``center`` is given in the camera's frame."""
@@ -62,8 +69,9 @@ class Sphere:
         check_fields(self)
 
     def clearance(self) -> float:
-        """Signed distance from the camera to the surface, negative inside."""
-        return float(np.linalg.norm(self.center)) - self.radius
+        """Signed distance from the camera to the surface, negative inside:
+        √(x·x + y·y + z·z) − radius, the squares summed left to right."""
+        return math.sqrt(_norm2(self.center)) - self.radius
 
     def intersect(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Ray parameter of the nearest forward hit along each ray (1, s, u),
@@ -72,7 +80,7 @@ class Sphere:
         x, y, z = self.center
         a = (1.0 + s * s) + u * u
         b = -2.0 * ((x + s * y) + u * z)
-        c0 = float(np.dot(self.center, self.center)) - self.radius**2
+        c0 = _norm2(self.center) - self.radius**2
         disc = b * b - 4.0 * a * c0
         hit = disc >= 0.0
         root = np.sqrt(np.where(hit, disc, 0.0))
@@ -146,7 +154,7 @@ def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -
     r = float(radius)
     f2 = 4.0 * camera.focal_px * camera.focal_px
     corner = ((camera.width - 1) ** 2 + (camera.height - 1) ** 2) / f2
-    if not math.isfinite(8.0 * (1.0 + corner) * (x * x + y * y + z * z + r * r)):
+    if not math.isfinite(8.0 * (1.0 + corner) * (_norm2((x, y, z)) + r * r)):
         raise error(
             f"a sphere of radius {r} at offset {(x, y, z)} from the camera "
             "is too large to ray-cast"
@@ -308,15 +316,22 @@ def _start_position(
     return np.array([x, ortho, z * vertical])
 
 
-def _scenes(spec: ScenarioSpec, camera: CameraModel) -> Iterator[Scene]:
-    """The scenes of :func:`make_scenario`, each built when it is asked
-    for; the spec is checked at the call."""
+def make_scenario(spec: ScenarioSpec, camera: CameraModel | None = None) -> Iterator[Scene]:
+    """Per-frame scenes for a straight constant-bearing approach, each
+    built when it is asked for; the spec is checked at the call.
+
+    The sphere travels from its start point directly toward the camera and
+    parks at a small standoff just outside its own radius, so the
+    silhouette expands without the camera ever entering the object.  Wrap
+    the iterator in ``list()`` to index it.
+    """
+    camera = camera if camera is not None else CameraModel()
     rng = np.random.default_rng(spec.seed)
     start = _start_position(spec, camera, rng)
     speed = spec.speed * rng.uniform(0.9, 1.1)
     standoff = spec.object_radius * _STANDOFF_RADII
     check_reach(start, spec.object_radius, camera)
-    span = float(np.linalg.norm(start))
+    span = math.sqrt(_norm2(start))
     toward = -start / span
 
     def travel(i: int) -> float:
@@ -345,18 +360,6 @@ def _scenes(spec: ScenarioSpec, camera: CameraModel) -> Iterator[Scene]:
     )
 
 
-def make_scenario(
-    spec: ScenarioSpec, camera: CameraModel | None = None
-) -> list[Scene]:
-    """Per-frame scenes for a straight constant-bearing approach.
-
-    The sphere travels from its start point directly toward the camera and
-    parks at a small standoff just outside its own radius, so the
-    silhouette expands without the camera ever entering the object.
-    """
-    return list(_scenes(spec, camera if camera is not None else CameraModel()))
-
-
 def generate_sequence(
     spec: ScenarioSpec, camera: CameraModel | None = None
 ) -> Iterator[Frame]:
@@ -370,5 +373,5 @@ def generate_sequence(
     camera = camera if camera is not None else CameraModel()
     return (
         render_frame(scene, camera, index=i, seed=spec.seed)
-        for i, scene in enumerate(_scenes(spec, camera))
+        for i, scene in enumerate(make_scenario(spec, camera))
     )

@@ -105,6 +105,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert [argv[:2] for argv in lines] == [
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
+        ["clgmd", "simulate"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -119,6 +120,9 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert lines[5][2:] == [lines[6][2], "--frames", "4", "--width", "320", "--height", "240",
                             "--noise", "5"]
     assert lines[6][3:5] == ["--set", "inhibition_delay=1"]
+    # A noisy closed loop, the only kind of trial the benchmark runs.
+    assert lines[7][2:8] == ["--set", "noise_amplitude=5", "--set", "noise_seed=1",
+                             "--set", "max_duration=0.5"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
     for argv in lines:

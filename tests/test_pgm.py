@@ -168,8 +168,8 @@ class TestSequence:
         rng = np.random.default_rng(3)
         imgs = [rng.integers(0, 256, (8, 8), dtype=np.uint8) for _ in range(4)]
         out = tmp_path / "seq"
-        paths = write_sequence(out, imgs, manifest={"speed": 1.2, "frames": 4})
-        assert [p.name for p in paths] == [
+        assert write_sequence(out, imgs, manifest={"speed": 1.2, "frames": 4}) == 4
+        assert [p.name for p in list_sequence(out)] == [
             "frame_000000.pgm",
             "frame_000001.pgm",
             "frame_000002.pgm",

@@ -213,7 +213,7 @@ class TestValidation:
         # The start is in reach; the last frame, 1.8e158 m out, is not.
         with pytest.raises(ConfigError, match="too large to ray-cast"):
             make_scenario(ScenarioSpec(speed=-1e160, frames=4))
-        assert len(make_scenario(ScenarioSpec(speed=-1e150, fps=1.0))) == 120
+        assert len(list(make_scenario(ScenarioSpec(speed=-1e150, fps=1.0)))) == 120
 
     @pytest.mark.parametrize(
         "speed, fps, frames", [(-1e308, 50.0, 3), (-1e160, 1e-300, 2)], ids=["speed", "fps"]
@@ -226,7 +226,7 @@ class TestValidation:
             make_scenario(ScenarioSpec(speed=speed, fps=fps, frames=frames))
 
     def test_approach_that_overflows_parks_at_the_standoff(self):
-        scenes = make_scenario(ScenarioSpec(speed=1e308, frames=3))
+        scenes = list(make_scenario(ScenarioSpec(speed=1e308, frames=3)))
         assert scenes[1].obstacle.center == scenes[2].obstacle.center
 
     def test_start_inside_standoff_rejected(self):
@@ -254,6 +254,12 @@ class TestScenarios:
         assert rendered == []
         assert next(frames).index == 0 and rendered == [0]
         assert [frame.index for frame in frames] == [1, 2, 3, 4] == rendered[1:]
+
+    def test_scenario_is_built_on_demand(self):
+        # A bad spec raises at the call: see TestValidation.
+        scenes = make_scenario(ScenarioSpec(frames=3), CAM)
+        assert iter(scenes) is scenes
+        assert len(list(scenes)) == 3
 
     def test_sequence_length(self):
         assert len(list(generate_sequence(ScenarioSpec(frames=17)))) == 17
@@ -362,8 +368,10 @@ _SPHERE = st.builds(Sphere, _VEC3, _EXTENT, st.just(200.0))
 
 
 def reference_inside_and_gap(sphere, point):
-    """Strict containment and the unsigned distance to the solid sphere."""
-    dist = float(np.linalg.norm(np.asarray(sphere.center) - point))
+    """Strict containment and the unsigned distance to the solid sphere,
+    the squares of the world-frame difference summed left to right."""
+    dx, dy, dz = (float(c - p) for c, p in zip(sphere.center, point))
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     return dist < sphere.radius, dist - sphere.radius
 
 
@@ -379,6 +387,21 @@ class TestClearance:
         assert (clearance < 0) == inside
         if not inside:
             assert clearance == gap
+
+    # A BLAS kernel that sums |c|² in another order gives np.linalg.norm
+    # 7.978583834240259 at the second centre.
+    @pytest.mark.parametrize(
+        "center, norm",
+        [((1.1, 2.2, 3.3), 4.115823125451335), ((4.27, 4.68, -4.85), 7.9785838342402595)],
+    )
+    def test_sums_the_squares_left_to_right(self, center, norm):
+        assert Sphere(center, 0.25, 200.0).clearance() == norm - 0.25
+
+    def test_intersect_sums_the_squares_left_to_right(self):
+        # x·x + y·y + z·z is 16.939999999999998 here; a BLAS kernel that
+        # sums in another order gives np.dot 16.94, and t 0.832738758087576.
+        t = Sphere((1.1, 2.2, 3.3), 1.0, 200.0).intersect(np.array(2.0), np.array(3.0))
+        assert float(t) == 0.8327387580875756
 
 
 # Spheres from behind the camera to well in front of it, across the camera
