@@ -12,7 +12,7 @@ import functools
 import sys
 from dataclasses import asdict
 
-from .config import config_from_mappings, load_config_file, parse_pairs
+from .config import config_from_mappings, load_config_file, parse_number, parse_pairs
 from .detector import CollisionDetector
 from .errors import ConfigError, DataError, InputError, UsageError
 from .layers import Frame
@@ -144,7 +144,8 @@ def build_parser() -> _Parser:
             options = {"choices": choices, "default": default.value}
         else:  # keep the metavar argparse takes from the flag, not from dest
             metavar = flag[2:].replace("-", "_").upper()
-            options = {"type": type(default), "default": default, "metavar": metavar}
+            kind = functools.partial(parse_number, flag, type(default), error=UsageError)
+            options = {"type": kind, "default": default, "metavar": metavar}
         generate.add_argument(flag, dest=name, help=help_text, **options)
 
     simulate = sub.add_parser(

@@ -70,6 +70,17 @@ _TYPES = {key: kind for key, kind, _ in _KEYS}
 _DEFAULTS = {key: default for key, _, default in _KEYS}
 
 
+def parse_number(name: str, kind: type, text: str, error=ConfigError):
+    """``kind(text)`` for ASCII text with no ``_``, else ``error`` naming
+    ``name``: ``int`` and ``float`` alone would read "１００" and "1_5_0"."""
+    try:
+        if text.isascii() and "_" not in text:
+            return kind(text)
+    except ValueError:
+        pass
+    raise error(f"invalid value for {name}: {text!r}")
+
+
 def _convert(key: str, text: str):
     kind = _TYPES[key]
     if kind is str:
@@ -78,11 +89,8 @@ def _convert(key: str, text: str):
         if text == "":
             return None
         kind = typing.get_args(kind)[0]
-    try:
-        value = kind(text)
-    except ValueError:
-        raise ConfigError(f"invalid value for {key}: {text!r}") from None
-    if not math.isfinite(value):
+    value = parse_number(key, kind, text)
+    if kind is float and not math.isfinite(value):  # an int of any size is finite
         raise ConfigError(f"{key} must be finite, got {text!r}")
     return value
 

@@ -3,12 +3,12 @@
 A pinhole camera at the origin looks along +x (+y left, +z up), so the
 ray through a pixel center is (1, s, u) for that pixel's slopes s and u.
 A scene holds at most one flat-shaded sphere, given in the camera's
-frame; a pixel takes its luminance exactly when its ray hits the sphere
-in front of the camera.  Scenario builders move the sphere along a
-straight constant-bearing line toward the camera so the silhouette
-expands in place inside one quadrant of the field of view.  A sequence is
-rendered one frame at a time, each into one float64 image, so its memory
-does not grow with its length.
+frame; a pixel is its level (the sphere's where its ray hits the sphere
+in front of the camera, else the background) plus the frame's noise,
+zero without.  Scenario builders move the sphere straight toward the
+camera on a constant bearing, so the silhouette expands in place inside
+one quadrant of the field of view.  A sequence is rendered one frame at a
+time, each into one float64 image, so memory does not grow with its length.
 """
 
 from __future__ import annotations
@@ -75,17 +75,19 @@ class Sphere:
 
     def intersect(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Ray parameter of the nearest forward hit along each ray (1, s, u),
-        inf on a miss; ``s`` and ``u`` broadcast.  Summed in another order,
-        t can differ in its last bits, but not in which rays hit."""
+        inf on a miss or at or behind the camera; ``s`` and ``u`` broadcast.
+        t = (h − √(h·h − a·c0)) / a for a = |d|², h = c·d, c0 = |c|² − R²: the
+        full form's t (b = −2h) bit for bit, as scaling by 2 and 4 is exact,
+        unless h·h or a·c0 is subnormal.  Summed in another order, t can
+        differ in its last bits, not in which rays hit."""
         x, y, z = self.center
         a = (1.0 + s * s) + u * u
-        b = -2.0 * ((x + s * y) + u * z)
+        h = (x + s * y) + u * z
         c0 = _norm2(self.center) - self.radius**2
-        disc = b * b - 4.0 * a * c0
-        hit = disc >= 0.0
-        root = np.sqrt(np.where(hit, disc, 0.0))
-        near = (-b - root) / (2.0 * a)
-        return np.where(hit & (near > 0.0), near, np.inf)
+        with np.errstate(invalid="ignore"):
+            t = np.asarray((h - np.sqrt(h * h - a * c0)) / a)
+            t[~(t > 0.0)] = np.inf
+        return t
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,10 @@ class CameraModel:
 def check_reach(offset, radius: float, camera: CameraModel, error=ConfigError) -> None:
     """Raise ``error`` unless ray-casting a sphere at ``offset`` stays finite.
 
-    Every term of the ray quadratic in :meth:`Sphere.intersect` is at most
-    4·|d|²·(|offset|² + radius²) for the camera's longest ray direction d,
-    so twice that must be a finite float.
+    Each term of the half-b ray quadratic in :meth:`Sphere.intersect`, h·h
+    (by Cauchy–Schwarz) and a·c0, is at most |d|²·(|offset|² + radius²)
+    for the camera's longest ray direction d, and their difference at most
+    twice that; eight times it must be a finite float, a margin of four.
     """
     x, y, z = (float(v) for v in offset)
     r = float(radius)
@@ -213,16 +216,15 @@ def render_frame(
 
     The obstacle is ray-cast only over the window of pixels it can cover,
     with the window's slopes computed per call.  The image is one float64
-    buffer.  Noise of amplitude a is drawn into it as
-    ``default_rng((seed, index)).random`` and scaled in place to
-    ``-a + 2a·r``, bit for bit numpy's ``uniform(-a, a)``.  The noise under
-    the obstacle is set aside with its luminance added, the background is
-    added everywhere, and the obstacle's pixels are written back: addition
+    buffer holding the noise, drawn as ``default_rng((seed, index)).random``
+    and scaled in place to ``-a + 2a·r``, bit for bit numpy's
+    ``uniform(-a, a)``, or zeros for a frame without noise.  The window's
+    noise is set aside with the obstacle's luminance added, the background
+    is added everywhere, and the hit pixels are written back: addition
     commutes, so every pixel is its level plus its noise, rounded once.
-    Without noise the buffer is filled with the background.  The image is
-    clipped to [0, 255] (only if noise can take it out) and rounded half to
-    even in place, and ``Frame`` gets a fresh uint8 copy, as the detector
-    keeps the previous frame.
+    The image is clipped to [0, 255] (only if noise can take it out) and
+    rounded half to even in place, and ``Frame`` gets a fresh uint8 copy,
+    as the detector keeps the previous frame.
     """
     index = check_value("index", Count, index, InputError)
     seed = check_value("seed", Count, seed, InputError)
@@ -234,8 +236,7 @@ def render_frame(
             raise InputError(f"the camera is inside {obj!r}")
         rows, cols = _window(obj.center, obj.radius, camera)
         hit = np.isfinite(obj.intersect(*camera._ray_slopes(rows, cols)))
-        on_obj = obj.luminance
-        levels.append(on_obj)
+        levels.append(obj.luminance)
     shape = (camera.height, camera.width)
     amplitude = scene.noise_amplitude
     if amplitude > 0.0:
@@ -243,14 +244,13 @@ def render_frame(
         img = np.random.default_rng((seed, index)).random(shape)
         img *= span
         img += -amplitude
-        if obj is not None:
-            on_obj = img[rows, cols][hit]
-            on_obj += obj.luminance
-        img += scene.background
     else:
-        img = np.full(shape, scene.background, dtype=np.float64)
+        img = np.zeros(shape)
     if obj is not None:
-        img[rows, cols][hit] = on_obj
+        sums = img[rows, cols] + obj.luminance
+    img += scene.background
+    if obj is not None:
+        np.copyto(img[rows, cols], sums, where=hit)
     # Noise lies in [-a, a], and rounding is monotone, so the image can leave
     # [0, 255] only if a level does once a is added or taken away.
     if min(levels) - amplitude < 0.0 or max(levels) + amplitude > 255.0:

@@ -163,11 +163,18 @@ def ray_directions(camera) -> np.ndarray:
 
 def general_intersect(sphere, dirs: np.ndarray) -> np.ndarray:
     """Nearest forward hit of ``sphere`` along any (h, w, 3) ray directions
-    from the origin, inf on a miss."""
-    rel = np.asarray(sphere.center, dtype=np.float64)
-    a = np.einsum("hwk,hwk->hw", dirs, dirs)
-    b = -2.0 * (dirs @ rel)
-    c0 = float(rel @ rel) - sphere.radius**2
+    from the origin, inf on a miss.
+
+    The full form of the quadratic, a·t² + b·t + c0 with b = −2·(c·d) and
+    discriminant b² − 4·a·c0, with |d|², c·d and |c|² each summed left to
+    right, component by component.  That order is the same on any host, as
+    a BLAS-ordered sum is not, and for d = (1, s, u) it is the renderer's.
+    """
+    x, y, z = (float(c) for c in sphere.center)
+    dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    a = (dx * dx + dy * dy) + dz * dz
+    b = -2.0 * ((dx * x + dy * y) + dz * z)
+    c0 = (x * x + y * y + z * z) - sphere.radius**2
     disc = b * b - 4.0 * a * c0
     hit = disc >= 0.0
     root = np.sqrt(np.where(hit, disc, 0.0))

@@ -105,7 +105,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert [argv[:2] for argv in lines] == [
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "simulate"],
+        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -123,6 +123,11 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     # A noisy closed loop, the only kind of trial the benchmark runs.
     assert lines[7][2:8] == ["--set", "noise_amplitude=5", "--set", "noise_seed=1",
                              "--set", "max_duration=0.5"]
+    # A noisy sequence of a sphere 0.5 m ahead: every window is the full
+    # grid, and its rays past the silhouette take a NaN root, which must
+    # raise no warning on any numpy the matrix installs.
+    assert lines[8][2:] == [lines[9][2], "--frames", "3", "--distance", "0.5", "--noise", "5"]
+    assert lines[9][3:] == ["--out", f"{tmp_path}/close.csv"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
     for argv in lines:

@@ -116,6 +116,24 @@ class TestGenerate:
         assert f"{field} must be a finite number, got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--width", "1_00"), ("--height", "６４"), ("--fps", "٥0"), ("--speed", "1_.2"),
+         ("--seed", "٣"), ("--distance", "4e0_0")],
+    )
+    def test_number_text_is_ascii_without_underscores(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "x"
+        code, stdout, err = run(["generate", str(out), f"{flag}={text}"], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: invalid value for {flag}: {text!r}\n"
+        assert not out.exists()
+
+    def test_signs_and_exponents_are_read(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["generate", str(out), "--speed=-1.2", "--distance", "4e0", "--frames", "+2"]
+        assert run(argv, capsys)[0] == 0
+        assert "speed=-1.2\ndistance=4.0\n" in (out / MANIFEST_NAME).read_text()
+
     def test_distance_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x"
         code, _, err = run(
@@ -516,6 +534,10 @@ class TestConfigValues:
             "margin=-1",
             "arena_xmin=7",
             "obstacle_distance=0.3",
+            "width=１００",
+            "c_w=٤.0",
+            "t_s=1_5_0",
+            "width=1" + "0" * 400,
         ],
     )
     def test_detect_and_simulate_reject_alike(self, tmp_path, capsys, looming, setting):

@@ -68,6 +68,23 @@ def set_flags(draw, most=2, keys=tuple(sorted(DEFAULTS))):
     return {key: draw(_values(key, KINDS[key])) for key in chosen}
 
 
+# The zero of four non-ASCII decimal scripts that int() and float() read:
+# fullwidth, Arabic-Indic, Devanagari and Bengali.
+NON_ASCII_ZEROS = "\uff10\u0660\u0966\u09e6"
+
+
+@st.composite
+def odd_number_text(draw):
+    """A number that ``int()`` and ``float()`` read but the number rule
+    rejects: ``_`` between two of its digits, or a non-ASCII digit."""
+    digits = str(draw(st.integers(10, 10**6)))
+    at = draw(st.integers(1, len(digits) - 1))
+    if draw(st.booleans()):
+        return f"{digits[:at]}_{digits[at:]}"
+    zero = ord(draw(st.sampled_from(NON_ASCII_ZEROS)))
+    return digits[:at] + chr(zero + int(digits[at])) + digits[at + 1 :]
+
+
 # Lines a config file may hold besides its keys, the last three faults.
 CONFIG_NOISE = {
     "comment": b"# a comment",
@@ -133,6 +150,23 @@ def test_generate(flags, used):
             frames = int(re.search(r"^frames=(\d+)$", manifest, re.M)[1])
             names = sorted(path.name for path in out.glob("*.pgm"))
             assert names == [frame_path(out, i).name for i in range(frames)]
+
+
+@FUZZ
+@given(
+    text=odd_number_text(),
+    flag=st.sampled_from([flag for flag, _, name, _ in cli._GENERATE_FLAGS if name != "direction"]),
+    key=st.sampled_from(sorted(key for key, kind in KINDS.items() if kind is not str)),
+)
+def test_number_text_is_ascii_without_underscores(text, flag, key):
+    assert int(text) == float(text)  # what the rule turns away, Python reads
+    with tempfile.TemporaryDirectory() as root:
+        out = Path(root) / "out"
+        code, err = _run(["generate", str(out), *GENERATE_BASE, f"{flag}={text}"])
+        assert (code, err) == (1, f"error: invalid value for {flag}: {text!r}\n")
+        code, err = _run(["simulate", "--out", str(out), "--set", f"{key}={text}"])
+        assert (code, err) == (1, f"error: invalid value for {key}: {text!r}\n")
+        assert not any(Path(root).iterdir())
 
 
 CORRUPTIONS = ("none", "truncated", "maxval", "mixed", "gap", "stray")

@@ -70,6 +70,36 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             config_from_mappings({key: text})
 
+    # int() and float() read all of these; the PGM header reader and this
+    # parser take ASCII decimal text only.
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("width", "１００"),  # fullwidth digits
+            ("c_w", "٤.0"),  # Arabic-Indic digit
+            ("n_sp", "४"),  # Devanagari digit
+            ("t_s", "1_5_0"),
+            ("dt", "0.0_1"),
+            ("obstacle_vx", "-1_0"),
+            ("c2", "1e-0_3"),
+            ("tau", "\u00a00.1"),  # a no-break space, which float() strips
+        ],
+    )
+    def test_number_text_is_ascii_without_underscores(self, key, text):
+        with pytest.raises(ConfigError, match=f"^invalid value for {key}: {re.escape(repr(text))}$"):
+            config_from_mappings({key: text})
+
+    def test_signs_and_exponents_are_read(self):
+        cfg = config_from_mappings({"dt": "1e-3", "obstacle_vx": "-0.5", "t_s": "+15E1", "height": "+64"})
+        assert (cfg.dt, cfg.obstacle_velocity[0], cfg.norm.t_s, cfg.camera.height) == (
+            0.001, -0.5, 150.0, 64,
+        )
+
+    def test_int_past_the_float_range_is_rejected_by_its_kind(self):
+        # math.isfinite raises OverflowError on such an int.
+        with pytest.raises(ConfigError, match="^width must be an integer, got 1000"):
+            config_from_mappings({"width": "1" + "0" * 400})
+
     def test_seed_is_not_a_key(self):
         with pytest.raises(ConfigError, match="unknown config key: seed"):
             config_from_mappings({"seed": "1"})

@@ -27,7 +27,7 @@ from clgmd.stimulus import (
     render_frame,
 )
 
-from oracles import naive_render, ray_directions, sphere_projected_radius
+from oracles import general_intersect, naive_render, ray_directions, sphere_projected_radius
 
 CAM = CameraModel()  # 100x100, 90 degree horizontal field of view
 
@@ -426,6 +426,41 @@ _CAMERAS = st.builds(
     width=st.integers(5, 64),
     height=st.integers(5, 64),
 )
+
+
+# Spheres that touch the camera (clearance 0): a Pythagorean quadruple
+# a² + b² + c² = d², its legs permuted and signed, scaled by a power of two
+# so that |c|² − R² is exactly 0.
+_QUADRUPLES = [(0, 0, 1, 1), (0, 3, 4, 5), (1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9)]
+_TOUCHING = st.builds(
+    lambda quad, order, signs, scale: Sphere(
+        tuple(sign * quad[i] * scale for i, sign in zip(order, signs)), quad[3] * scale, 200.0
+    ),
+    st.sampled_from(_QUADRUPLES),
+    st.permutations(range(3)),
+    st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3),
+    st.sampled_from((0.125, 0.5, 1.0, 2.0)),
+)
+
+
+class TestIntersect:
+    @given(obstacle=st.one_of(_OBSTACLES, _TOUCHING), camera=_CAMERAS)
+    @example(obstacle=Sphere((4.0, 0.25, 0.0), 0.3, 200.0), camera=CAM)  # in front
+    @example(obstacle=Sphere((0.5, 1.5, 0.0), 1.0, 200.0), camera=CAM)  # astride
+    @example(obstacle=Sphere((-2.0, 0.5, 0.0), 0.5, 200.0), camera=CAM)  # behind
+    @example(obstacle=Sphere((0.5, 0.0, 0.0), 1.0, 200.0), camera=CAM)  # around the camera
+    @example(obstacle=Sphere((5.0, 0.0, 0.0), 5.0, 200.0), camera=CAM)  # touching, in front
+    @example(obstacle=Sphere((3.0, 4.0, 0.0), 5.0, 200.0), camera=CAM)  # touching, astride
+    @example(obstacle=Sphere((0.0, 3.0, 4.0), 5.0, 200.0), camera=CAM)  # touching, above
+    @example(obstacle=Sphere((-3.0, 0.0, 4.0), 5.0, 200.0), camera=CAM)  # touching, centre behind the camera
+    @settings(max_examples=400, deadline=None)
+    def test_half_b_form_is_the_full_form_bit_for_bit(self, obstacle, camera):
+        # The full-form solve with b = −2h computes 4·(h·h − a·c0) and
+        # 2·(h − √…) / (2·a): powers of two that change no bit.
+        grid = camera._ray_slopes(slice(0, camera.height), slice(0, camera.width))
+        t = obstacle.intersect(*grid)
+        expected = general_intersect(obstacle, ray_directions(camera))
+        assert t.shape == expected.shape and t.tobytes() == expected.tobytes()
 
 
 # Noise amplitudes from a faint dither to one that clips at both 0 and 255.
