@@ -5,11 +5,12 @@ into a single object that consumes frames one at a time.  The first
 frame only primes the differencing buffer and yields no result; it also
 sizes the detector.  Every layer grid and stencil buffer is allocated
 once, at that frame's size, and reused for each later frame, which must
-have the same size; the normalization's n_cell is its pixel count.  P is
-kept in two int16 grids, the current and the previous frame's, so
-inhibition sums it in int16 and, with ``inhibition_delay`` 1, spreads the
-previous one.  I, S and G are float64 and share one grid: S is written
-over I and G over S, as each stage is the last reader of the one before.
+have the same size, as ``compute_p_layer`` checks; the normalization's
+n_cell is its pixel count.  P is kept in two int16 grids, the current and
+the previous frame's, so inhibition sums it in int16 and, with
+``inhibition_delay`` 1, spreads the previous one.  I, S and G are float64
+and share one grid: S is written over I and G over S, as each stage is
+the last reader of the one before.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .competition import (
     normalize,
     update_spike_state,
 )
-from .errors import InputError
 from .layers import (
     CoreParams,
     Frame,
@@ -86,11 +86,6 @@ class CollisionDetector:
             self._allocate(frame.width, frame.height)
             self._prev_frame = frame
             return None
-        if frame.width != prev.width or frame.height != prev.height:
-            raise InputError(
-                f"frame is {frame.width}x{frame.height}, "
-                f"detector expects {prev.width}x{prev.height}"
-            )
         p = compute_p_layer(prev, frame, out=self._p_grids[0])
         # inhibition_delay 1 spreads the previous frame's P; the first
         # processed frame has none and spreads its own.

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 import numbers
 import sys
 import typing
@@ -101,6 +102,10 @@ def _check(name: str, kind, value, error):
             return tuple(map(float, items))
         raise error(f"{name} must {kind.rule}, got {value!r}")
     number = _number(value, kind.integer)
+    if not number and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        digits = int(math.log10(abs(value))) + 1  # str() refuses past 4,300 digits
+        digits += (10**digits <= abs(value)) - (10 ** (digits - 1) > abs(value))
+        raise error(f"{name} must fit in a float, got an integer of {digits} digits")
     if not (number and kind.test(value)):
         rule = kind.rule if number else "be an integer" if kind.integer else "be a finite number"
         raise error(f"{name} must {rule}, got {value!r}")

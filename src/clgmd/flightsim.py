@@ -68,7 +68,7 @@ def check_collision(scene: Scene, margin: float) -> bool:
     """True iff the vehicle, at the origin of ``scene``, is within margin of
     the obstacle's surface."""
     check_value("margin", NonNegative, margin, InputError)
-    return scene.obstacle is not None and scene.obstacle.clearance() <= margin
+    return scene.obstacle.clearance() <= margin
 
 
 class Placement(enum.Enum):

@@ -247,7 +247,8 @@ def _sums_fit_int16(grid: Grid) -> bool:
 
 
 def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Grid:
-    """Luminance change per pixel between two consecutive frames.
+    """Luminance change per pixel between two consecutive frames of one
+    size; other frames raise ``InputError`` and leave ``out`` untouched.
 
     The uint8 frames are subtracted in int16, where every difference in
     [-255, 255] is exact, and written into ``out`` in its own dtype: a
@@ -256,7 +257,8 @@ def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Gri
     """
     if prev.luminance.shape != curr.luminance.shape:
         raise InputError(
-            f"frame dimensions differ: {prev.luminance.shape} vs {curr.luminance.shape}"
+            f"frame is {curr.width}x{curr.height}, "
+            f"previous frame is {prev.width}x{prev.height}"
         )
     if curr.index != prev.index + 1:
         raise InputError(

@@ -2,13 +2,14 @@
 
 A pinhole camera at the origin looks along +x (+y left, +z up), so the
 ray through a pixel center is (1, s, u) for that pixel's slopes s and u.
-A scene holds at most one flat-shaded sphere, given in the camera's
-frame; a pixel is its level (the sphere's where its ray hits the sphere
-in front of the camera, else the background) plus the frame's noise,
-zero without.  Scenario builders move the sphere straight toward the
-camera on a constant bearing, so the silhouette expands in place inside
-one quadrant of the field of view.  A sequence is rendered one frame at a
-time, each into one float64 image, so memory does not grow with its length.
+A scene holds one flat-shaded sphere, given in the camera's frame (one
+wholly behind the camera covers no pixel); a pixel is its level (the
+sphere's where its ray hits the sphere in front of the camera, else the
+background) plus the frame's noise, zero without.  Scenario builders move
+the sphere straight toward the camera on a constant bearing, so the
+silhouette expands in place inside one quadrant of the field of view.  A
+sequence is rendered one frame at a time, each into one float64 image, so
+memory does not grow with its length.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class Sphere:
 
 @dataclass(frozen=True)
 class Scene:
-    """At most one flat-shaded sphere over a uniform background."""
+    """One flat-shaded sphere over a uniform background."""
 
-    obstacle: Sphere | None = None
+    obstacle: Sphere
     background: Luminance = 32.0
     noise_amplitude: Amplitude = 0.0
 
@@ -228,15 +229,12 @@ def render_frame(
     """
     index = check_value("index", Count, index, InputError)
     seed = check_value("seed", Count, seed, InputError)
-    levels = [scene.background]
     obj = scene.obstacle
-    if obj is not None:
-        check_reach(obj.center, obj.radius, camera, InputError)
-        if obj.clearance() < 0:
-            raise InputError(f"the camera is inside {obj!r}")
-        rows, cols = _window(obj.center, obj.radius, camera)
-        hit = np.isfinite(obj.intersect(*camera._ray_slopes(rows, cols)))
-        levels.append(obj.luminance)
+    check_reach(obj.center, obj.radius, camera, InputError)
+    if obj.clearance() < 0:
+        raise InputError(f"the camera is inside {obj!r}")
+    rows, cols = _window(obj.center, obj.radius, camera)
+    hit = np.isfinite(obj.intersect(*camera._ray_slopes(rows, cols)))
     shape = (camera.height, camera.width)
     amplitude = scene.noise_amplitude
     if amplitude > 0.0:
@@ -246,14 +244,13 @@ def render_frame(
         img += -amplitude
     else:
         img = np.zeros(shape)
-    if obj is not None:
-        sums = img[rows, cols] + obj.luminance
+    sums = img[rows, cols] + obj.luminance
     img += scene.background
-    if obj is not None:
-        np.copyto(img[rows, cols], sums, where=hit)
+    np.copyto(img[rows, cols], sums, where=hit)
     # Noise lies in [-a, a], and rounding is monotone, so the image can leave
     # [0, 255] only if a level does once a is added or taken away.
-    if min(levels) - amplitude < 0.0 or max(levels) + amplitude > 255.0:
+    low, high = min(scene.background, obj.luminance), max(scene.background, obj.luminance)
+    if low - amplitude < 0.0 or high + amplitude > 255.0:
         np.clip(img, 0.0, 255.0, out=img)
     np.rint(img, out=img)
     return Frame(index=index, luminance=img.astype(np.uint8))
@@ -299,8 +296,8 @@ def _start_position(
     (or UP and DOWN) specs sharing a seed start at exact mirror images.
     """
     half_h = spec.entry_fraction * camera._tan_half
-    vfov_half = math.atan((camera.height / 2.0) / camera.focal_px)
-    half_v = spec.entry_fraction * math.tan(vfov_half)
+    tan_half_v = (camera.height / 2.0) / camera.focal_px
+    half_v = spec.entry_fraction * tan_half_v
     bearing_jitter = rng.uniform(0.85, 1.0)
     ortho_jitter = rng.uniform(-0.25, 0.25)
     x = spec.distance
@@ -309,14 +306,14 @@ def _start_position(
     _, y, z = SIDE_UNIT[Quadrant[spec.direction.name]]
     if y:
         lateral = x * half_h * bearing_jitter
-        ortho = x * math.tan(vfov_half) * 0.25 * ortho_jitter
+        ortho = x * tan_half_v * 0.25 * ortho_jitter
         return np.array([x, y * lateral, ortho])
     vertical = x * half_v * bearing_jitter
     ortho = x * camera._tan_half * 0.25 * ortho_jitter
     return np.array([x, ortho, z * vertical])
 
 
-def make_scenario(spec: ScenarioSpec, camera: CameraModel | None = None) -> Iterator[Scene]:
+def make_scenario(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> Iterator[Scene]:
     """Per-frame scenes for a straight constant-bearing approach, each
     built when it is asked for; the spec is checked at the call.
 
@@ -325,7 +322,6 @@ def make_scenario(spec: ScenarioSpec, camera: CameraModel | None = None) -> Iter
     silhouette expands without the camera ever entering the object.  Wrap
     the iterator in ``list()`` to index it.
     """
-    camera = camera if camera is not None else CameraModel()
     rng = np.random.default_rng(spec.seed)
     start = _start_position(spec, camera, rng)
     speed = spec.speed * rng.uniform(0.9, 1.1)
@@ -360,9 +356,7 @@ def make_scenario(spec: ScenarioSpec, camera: CameraModel | None = None) -> Iter
     )
 
 
-def generate_sequence(
-    spec: ScenarioSpec, camera: CameraModel | None = None
-) -> Iterator[Frame]:
+def generate_sequence(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> Iterator[Frame]:
     """The frames of :func:`make_scenario`'s scenes, each rendered when it
     is asked for.
 
@@ -370,7 +364,6 @@ def generate_sequence(
     once returned, so memory does not grow with ``spec.frames``.  Wrap the
     iterator in ``list()`` to index it.
     """
-    camera = camera if camera is not None else CameraModel()
     return (
         render_frame(scene, camera, index=i, seed=spec.seed)
         for i, scene in enumerate(make_scenario(spec, camera))

@@ -186,9 +186,8 @@ def naive_render(scene, camera, index: int = 0, seed: int | None = None) -> np.n
     """Luminance of a frame with the obstacle ray-cast over the full pixel
     grid by a general caster, one direction vector per pixel."""
     img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
-    if scene.obstacle is not None:
-        t = general_intersect(scene.obstacle, ray_directions(camera))
-        img[t < np.inf] = scene.obstacle.luminance
+    t = general_intersect(scene.obstacle, ray_directions(camera))
+    img[t < np.inf] = scene.obstacle.luminance
     if scene.noise_amplitude > 0.0:
         rng = np.random.default_rng((seed if seed is not None else 0, index))
         amplitude = scene.noise_amplitude

@@ -90,7 +90,7 @@ def test_a_hung_run_times_out(workflow):
     assert workflow["jobs"]["tests"]["timeout-minutes"] == 20
 
 
-def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypatch):
+def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypatch, capsys):
     # The step runs the `clgmd` script that pip installs from
     # [project.scripts]; here each line runs in-process through the same
     # entry point, with $RUNNER_TEMP a temporary directory.
@@ -105,7 +105,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert [argv[:2] for argv in lines] == [
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"],
+        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -128,9 +128,16 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     # raise no warning on any numpy the matrix installs.
     assert lines[8][2:] == [lines[9][2], "--frames", "3", "--distance", "0.5", "--noise", "5"]
     assert lines[9][3:] == ["--out", f"{tmp_path}/close.csv"]
+    # A centred trial with spiking disabled flies straight on until
+    # check_collision ends it, as the benchmark's fifth closed-loop job does.
+    assert lines[10][2:] == ["--set", "placement=centered", "--set", "t_s=256",
+                             "--out", f"{tmp_path}/collide.csv"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
     for argv in lines:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv[1:]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OUTCOME=COLLIDED"
+    with open(tmp_path / "collide.csv") as trace:
+        assert sum(1 for _ in trace) == 1 + 180

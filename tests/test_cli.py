@@ -309,7 +309,9 @@ class TestDetect:
         write_pgm(seq / "frame_000001.pgm", np.zeros((16, 17), dtype=np.uint8))
         code, _, err = run(["detect", str(seq), "--out", str(tmp_path / "o.csv")], capsys)
         assert code == 3
-        assert "frame_000001" in err
+        assert err == (
+            f"data error: {seq / 'frame_000001.pgm'}: frame is 17x16, previous frame is 16x16\n"
+        )
 
     def test_too_small_frame_names_its_file(self, tmp_path, capsys):
         seq = tmp_path / "seq"
@@ -552,6 +554,23 @@ class TestConfigValues:
         assert detect[2] == simulate[2] and detect[2].startswith("error: ")
         assert not detect[1] and not simulate[1]
         assert not csv_out.exists() and not trace_out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "generate"])
+    def test_integer_past_the_float_range_exits_1_naming_the_range(
+        self, tmp_path, capsys, command
+    ):
+        # The message gives the integer's digit count, not its 401 digits.
+        huge = "1" + "0" * 400
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--set", f"width={huge}", "--out", str(out)],
+            "generate": ["generate", str(out), "--width", huge],
+        }[command]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert err == "error: width must fit in a float, got an integer of 401 digits\n"
+        assert len(err) < 120
+        assert not stdout and not out.exists()
 
     def test_obstacle_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -32,6 +32,8 @@ from clgmd import (
 from clgmd.errors import _contract
 
 LUMINANCE = np.zeros((5, 5), dtype=np.uint8)
+# A sphere wholly behind the camera: a scene's obstacle that covers no pixel.
+BEHIND = Sphere((-2.0, 0.0, 0.0), 0.3, 200.0)
 
 # Valid keyword arguments for each checked class, and the error it raises.
 CHECKED = {
@@ -39,7 +41,7 @@ CHECKED = {
     NormParams: ({}, ConfigError),
     SteeringParams: ({}, ConfigError),
     Sphere: ({"center": (4.0, 0.0, 0.0), "radius": 0.3, "luminance": 200.0}, ConfigError),
-    Scene: ({}, ConfigError),
+    Scene: ({"obstacle": BEHIND}, ConfigError),
     CameraModel: ({}, ConfigError),
     ScenarioSpec: ({}, ConfigError),
     TrialConfig: ({}, ConfigError),
@@ -245,7 +247,7 @@ nan, inf = math.nan, math.inf
         (lambda: TrialConfig(noise_seed=0.5), ConfigError),
         (lambda: TrialConfig(cruise_speed=True), ConfigError),
         (lambda: CameraModel(width=100.5), ConfigError),
-        (lambda: Scene(noise_amplitude=inf), ConfigError),
+        (lambda: Scene(BEHIND, noise_amplitude=inf), ConfigError),
         (lambda: Frame(index=1.5, luminance=LUMINANCE), InputError),
         (lambda: TrialConfig(dt="0.1"), ConfigError),
         (lambda: CameraModel(width="100"), ConfigError),
@@ -262,6 +264,19 @@ def test_values_once_let_through_are_rejected(make, error):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [(lambda v: CameraModel(width=v), "width"), (lambda v: NormParams(c1=v), "c1")],
+)
+@pytest.mark.parametrize("value, digits", [(10**400, 401), (-(10**400) + 1, 400)])
+def test_integer_past_the_float_range_is_named_by_its_digit_count(make, name, value, digits):
+    # Only its size fails it: an integer field and a float field give the
+    # same rule, and the message stays short however long the integer.
+    with pytest.raises(ConfigError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must fit in a float, got an integer of {digits} digits"
 
 
 def test_enum_error_lists_the_choices():

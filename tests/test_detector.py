@@ -83,7 +83,7 @@ def test_first_frame_sizes_the_detector():
     assert detector.process(frames[0]) is None
     assert detector.process(frames[1]).frame_index == 1
     other = Frame(2, np.zeros((37, 23), dtype=np.uint8))
-    with pytest.raises(InputError, match="^frame is 23x37, detector expects 37x23$"):
+    with pytest.raises(InputError, match="^frame is 23x37, previous frame is 37x23$"):
         detector.process(other)
     assert detector.process(frames[2]).frame_index == 2
 

@@ -97,8 +97,8 @@ class TestCheckCollision:
         assert check_collision(seen_from(4.0 - 0.4), margin=0.1)
         assert not check_collision(seen_from(4.0 - 0.41), margin=0.1)
 
-    def test_empty_scene_false(self):
-        assert not check_collision(Scene(), margin=0.1)
+    def test_sphere_behind_the_camera_false(self):
+        assert not check_collision(Scene(Sphere((-2.0, 0.0, 0.0), 0.3, 200.0)), margin=0.1)
 
     def test_scene_at_is_seen_from_the_vehicle(self):
         # The trial's scene at a point within margin of the surface, and at

@@ -160,8 +160,10 @@ class TestPLayer:
     def test_dimension_mismatch(self):
         a = Frame(index=0, luminance=np.zeros((8, 8)))
         b = Frame(index=1, luminance=np.zeros((8, 9)))
-        with pytest.raises(InputError):
-            compute_p_layer(a, b)
+        out = np.full((8, 9), 7.0)
+        with pytest.raises(InputError, match="^frame is 9x8, previous frame is 8x8$"):
+            compute_p_layer(a, b, out=out)
+        assert np.all(out == 7.0)
 
     def test_non_consecutive_indices(self):
         a = Frame(index=0, luminance=np.zeros((8, 8)))

@@ -1,5 +1,6 @@
 """Renderer geometry, scenario trajectories, determinism and mirrors."""
 
+import functools
 import math
 import re
 import sys
@@ -30,6 +31,9 @@ from clgmd.stimulus import (
 from oracles import general_intersect, naive_render, ray_directions, sphere_projected_radius
 
 CAM = CameraModel()  # 100x100, 90 degree horizontal field of view
+# A sphere wholly behind the camera covers no pixel: the scene of a frame
+# that is background and noise alone.
+BEHIND = Sphere((-2.0, 0.0, 0.0), 0.3, 224.0)
 
 
 def object_pixels(frame, background):
@@ -37,9 +41,21 @@ def object_pixels(frame, background):
 
 
 class TestRenderFrame:
-    def test_empty_scene_uniform_background(self):
-        frame = render_frame(Scene(background=77.0), CAM)
+    def test_sphere_behind_the_camera_leaves_a_uniform_background(self):
+        frame = render_frame(Scene(BEHIND, background=77.0), CAM)
         assert np.all(frame.luminance == 77)
+
+    @pytest.mark.parametrize("noise", [0.0, 5.0])
+    def test_spheres_behind_the_camera_render_the_same_frame(self, noise):
+        # Wholly behind the camera, two different spheres leave the same
+        # pixels: the background plus the noise of (seed, index).
+        other = Sphere((-0.6, 3.0, -1.0), 0.5, 17.0)
+        a, b = (
+            render_frame(Scene(obj, noise_amplitude=noise), CAM, index=3, seed=11).luminance
+            for obj in (BEHIND, other)
+        )
+        assert a.tobytes() == b.tobytes()
+        assert noise or np.all(a == 32)
 
     def test_halving_distance_doubles_diameter(self):
         def extent(d):
@@ -85,7 +101,7 @@ class TestRenderFrame:
         assert np.array_equal(a.luminance, b.luminance)
 
     def test_noise_varies_with_frame_index(self):
-        scene = Scene(noise_amplitude=5.0, background=128.0)
+        scene = Scene(BEHIND, noise_amplitude=5.0, background=128.0)
         a = render_frame(scene, CAM, index=0, seed=9)
         b = render_frame(scene, CAM, index=1, seed=9)
         assert not np.array_equal(a.luminance, b.luminance)
@@ -108,7 +124,7 @@ class TestRenderFrame:
             render_frame(scene, CAM, **{name: value})
 
     def test_numpy_index_and_seed_render_the_same_frame(self):
-        scene = Scene(noise_amplitude=5.0)
+        scene = Scene(BEHIND, noise_amplitude=5.0)
         a = render_frame(scene, CAM, index=np.int64(4), seed=np.uint32(9))
         b = render_frame(scene, CAM, index=4, seed=9)
         assert a.index == 4 and type(a.index) is int
@@ -144,7 +160,7 @@ class TestRenderFrame:
         assert ints.tobytes() == frame(float).tobytes()
 
     def test_noise_stays_in_range(self):
-        scene = Scene(noise_amplitude=30.0, background=250.0)
+        scene = Scene(BEHIND, noise_amplitude=30.0, background=250.0)
         frame = render_frame(scene, CAM, index=0, seed=1)
         assert frame.luminance.max() <= 255 and frame.luminance.min() >= 0
 
@@ -169,19 +185,20 @@ class TestValidation:
             with pytest.raises(ConfigError, match="center must be a finite 3-vector"):
                 Sphere(center, 0.1, 100.0)
         with pytest.raises(ConfigError):
-            Scene(background=-5.0)
+            Scene(BEHIND, background=-5.0)
         with pytest.raises(ConfigError):
-            Scene(noise_amplitude=-1.0)
+            Scene(BEHIND, noise_amplitude=-1.0)
 
     def test_noise_too_large_to_draw_is_a_config_error(self):
         # Noise of amplitude a spans 2·a, which must stay a finite float.
         largest = sys.float_info.max / 2
-        for make in (Scene, ScenarioSpec, TrialConfig):
+        scene = functools.partial(Scene, BEHIND)
+        for make in (scene, ScenarioSpec, TrialConfig):
             for amplitude in (1e308, math.nextafter(largest, math.inf), math.inf):
                 with pytest.raises(ConfigError, match="^noise_amplitude must be "):
                     make(noise_amplitude=amplitude)
             assert make(noise_amplitude=largest).noise_amplitude == largest
-        frame = render_frame(Scene(noise_amplitude=largest), CAM)
+        frame = render_frame(scene(noise_amplitude=largest), CAM)
         assert set(np.unique(frame.luminance).tolist()) <= {0, 255}
 
     def test_scene_rejects_non_primitive(self):
@@ -190,6 +207,12 @@ class TestValidation:
         for obstacle in (lookalike, (sphere,), [sphere]):
             with pytest.raises(ConfigError, match="obstacle must be a Sphere"):
                 Scene(obstacle=obstacle)
+
+    def test_scene_holds_a_sphere(self):
+        with pytest.raises(TypeError, match="obstacle"):
+            Scene()
+        with pytest.raises(ConfigError, match="^obstacle must be a Sphere, got None$"):
+            Scene(obstacle=None)
 
     def test_scenario_spec(self):
         with pytest.raises(ConfigError):
@@ -547,8 +570,8 @@ class TestWindowedRender:
         seed=1,
         index=3,
     )
-    @example(  # no obstacle
-        obstacle=None,
+    @example(  # wholly behind the camera: no obstacle pixel
+        obstacle=Sphere((-1.0, 0.25, -0.25), 0.5, 200.0),
         camera=CAM,
         noise=5.0,
         seed=3,
@@ -558,13 +581,11 @@ class TestWindowedRender:
     def test_byte_equal_to_full_grid(self, obstacle, camera, noise, seed, index):
         """The frame matches a general full-grid cast, and the window holds
         every hit."""
-        assume(obstacle is None or obstacle.clearance() >= 0)
+        assume(obstacle.clearance() >= 0)
         scene = Scene(obstacle=obstacle, noise_amplitude=noise)
         frame = render_frame(scene, camera, index=index, seed=seed)
         expected = naive_render(scene, camera, index, seed=seed)
         assert np.array_equal(frame.luminance, expected)
-        if obstacle is None:
-            return
         rows, cols = _window(obstacle.center, obstacle.radius, camera)
         t = obstacle.intersect(*camera._ray_slopes(slice(0, camera.height), slice(0, camera.width)))
         outside = np.ones(t.shape, dtype=bool)
