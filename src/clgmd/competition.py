@@ -144,12 +144,16 @@ def normalize(
     where ``n_cell`` is the frame's pixel count, with ``c2`` None taken as
     ``1.0 / n_cell`` (computed as written, so n_cell*c2 need not be exactly
     1); each directional potential is its share of the raw sum times kappa.
-    A zero-activity frame maps to all zeros.
+    A zero-activity frame maps to all zeros.  ``k_f0`` must be finite and
+    equal ``((u0 + d0) + l0) + r0``, as :func:`accumulate_quadrants` forms
+    it, so the four shares split kappa.
     """
     n_cell = check_value("n_cell", PositiveCount, n_cell, InputError)
     for name, value in (("u0", u0), ("d0", d0), ("l0", l0), ("r0", r0)):
         if value < 0:
             raise InputError(f"{name} must be non-negative, got {value}")
+    if not (k_f0 == ((u0 + d0) + l0) + r0 and k_f0 < math.inf):  # NaN fails the ==
+        raise InputError(f"k_f0 must be the finite sum u0 + d0 + l0 + r0, got {k_f0}")
     if k_f0 <= 0.0:
         return CLgmdPotentials(k_f0=0.0, kappa=0.0, u=0.0, d=0.0, l=0.0, r=0.0)
     raw = math.tanh(math.sqrt(k_f0) - n_cell * params.c1)

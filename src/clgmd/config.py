@@ -26,12 +26,11 @@ are mapped here.
 from __future__ import annotations
 
 import enum
-import math
 import typing
 from dataclasses import fields
 
 from .competition import NormParams
-from .errors import ConfigError
+from .errors import FLOAT_DIGITS, ConfigError, Real, check_value, shown
 from .flightsim import TrialConfig
 from .layers import CoreParams
 from .steering import SteeringParams
@@ -72,13 +71,18 @@ _DEFAULTS = {key: default for key, _, default in _KEYS}
 
 def parse_number(name: str, kind: type, text: str, error=ConfigError):
     """``kind(text)`` for ASCII text with no ``_``, else ``error`` naming
-    ``name``: ``int`` and ``float`` alone would read "１００" and "1_5_0"."""
-    try:
-        if text.isascii() and "_" not in text:
+    ``name``: ``int`` and ``float`` alone would read "１００" and "1_5_0".
+    Integer text is sized by its digits, not by ``int()``'s digit limit."""
+    if text.isascii() and "_" not in text:
+        number = text.strip()
+        digits = (number[1:] if number[:1] in ("+", "-") else number).lstrip("0")
+        if len(digits) > FLOAT_DIGITS and digits.isdigit():
+            raise error(f"{name} must fit in a float, got an integer of {len(digits)} digits")
+        try:
             return kind(text)
-    except ValueError:
-        pass
-    raise error(f"invalid value for {name}: {text!r}")
+        except ValueError:
+            pass
+    raise error(f"invalid value for {name}: {shown(text)}")
 
 
 def _convert(key: str, text: str):
@@ -90,9 +94,7 @@ def _convert(key: str, text: str):
             return None
         kind = typing.get_args(kind)[0]
     value = parse_number(key, kind, text)
-    if kind is float and not math.isfinite(value):  # an int of any size is finite
-        raise ConfigError(f"{key} must be finite, got {text!r}")
-    return value
+    return check_value(key, Real, value) if kind is float else value
 
 
 def parse_pairs(entries) -> dict[str, str]:
@@ -104,7 +106,7 @@ def parse_pairs(entries) -> dict[str, str]:
     for where, text in entries:
         key, eq, value = text.partition("=")
         if not eq:
-            raise ConfigError(f"{where}: expected KEY=VALUE, got {text!r}")
+            raise ConfigError(f"{where}: expected KEY=VALUE, got {shown(text)}")
         key = key.strip()
         if key in mapping:
             raise ConfigError(f"{where}: {key} is set again ({first[key]})")

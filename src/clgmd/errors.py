@@ -8,7 +8,10 @@ A knob is one annotated dataclass field, its kind included:
 ``c_w: Positive = 4.0``.  The class's ``__post_init__`` calls
 :func:`check_fields`, which enforces every declared kind, enum and nested
 parameter class, and raises the class's error type; only rules that tie
-fields together are written by hand.
+fields together are written by hand.  A message quotes a rejected
+outside value through :func:`shown`, by one rule: as its repr, but text
+or bytes past ``_SHOWN`` characters as their start and length, an int
+past ``_SHOWN`` digits as its digit count, a tuple or list item by item.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ PositiveCount = Annotated[int, Kind("be positive", lambda v: v > 0, integer=True
 Vec3 = Annotated[tuple[float, float, float], Kind("be a finite 3-vector", size=3)]
 
 _MAX = sys.float_info.max
+FLOAT_DIGITS = len(str(int(_MAX)))  # an integer of more digits is past the float range
+_SHOWN = 32
 
 # Uniform noise of amplitude a spans 2·a, which must be a finite float.
 Amplitude = Annotated[
@@ -82,17 +87,30 @@ def _number(value, integer: bool = False) -> bool:
     return isinstance(value, abc) and not isinstance(value, bool) and -_MAX <= value <= _MAX
 
 
+def shown(value) -> str:
+    """``value`` as a message quotes it, by the rule in the module docstring."""
+    if isinstance(value, (str, bytes)) and len(value) > _SHOWN:
+        return f"{value[:_SHOWN]!r}... of length {len(value)}"
+    if type(value) is int and abs(value) >= 10**_SHOWN:
+        digits = int(math.log10(abs(value))) + 1  # str() refuses past 4,300 digits
+        digits += (10**digits <= abs(value)) - (10 ** (digits - 1) > abs(value))
+        return f"an integer of {digits} digits"
+    if type(value) in (tuple, list):
+        return "(%s)" % ", ".join(map(shown, value))
+    return repr(value)
+
+
 def _check(name: str, kind, value, error):
     if isinstance(kind, type):  # an enum or a dataclass
         if isinstance(value, kind):
             return value
         if not issubclass(kind, enum.Enum):
-            raise error(f"{name} must be a {kind.__name__}, got {value!r}")
+            raise error(f"{name} must be a {kind.__name__}, got {shown(value)}")
         try:
             return kind(value)
         except ValueError:
             choices = "/".join(str(member.value) for member in kind)
-            raise error(f"unknown {name} {value!r}; choose from {choices}") from None
+            raise error(f"unknown {name} {shown(value)}; choose from {choices}") from None
     if kind.size:
         try:
             items = () if isinstance(value, (str, bytes)) else tuple(value)
@@ -100,15 +118,12 @@ def _check(name: str, kind, value, error):
             items = ()
         if len(items) == kind.size and all(map(_number, items)):
             return tuple(map(float, items))
-        raise error(f"{name} must {kind.rule}, got {value!r}")
+        raise error(f"{name} must {kind.rule}, got {shown(value)}")
     number = _number(value, kind.integer)
-    if not number and isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        digits = int(math.log10(abs(value))) + 1  # str() refuses past 4,300 digits
-        digits += (10**digits <= abs(value)) - (10 ** (digits - 1) > abs(value))
-        raise error(f"{name} must fit in a float, got an integer of {digits} digits")
     if not (number and kind.test(value)):
         rule = kind.rule if number else "be an integer" if kind.integer else "be a finite number"
-        raise error(f"{name} must {rule}, got {value!r}")
+        rule = "fit in a float" if type(value) is int and not number else rule  # too large
+        raise error(f"{name} must {rule}, got {shown(value)}")
     if type(value) is float or type(value) is int:
         return value
     return int(value) if isinstance(value, numbers.Integral) else float(value)

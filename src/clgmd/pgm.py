@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import FLOAT_DIGITS, DataError, shown
 from .layers import to_uint8
 
 FRAME_PATTERN = "frame_{:06d}.pgm"
-_FRAME_NAME = re.compile(r"frame_(\d+)\.pgm")
+# FRAME_PATTERN's names: six digits, or more with no leading zero.
+_FRAME_NAME = re.compile(r"frame_([0-9]{6}|[1-9][0-9]{6,})\.pgm")
 MANIFEST_NAME = "manifest.txt"
 # Whitespace and comments (``#`` to the end of the line), then one token.
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
@@ -38,43 +39,34 @@ def write_pgm(path, image: np.ndarray) -> None:
         handle.write(img.tobytes())
 
 
-def _header_tokens(data: bytes, path) -> tuple[list[int], int]:
-    """Magic check plus the three header integers; returns (ints, data offset)."""
+def read_pgm(path) -> np.ndarray:
+    # Unbuffered: the whole file is read at once, so a buffer only copies.
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
     if not data.startswith(b"P5"):
         raise DataError(f"{path}: not a binary PGM (missing P5 magic)")
-    pos = 2
-    tokens: list[int] = []
+    pos, header = 2, []
     for _ in range(3):
         match = _HEADER_TOKEN.match(data, pos)
         token, pos = match[1], match.end()
         if not token:
             raise DataError(f"{path}: truncated PGM header")
-        try:
-            if not token.isdigit():  # int() would also take b"+1" and b"1_0"
-                raise ValueError
-            tokens.append(int(token))  # or ValueError past int()'s digit limit
-        except ValueError:
-            raise DataError(f"{path}: bad header token {token!r}") from None
+        # ASCII digits, sized by their count: int() takes b"+1" and has a digit limit.
+        digits = (token.lstrip(b"0") or b"0") if len(token) > FLOAT_DIGITS else token
+        if not digits.isdigit() or len(digits) > FLOAT_DIGITS:
+            raise DataError(f"{path}: bad header token {shown(token)}")
+        header.append(int(digits))
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise DataError(f"{path}: missing whitespace after PGM header")
-    return tokens, pos + 1
-
-
-def read_pgm(path) -> np.ndarray:
-    # Unbuffered: the whole file is read at once, so a buffer only copies.
-    with open(path, "rb", buffering=0) as handle:
-        data = handle.read()
-    (width, height, maxval), offset = _header_tokens(data, path)
+    width, height, maxval = header
     if width <= 0 or height <= 0:
-        raise DataError(f"{path}: invalid dimensions {width}x{height}")
+        raise DataError(f"{path}: invalid dimensions {shown(width)}x{shown(height)}")
     if maxval != 255:
-        raise DataError(f"{path}: unsupported max value {maxval}, expected 255")
+        raise DataError(f"{path}: unsupported max value {shown(maxval)}, expected 255")
     expected = width * height
-    payload = data[offset : offset + expected]
+    payload = data[pos + 1 : pos + 1 + expected]
     if len(payload) < expected:
-        raise DataError(
-            f"{path}: pixel data truncated ({len(payload)} of {expected} bytes)"
-        )
+        raise DataError(f"{path}: pixel data truncated ({len(payload)} of {shown(expected)} bytes)")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
 
 
@@ -106,46 +98,37 @@ def write_sequence(directory, images, manifest: dict[str, object] | None = None)
     return count
 
 
-def first_frame_from(directory, start: int) -> Path | None:
-    """The lowest-numbered frame file in ``directory`` whose index is
-    ``start`` or more, or None."""
-    indexed = [
-        (int(match[1]), path)
-        for path in Path(directory).glob("*.pgm")
-        if (match := _FRAME_NAME.fullmatch(path.name)) and int(match[1]) >= start
-    ]
-    return min(indexed)[1] if indexed else None
-
-
-def list_sequence(directory) -> list[Path]:
-    """Numbered frame files in index order.
-
-    Every ``*.pgm`` file must be named by ``FRAME_PATTERN`` and the indices
-    must run from 0 without a gap, because frames are numbered by position
-    and P is the change between neighbours: a stray name or a missing
-    frame raises ``DataError``.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DataError(f"{directory}: not a directory")
+def _frame_paths(directory: Path) -> dict[int, Path]:
+    """``directory``'s ``*.pgm`` files by frame index (none if it is not a
+    directory); frames are numbered by position, so any other name raises."""
     paths = {}
-    for path in directory.iterdir():
+    for path in directory.iterdir() if directory.is_dir() else ():
         if path.suffix != ".pgm":
             continue
         match = _FRAME_NAME.fullmatch(path.name)
-        if match is None or path.name != FRAME_PATTERN.format(int(match[1])):
-            raise DataError(
-                f"{path}: not a frame name, expected {FRAME_PATTERN.format(0)}, "
-                f"{FRAME_PATTERN.format(1)}, ..."
-            )
+        if match is None:
+            raise DataError(f"{path}: not a frame name, expected {FRAME_PATTERN.format(0)}, ...")
         paths[int(match[1])] = path
+    return paths
+
+
+def first_frame_from(directory, start: int) -> Path | None:
+    """The lowest-numbered frame in ``directory`` from index ``start`` on, or None."""
+    paths = _frame_paths(Path(directory))
+    return paths[min(later)] if (later := [i for i in paths if i >= start]) else None
+
+
+def list_sequence(directory) -> list[Path]:
+    """Numbered frame files in index order; a gap, as P is the change
+    between neighbours, or a stray ``*.pgm`` name raises ``DataError``."""
+    directory = Path(directory)
+    paths = _frame_paths(directory)
     if not paths:
-        raise DataError(f"{directory}: no frames found (*.pgm)")
-    for index in range(len(paths)):
-        if index not in paths:
-            raise DataError(
-                f"{frame_path(directory, index)}: missing, the sequence has a gap"
-            )
+        problem = "no frames found (*.pgm)" if directory.is_dir() else "not a directory"
+        raise DataError(f"{directory}: {problem}")
+    gap = next((index for index in range(len(paths)) if index not in paths), None)
+    if gap is not None:
+        raise DataError(f"{frame_path(directory, gap)}: missing, the sequence has a gap")
     return [paths[index] for index in range(len(paths))]
 
 

@@ -141,3 +141,42 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert capsys.readouterr().out.splitlines()[-1] == "OUTCOME=COLLIDED"
     with open(tmp_path / "collide.csv") as trace:
         assert sum(1 for _ in trace) == 1 + 180
+
+
+HOSTILE = [
+    'code=0; clgmd simulate --set c1=1e400 --out "$RUNNER_TEMP/c1.csv" || code=$?; test $code = 1',
+    'code=0; clgmd generate "$RUNNER_TEMP/wide" --width "1$(printf \'%04999d\' 0)" || code=$?; '
+    "test $code = 1",
+    'mkdir "$RUNNER_TEMP/stray" && touch "$RUNNER_TEMP/stray/frame_1.pgm"',
+    'code=0; clgmd generate "$RUNNER_TEMP/stray" --frames 2 || code=$?; test $code = 3',
+]
+
+
+def test_hostile_input_exits_with_its_code_on_every_leg(workflow, tmp_path, capsys):
+    # A second console-script step, under PYTHONWARNINGS=error, asserts the
+    # exit code of each hostile line in bash; here each runs in-process.
+    runs = _runs(workflow)
+    [step] = [i for i, run in enumerate(runs) if run.startswith("code=0; clgmd ")]
+    console = next(i for i, run in enumerate(runs) if run.startswith("clgmd "))
+    assert console < step < runs.index(VERSIONS)
+    assert workflow["jobs"]["tests"]["steps"][step]["env"] == {"PYTHONWARNINGS": "error"}
+    assert runs[step].splitlines() == HOSTILE
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path)}
+    for line in HOSTILE:
+        match = re.fullmatch(r"code=0; (clgmd .*) \|\| code=\$\?; test \$code = (\d)", line)
+        if match is None:  # set-up, run as the runner would
+            subprocess.run(["bash", "-c", line], env=env, check=True)
+            continue
+        # bash makes the words, expanding $RUNNER_TEMP and the 5,000 digits.
+        words = subprocess.run(
+            ["bash", "-c", f'set -- {match[1]}; printf "%s\\0" "$@"'],
+            env=env, capture_output=True, check=True,
+        ).stdout.decode().split("\0")[:-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(words[1:]) == int(match[2]), words[:3]
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.count("\n") == 1
+        assert len(captured.err.replace(str(tmp_path), "$RUNNER_TEMP").encode()) <= 120
+    # Nothing written: no trace, no sequence, and only the stray file.
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["frame_1.pgm", "stray"]

@@ -197,6 +197,20 @@ class TestGenerate:
             assert run([*argv, "--frames", frames, "--direction", "up"], capsys)[0] == 0
         assert len(list(out.glob("*.pgm"))) == 8
 
+    @pytest.mark.parametrize("stray", ["frame_1.pgm", "frame_0000007.pgm", "notes.pgm"])
+    def test_directory_detect_would_refuse_exits_3_writing_nothing(
+        self, tmp_path, capsys, monkeypatch, stray
+    ):
+        # The same rule as detect's: every *.pgm name must be a frame's.
+        monkeypatch.chdir(tmp_path)
+        Path("d").mkdir()
+        write_pgm(Path("d", stray), np.zeros((9, 9), dtype=np.uint8))
+        code, stdout, err = run(["generate", "d", "--frames", "2", "--width", "9"], capsys)
+        assert (code, stdout) == (3, "")
+        assert err == f"data error: d/{stray}: not a frame name, expected frame_000000.pgm, ...\n"
+        assert len(err.encode()) <= 120
+        assert sorted(path.name for path in Path("d").iterdir()) == [stray]
+
     def test_bad_direction_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
             ["generate", str(tmp_path / "x"), "--direction", "diagonal"], capsys
@@ -301,6 +315,20 @@ class TestDetect:
         assert code == 3
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_huge_header_number_exits_3_on_one_short_line(
+        self, tmp_path, capsys, monkeypatch, digits
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("seq").mkdir()
+        write_pgm("seq/frame_000000.pgm", np.zeros((9, 9), dtype=np.uint8))
+        Path("seq/frame_000001.pgm").write_bytes(b"P5\n1" + b"0" * (digits - 1) + b" 9\n255\n")
+        code, stdout, err = run(["detect", "seq", "--out", "o.csv"], capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("data error: seq/frame_000001.pgm: bad header token ")
+        assert err.count("\n") == 1 and len(err.encode()) <= 120
+        assert not Path("o.csv").exists()
 
     def test_dimension_drift_exits_3(self, tmp_path, capsys):
         seq = tmp_path / "seq"
@@ -523,7 +551,9 @@ class TestConfigValues:
             argv.insert(1, str(tmp_path))
         code, stdout, err = run(argv, capsys)
         assert code == 1
-        assert f"{setting.split('=')[0]} must be finite" in err
+        # max_duration=1e308 fails its step count "must be finite in steps of dt".
+        key = setting.split("=")[0]
+        assert f"{key} must be a finite number" in err or f"{key} must be finite in" in err
         assert "OUTCOME" not in stdout
 
     @pytest.mark.parametrize(
@@ -559,18 +589,60 @@ class TestConfigValues:
     def test_integer_past_the_float_range_exits_1_naming_the_range(
         self, tmp_path, capsys, command
     ):
-        # The message gives the integer's digit count, not its 401 digits.
-        huge = "1" + "0" * 400
-        out = tmp_path / "out"
-        argv = {
-            "simulate": ["simulate", "--set", f"width={huge}", "--out", str(out)],
-            "generate": ["generate", str(out), "--width", huge],
-        }[command]
-        code, stdout, err = run(argv, capsys)
-        assert code == 1
-        assert err == "error: width must fit in a float, got an integer of 401 digits\n"
-        assert len(err) < 120
-        assert not stdout and not out.exists()
+        # The message gives the integer's digit count, not its digits, and
+        # the text is sized before int() reads it, so past int()'s 4,300-digit
+        # limit the wording is the same.
+        name = {"simulate": "width", "generate": "--width"}[command]
+        for digits in (401, 5000):
+            huge = "1" + "0" * (digits - 1)
+            out = tmp_path / "out"
+            argv = {
+                "simulate": ["simulate", "--set", f"width={huge}", "--out", str(out)],
+                "generate": ["generate", str(out), "--width", huge],
+            }[command]
+            code, stdout, err = run(argv, capsys)
+            assert code == 1
+            assert err == f"error: {name} must fit in a float, got an integer of {digits} digits\n"
+            assert len(err) < 120
+            assert not stdout and not out.exists()
+
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_float_key_given_a_huge_integer_exits_1_naming_the_key(
+        self, tmp_path, capsys, digits
+    ):
+        out = tmp_path / "out.csv"
+        huge = "1" + "0" * (digits - 1)
+        code, stdout, err = run(["simulate", "--set", f"c1={huge}", "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: c1 must fit in a float, got an integer of {digits} digits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit", [0, 640])
+    def test_int_digit_limit_does_not_decide_the_message(self, tmp_path, capsys, limit):
+        # 640 is the lowest limit CPython allows, 0 lifts it.
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("this Python has no int() digit limit")
+        before = sys.get_int_max_str_digits()
+        set_limit(limit)
+        try:
+            # Leading zeros are not digits of the size.
+            for text in ("1" + "0" * 1000, "-" + "0" * 2000 + "7" * 700):
+                code, _, err = run(["simulate", "--set", f"width={text}"], capsys)
+                digits = len(text.lstrip("-0"))
+                assert (code, err) == (
+                    1, f"error: width must fit in a float, got an integer of {digits} digits\n"
+                )
+        finally:
+            set_limit(before)
+
+    def test_long_text_is_quoted_by_its_start_and_length(self, tmp_path, capsys):
+        text = "x" * 5000
+        code, _, err = run(["simulate", "--set", f"t_s={text}"], capsys)
+        shown = f"{'x' * 32!r}... of length 5000"
+        assert (code, err) == (1, f"error: invalid value for t_s: {shown}\n")
+        code, _, err = run(["simulate", "--set", text], capsys)
+        assert (code, err) == (1, f"error: --set #1: expected KEY=VALUE, got {shown}\n")
 
     def test_obstacle_too_large_to_ray_cast_exits_1(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from clgmd import cli, config
 from clgmd.cli import main
+from clgmd.errors import FLOAT_DIGITS
 from clgmd.flightsim import MAX_STEPS
 from clgmd.pgm import MANIFEST_NAME, frame_path, write_pgm, write_sequence
 
@@ -42,6 +43,8 @@ GENERATE_BASE = ["--frames", "3", "--width", "16", "--height", "16"]
 RUN_BASE = {"width": "16", "height": "16", "max_duration": "0.5"}
 KINDS = {key: kind for key, kind, _ in config._flat_keys()}
 DEFAULTS = {key: default for key, _, default in config._flat_keys()}
+NUMBER_FLAGS = [flag for flag, _, name, _ in cli._GENERATE_FLAGS if name != "direction"]
+NUMBER_KEYS = sorted(key for key, kind in KINDS.items() if kind is not str)
 
 FUZZ = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -155,8 +158,8 @@ def test_generate(flags, used):
 @FUZZ
 @given(
     text=odd_number_text(),
-    flag=st.sampled_from([flag for flag, _, name, _ in cli._GENERATE_FLAGS if name != "direction"]),
-    key=st.sampled_from(sorted(key for key, kind in KINDS.items() if kind is not str)),
+    flag=st.sampled_from(NUMBER_FLAGS),
+    key=st.sampled_from(NUMBER_KEYS),
 )
 def test_number_text_is_ascii_without_underscores(text, flag, key):
     assert int(text) == float(text)  # what the rule turns away, Python reads
@@ -166,6 +169,37 @@ def test_number_text_is_ascii_without_underscores(text, flag, key):
         assert (code, err) == (1, f"error: invalid value for {flag}: {text!r}\n")
         code, err = _run(["simulate", "--out", str(out), "--set", f"{key}={text}"])
         assert (code, err) == (1, f"error: invalid value for {key}: {text!r}\n")
+        assert not any(Path(root).iterdir())
+
+
+@st.composite
+def oversized_number_text(draw):
+    """Integer text of 310 to 6,000 digits, past the float range, with an
+    optional sign and leading zeros; or text as long with one character
+    that no number holds."""
+    size = draw(st.integers(FLOAT_DIGITS + 1, 6000))
+    start = draw(st.integers(0, 9))
+    digits = str(draw(st.integers(1, 9))) + ("0123456789" * 600)[start : start + size - 1]
+    text = draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 40)) + digits
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.sampled_from("x#:")) + text[at + 1 :]
+    return text
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(text=oversized_number_text())
+def test_oversized_number_text_exits_1_on_one_short_line(text):
+    # Sized by its digits, not by int()'s 4,300-digit limit, and quoted by
+    # its start and length: no message echoes thousands of characters.
+    with tempfile.TemporaryDirectory() as root:
+        out = Path(root) / "out"
+        runs = [["generate", str(out), *GENERATE_BASE, f"{flag}={text}"] for flag in NUMBER_FLAGS]
+        runs += [["simulate", "--out", str(out), "--set", f"{key}={text}"] for key in NUMBER_KEYS]
+        for argv in runs:
+            code, err = _run(argv)
+            assert code == 1, (argv[-1][:40], err)
+            assert err.count("\n") == 1 and len(err.encode()) <= 120, err
         assert not any(Path(root).iterdir())
 
 

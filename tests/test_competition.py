@@ -193,6 +193,20 @@ class TestNormalize:
         with pytest.raises(InputError):
             normalize(-1, 0, 0, 0, 0, NormParams(), n_cell=25)
 
+    @pytest.mark.parametrize(
+        "sums",
+        [
+            (math.nan, 1, 1, 1, math.nan),  # all-NaN potentials
+            (1, 1, 1, 1, math.inf),  # kappa 255 with zero shares
+            (1, 1, 1, 1, 2.0),  # shares summing to 368.8 > 255
+            (math.inf, 0, 0, 0, math.inf),
+            (1, 2, 3, 4, 10.000000000000002),
+        ],
+    )
+    def test_k_f0_must_be_the_finite_sum_of_the_fields(self, sums):
+        with pytest.raises(InputError, match="k_f0 must be the finite sum"):
+            normalize(*sums, NormParams(), n_cell=25)
+
     @pytest.mark.parametrize("n_cell", [0, -25, 1.5, 25.0, True, "25", None])
     def test_n_cell_must_be_a_positive_count(self, n_cell):
         with pytest.raises(InputError, match="n_cell must be"):
@@ -237,7 +251,8 @@ class TestNormParams:
             assert unset.c2 is None
             for above in (0.05, 0.3, 1.0, 2.5):
                 k = (n_cell * unset.c1 + above) ** 2
-                sums = (0.4 * k, 0.3 * k, 0.2 * k, 0.1 * k, k)
+                u0, d0, l0, r0 = 0.4 * k, 0.3 * k, 0.2 * k, 0.1 * k
+                sums = (u0, d0, l0, r0, u0 + d0 + l0 + r0)  # k_f0 is their sum
                 got = normalize(*sums, unset, n_cell=n_cell)
                 want = normalize(*sums, reciprocal, n_cell=n_cell)
                 assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]

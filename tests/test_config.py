@@ -67,7 +67,7 @@ class TestParsing:
     @pytest.mark.parametrize("key", ["dt", "max_duration", "t_s", "obstacle_vx", "c2"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_floats_rejected(self, key, text):
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got "):
             config_from_mappings({key: text})
 
     # int() and float() read all of these; the PGM header reader and this

@@ -279,6 +279,23 @@ def test_integer_past_the_float_range_is_named_by_its_digit_count(make, name, va
     assert str(info.value) == f"{name} must fit in a float, got an integer of {digits} digits"
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: Sphere((v, 0, 0), 0.1, 100.0), "center"),
+        (lambda v: TrialConfig(obstacle_velocity=(v, 0, 0)), "obstacle_velocity"),
+    ],
+)
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_vector_holding_a_huge_integer_is_shown_by_its_digit_count(make, name, digits):
+    # repr() of such a tuple prints every digit, and raises ValueError past
+    # int()'s 4,300-digit limit.
+    with pytest.raises(ConfigError) as info:
+        make(10 ** (digits - 1))
+    want = f"{name} must be a finite 3-vector, got (an integer of {digits} digits, 0, 0)"
+    assert str(info.value) == want
+
+
 def test_enum_error_lists_the_choices():
     with pytest.raises(ConfigError, match="unknown direction 'bogus'; choose from up/"):
         ScenarioSpec(direction="bogus")

@@ -65,15 +65,23 @@ class TestSingleFile:
         with pytest.raises(DataError):
             read_pgm(path)
         # Header numbers are ASCII digits only; int() alone would take the
-        # first as 10x10, and raises ValueError past its digit limit.
+        # first as 10x10, and raises ValueError past its digit limit.  A
+        # number past 309 digits is bad whether or not int() reads it.
         for header in (
             b"P5\n1_0 +10\n2_55\n",
             b"P5 \xb25 5 255\n",
             b"P5 " + b"1" * 5000 + b" 5 255\n",
+            b"P5 " + b"1" * 4000 + b" 5 255\n",
         ):
             path.write_bytes(header + bytes(100))
             with pytest.raises(DataError, match="bad header token"):
                 read_pgm(path)
+
+    def test_zero_padded_header_numbers_are_read(self, tmp_path):
+        path = tmp_path / "pad.pgm"
+        pad = b"0" * 5000
+        path.write_bytes(b"P5 " + pad + b"5 " + pad + b"5 " + pad + b"255\n" + bytes(range(25)))
+        assert np.array_equal(read_pgm(path), np.arange(25, dtype=np.uint8).reshape(5, 5))
 
     def test_write_rejects_out_of_range(self, tmp_path):
         path = tmp_path / "x.pgm"
