@@ -51,7 +51,6 @@ from .stimulus import (
     CameraModel,
     Direction,
     ScenarioSpec,
-    Scene,
     Sphere,
     generate_sequence,
     make_scenario,
@@ -81,7 +80,6 @@ __all__ = [
     "Placement",
     "Quadrant",
     "ScenarioSpec",
-    "Scene",
     "Sphere",
     "SteeringParams",
     "TrialConfig",

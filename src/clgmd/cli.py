@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from .config import config_from_mappings, load_config_file, parse_number, parse_pairs
 from .detector import CollisionDetector
-from .errors import ConfigError, DataError, InputError, UsageError
+from .errors import ConfigError, DataError, InputError, UsageError, check_value
 from .layers import Frame
 from .pgm import first_frame_from, list_sequence, read_pgm, write_csv, write_sequence
 from .steering import select_escape
@@ -139,14 +139,14 @@ def build_parser() -> _Parser:
     generate.add_argument("out_dir", help="output directory for frames + manifest")
     for flag, owner, name, help_text in _GENERATE_FLAGS:
         default = getattr(owner, name)
-        if isinstance(default, enum.Enum):
-            choices = [member.value for member in type(default)]
-            options = {"choices": choices, "default": default.value}
+        if isinstance(default, enum.Enum):  # the choice rule --set placement= uses
+            read, metavar = check_value, "{%s}" % ",".join(m.value for m in type(default))
         else:  # keep the metavar argparse takes from the flag, not from dest
-            metavar = flag[2:].replace("-", "_").upper()
-            kind = functools.partial(parse_number, flag, type(default), error=UsageError)
-            options = {"type": kind, "default": default, "metavar": metavar}
-        generate.add_argument(flag, dest=name, help=help_text, **options)
+            read, metavar = parse_number, flag[2:].replace("-", "_").upper()
+        kind = functools.partial(read, flag, type(default), error=UsageError)
+        generate.add_argument(
+            flag, dest=name, type=kind, default=default, metavar=metavar, help=help_text
+        )
 
     simulate = sub.add_parser(
         "simulate", parents=[run_config], help="run one closed-loop avoidance trial"

@@ -109,7 +109,7 @@ def parse_pairs(entries) -> dict[str, str]:
             raise ConfigError(f"{where}: expected KEY=VALUE, got {shown(text)}")
         key = key.strip()
         if key in mapping:
-            raise ConfigError(f"{where}: {key} is set again ({first[key]})")
+            raise ConfigError(f"{where}: {shown(key)} is set again ({first[key]})")
         mapping[key], first[key] = value.strip(), where
     return mapping
 
@@ -145,7 +145,7 @@ def config_from_mappings(*mappings: dict[str, str]) -> TrialConfig:
     values = dict(_DEFAULTS)
     for key, text in merged.items():
         if key not in _TYPES:
-            raise ConfigError(f"unknown config key: {key}")
+            raise ConfigError(f"unknown config key: {shown(key)}")
         values[key] = _convert(key, text)
 
     def pick(cls) -> dict:

@@ -1,14 +1,14 @@
 """Point-mass quadcopter closed with the collision detector.
 
 The vehicle starts at the origin and cruises along +x toward a spherical
-obstacle, rendering the scene from its own camera every step.  The camera
-keeps its +x heading, so body-frame setpoints are world-frame velocities,
-and the scene it sees is the world shifted by the vehicle's position: the
-obstacle's center relative to the vehicle.  A confirmed collision picks
-an escape setpoint that replaces cruise for a fixed hold; re-confirmation
-during the hold restarts it with the freshly selected direction.  The
-trial ends when the vehicle hits the obstacle, leaves the arena, or runs
-out of time.
+obstacle, rendering it from its own camera every step.  The camera keeps
+its +x heading, so body-frame setpoints are world-frame velocities, and
+the sphere it sees is the obstacle shifted by the vehicle's position: its
+center relative to the vehicle.  A confirmed collision picks an escape
+setpoint that replaces cruise for a fixed hold; re-confirmation during
+the hold restarts it with the freshly selected direction.  The trial ends
+when the vehicle hits the obstacle, leaves the arena, or runs out of
+time.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 from .layers import CoreParams
 from .pgm import write_csv
 from .steering import EscapeCommand, SteeringParams, command_to_setpoint, select_escape
-from .stimulus import CameraModel, Scene, Sphere, check_reach, render_frame
+from .stimulus import BACKGROUND, CameraModel, Sphere, check_reach, render_frame
 
 # (xmin, xmax, ymin, ymax, zmin, zmax)
 _Arena = Annotated[tuple[float, ...], Kind("be six finite bounds", size=6)]
@@ -64,11 +64,11 @@ def step_vehicle(
     return VehicleState(position=pos, velocity=vel)
 
 
-def check_collision(scene: Scene, margin: float) -> bool:
-    """True iff the vehicle, at the origin of ``scene``, is within margin of
-    the obstacle's surface."""
+def check_collision(obstacle: Sphere, margin: float) -> bool:
+    """True iff the vehicle, at the origin of the camera frame ``obstacle``
+    is given in, is within margin of its surface."""
     check_value("margin", NonNegative, margin, InputError)
-    return scene.obstacle.clearance() <= margin
+    return obstacle.clearance() <= margin
 
 
 class Placement(enum.Enum):
@@ -96,7 +96,7 @@ class TrialConfig:
     obstacle_offset: NonNegative = 0.25
     obstacle_velocity: Vec3 = (0.0, 0.0, 0.0)
     obstacle_luminance: Luminance = 224.0
-    background: Luminance = Scene.background
+    background: Luminance = BACKGROUND
     noise_amplitude: Amplitude = 0.0
     noise_seed: Count = 0
     arena: _Arena = (-1.0, 6.0, -3.0, 3.0, -3.0, 3.0)
@@ -151,7 +151,7 @@ class TrialConfig:
                 f"{name}={speed} can carry the vehicle too far within "
                 f"max_duration={self.max_duration}: {exc}"
             ) from None
-        gap = self.scene_at(0.0, VehicleState().position).obstacle.clearance()
+        gap = self.obstacle_at(0.0, VehicleState().position).clearance()
         if gap <= self.margin:
             raise ConfigError(
                 f"obstacle overlaps the start position: its clearance {gap:.6g} "
@@ -171,18 +171,12 @@ class TrialConfig:
             oz * self.obstacle_offset + vz * t,
         )
 
-    def scene_at(self, t: float, position: Vec3) -> Scene:
-        """The scene at time t as seen from a vehicle at ``position``."""
-        center = self.obstacle_center(t)
-        sphere = Sphere(
-            center=tuple(c - p for c, p in zip(center, position)),
+    def obstacle_at(self, t: float, position: Vec3) -> Sphere:
+        """The obstacle at time t as seen from a vehicle at ``position``."""
+        return Sphere(
+            center=tuple(c - p for c, p in zip(self.obstacle_center(t), position)),
             radius=self.obstacle_radius,
             luminance=self.obstacle_luminance,
-        )
-        return Scene(
-            obstacle=sphere,
-            background=self.background,
-            noise_amplitude=self.noise_amplitude,
         )
 
 
@@ -230,9 +224,9 @@ class TrialTrace:
 def run_trial(config: TrialConfig) -> TrialTrace:
     """Render, detect, steer and integrate until the trial resolves.
 
-    The obstacle scene at the end of step i is the one for t = (i+1)·dt,
-    seen from where the step left the vehicle: it decides the collision
-    and the arena exit, and step i+1 renders it.
+    The obstacle at the end of step i is the one for t = (i+1)·dt, seen
+    from where the step left the vehicle: it decides the collision and the
+    arena exit, and step i+1 renders it.
     """
     camera = config.camera
     detector = CollisionDetector(core=config.core, norm=config.norm)
@@ -242,12 +236,15 @@ def run_trial(config: TrialConfig) -> TrialTrace:
     command: EscapeCommand | None = None
     command_started = 0.0
     was_confirmed = False
-    scene = config.scene_at(0.0, state.position)
+    obstacle = config.obstacle_at(0.0, state.position)
     steps = int(round(config.max_duration / config.dt))
     xmin, xmax, ymin, ymax, zmin, zmax = config.arena
     for i in range(steps):
         t = i * config.dt
-        frame = render_frame(scene, camera, index=i, seed=config.noise_seed)
+        frame = render_frame(
+            obstacle, camera, index=i, seed=config.noise_seed,
+            background=config.background, noise_amplitude=config.noise_amplitude,
+        )
         result = detector.process(frame)
         # A new confirmation is the flag rising, not merely staying set:
         # ego-motion keeps the detector excited through the whole dodge, so
@@ -269,13 +266,13 @@ def run_trial(config: TrialConfig) -> TrialTrace:
         row = (i, t, *state.position, *state.velocity, *cells, *held)
         records.append(TrialRecord(*row))
         state = step_vehicle(state, setpoint, config.dt, tau=config.tau)
-        scene = config.scene_at((i + 1) * config.dt, state.position)
-        if check_collision(scene, config.margin):
+        obstacle = config.obstacle_at((i + 1) * config.dt, state.position)
+        if check_collision(obstacle, config.margin):
             outcome = Outcome.COLLIDED
             break
         px, py, pz = state.position
         if not (xmin <= px <= xmax and ymin <= py <= ymax and zmin <= pz <= zmax):
-            passed = scene.obstacle.center[0] < 0.0
+            passed = obstacle.center[0] < 0.0
             outcome = Outcome.AVOIDED if passed else Outcome.TIMEOUT
             break
     return TrialTrace(records=tuple(records), outcome=outcome, final_state=state)

@@ -2,19 +2,21 @@
 
 A pinhole camera at the origin looks along +x (+y left, +z up), so the
 ray through a pixel center is (1, s, u) for that pixel's slopes s and u.
-A scene holds one flat-shaded sphere, given in the camera's frame (one
-wholly behind the camera covers no pixel); a pixel is its level (the
-sphere's where its ray hits the sphere in front of the camera, else the
-background) plus the frame's noise, zero without.  Scenario builders move
-the sphere straight toward the camera on a constant bearing, so the
-silhouette expands in place inside one quadrant of the field of view.  A
-sequence is rendered one frame at a time, each into one float64 image, so
-memory does not grow with its length.
+A frame is drawn from one flat-shaded sphere, given in the camera's frame
+(one wholly behind the camera covers no pixel), over a uniform
+background; a pixel is its level (the sphere's where its ray hits the
+sphere in front of the camera, else the background) plus the frame's
+noise, zero without.  Scenario builders move the sphere straight toward
+the camera on a constant bearing, so the silhouette expands in place
+inside one quadrant of the field of view.  A sequence is rendered one
+frame at a time, each into one float64 image, so memory does not grow
+with its length.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -30,6 +32,8 @@ from .errors import (
 from .layers import MIN_SIDE, Frame
 
 DEFAULT_NOISE_AMPLITUDE = 5.0
+# The default level of every pixel the obstacle does not cover.
+BACKGROUND = 32.0
 # A scenario's sphere stops approaching at this many of its radii.
 _STANDOFF_RADII = 1.05
 
@@ -92,18 +96,6 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class Scene:
-    """One flat-shaded sphere over a uniform background."""
-
-    obstacle: Sphere
-    background: Luminance = 32.0
-    noise_amplitude: Amplitude = 0.0
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-
-
-@dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera at the origin looking along +x, +y left and +z up,
     with square pixels and a horizontal field of view of ``hfov_deg``."""
@@ -117,16 +109,18 @@ class CameraModel:
         if self._tan_half == 0.0 or math.isinf(self.focal_px):
             raise ConfigError(f"hfov_deg {self.hfov_deg} is too narrow for a finite focal length")
 
-    @property
+    # Computed once per camera and kept outside the fields, so equality,
+    # hashing, repr and asdict see only width, height and hfov_deg.
+    @functools.cached_property
     def _tan_half(self) -> float:
         """Slope of the ray through the left edge of the image."""
         return math.tan(math.radians(self.hfov_deg) / 2.0)
 
-    @property
+    @functools.cached_property
     def focal_px(self) -> float:
         return (self.width / 2.0) / self._tan_half
 
-    @property
+    @functools.cached_property
     def _principal_point(self) -> tuple[float, float]:
         """(column, row) of the optical axis, between pixels for even sizes."""
         return (self.width - 1) / 2.0, (self.height - 1) / 2.0
@@ -211,9 +205,12 @@ def _window(offset, radius: float, camera: CameraModel) -> tuple[slice, slice]:
 
 
 def render_frame(
-    scene: Scene, camera: CameraModel, index: int = 0, seed: int = 0
+    obstacle: Sphere, camera: CameraModel, index: int = 0, seed: int = 0, *,
+    background: float = BACKGROUND, noise_amplitude: float = 0.0,
 ) -> Frame:
-    """Render one frame; noise (if any) is keyed by (seed, index).
+    """Render ``obstacle`` over ``background`` with uniform noise of
+    ``noise_amplitude``, keyed by (seed, index); a bad argument raises
+    ``InputError``.
 
     The obstacle is ray-cast only over the window of pixels it can cover,
     with the window's slopes computed per call.  The image is one float64
@@ -227,16 +224,17 @@ def render_frame(
     rounded half to even in place, and ``Frame`` gets a fresh uint8 copy,
     as the detector keeps the previous frame.
     """
+    obj = check_value("obstacle", Sphere, obstacle, InputError)
+    background = check_value("background", Luminance, background, InputError)
+    amplitude = check_value("noise_amplitude", Amplitude, noise_amplitude, InputError)
     index = check_value("index", Count, index, InputError)
     seed = check_value("seed", Count, seed, InputError)
-    obj = scene.obstacle
     check_reach(obj.center, obj.radius, camera, InputError)
     if obj.clearance() < 0:
         raise InputError(f"the camera is inside {obj!r}")
     rows, cols = _window(obj.center, obj.radius, camera)
     hit = np.isfinite(obj.intersect(*camera._ray_slopes(rows, cols)))
     shape = (camera.height, camera.width)
-    amplitude = scene.noise_amplitude
     if amplitude > 0.0:
         span = amplitude - (-amplitude)
         img = np.random.default_rng((seed, index)).random(shape)
@@ -245,11 +243,11 @@ def render_frame(
     else:
         img = np.zeros(shape)
     sums = img[rows, cols] + obj.luminance
-    img += scene.background
+    img += background
     np.copyto(img[rows, cols], sums, where=hit)
     # Noise lies in [-a, a], and rounding is monotone, so the image can leave
     # [0, 255] only if a level does once a is added or taken away.
-    low, high = min(scene.background, obj.luminance), max(scene.background, obj.luminance)
+    low, high = min(background, obj.luminance), max(background, obj.luminance)
     if low - amplitude < 0.0 or high + amplitude > 255.0:
         np.clip(img, 0.0, 255.0, out=img)
     np.rint(img, out=img)
@@ -275,7 +273,7 @@ class ScenarioSpec:
     noise_amplitude: Amplitude = 0.0
     object_radius: Positive = 0.35
     object_luminance: Luminance = 224.0
-    background: Luminance = Scene.background
+    background: Luminance = BACKGROUND
     entry_fraction: _Fraction = 0.8
 
     def __post_init__(self) -> None:
@@ -313,8 +311,8 @@ def _start_position(
     return np.array([x, ortho, z * vertical])
 
 
-def make_scenario(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> Iterator[Scene]:
-    """Per-frame scenes for a straight constant-bearing approach, each
+def make_scenario(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> Iterator[Sphere]:
+    """Per-frame spheres for a straight constant-bearing approach, each
     built when it is asked for; the spec is checked at the call.
 
     The sphere travels from its start point directly toward the camera and
@@ -343,28 +341,27 @@ def make_scenario(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> It
         )
     check_reach(start + toward * last, spec.object_radius, camera)
     return (
-        Scene(
-            obstacle=Sphere(
-                center=tuple(start + toward * travel(i)),
-                radius=spec.object_radius,
-                luminance=spec.object_luminance,
-            ),
-            background=spec.background,
-            noise_amplitude=spec.noise_amplitude,
+        Sphere(
+            center=tuple(start + toward * travel(i)),
+            radius=spec.object_radius,
+            luminance=spec.object_luminance,
         )
         for i in range(spec.frames)
     )
 
 
 def generate_sequence(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> Iterator[Frame]:
-    """The frames of :func:`make_scenario`'s scenes, each rendered when it
-    is asked for.
+    """The frames of :func:`make_scenario`'s spheres over the spec's
+    background and noise, each rendered when it is asked for.
 
-    The spec is checked at the call.  Neither a scene nor a frame is kept
+    The spec is checked at the call.  Neither a sphere nor a frame is kept
     once returned, so memory does not grow with ``spec.frames``.  Wrap the
     iterator in ``list()`` to index it.
     """
     return (
-        render_frame(scene, camera, index=i, seed=spec.seed)
-        for i, scene in enumerate(make_scenario(spec, camera))
+        render_frame(
+            sphere, camera, index=i, seed=spec.seed,
+            background=spec.background, noise_amplitude=spec.noise_amplitude,
+        )
+        for i, sphere in enumerate(make_scenario(spec, camera))
     )

@@ -182,14 +182,16 @@ def general_intersect(sphere, dirs: np.ndarray) -> np.ndarray:
     return np.where(hit & (near > 0.0), near, np.inf)
 
 
-def naive_render(scene, camera, index: int = 0, seed: int | None = None) -> np.ndarray:
+def naive_render(
+    obstacle, camera, index: int = 0, seed: int | None = None, *,
+    background: float = 32.0, noise_amplitude: float = 0.0,
+) -> np.ndarray:
     """Luminance of a frame with the obstacle ray-cast over the full pixel
     grid by a general caster, one direction vector per pixel."""
-    img = np.full((camera.height, camera.width), scene.background, dtype=np.float64)
-    t = general_intersect(scene.obstacle, ray_directions(camera))
-    img[t < np.inf] = scene.obstacle.luminance
-    if scene.noise_amplitude > 0.0:
+    img = np.full((camera.height, camera.width), background, dtype=np.float64)
+    t = general_intersect(obstacle, ray_directions(camera))
+    img[t < np.inf] = obstacle.luminance
+    if noise_amplitude > 0.0:
         rng = np.random.default_rng((seed if seed is not None else 0, index))
-        amplitude = scene.noise_amplitude
-        img += rng.uniform(-amplitude, amplitude, size=img.shape)
+        img += rng.uniform(-noise_amplitude, noise_amplitude, size=img.shape)
     return Frame(index=index, luminance=np.clip(img, 0.0, 255.0)).luminance

@@ -147,6 +147,10 @@ HOSTILE = [
     'code=0; clgmd simulate --set c1=1e400 --out "$RUNNER_TEMP/c1.csv" || code=$?; test $code = 1',
     'code=0; clgmd generate "$RUNNER_TEMP/wide" --width "1$(printf \'%04999d\' 0)" || code=$?; '
     "test $code = 1",
+    'code=0; clgmd simulate --set "$(printf \'%05000d\' 0)=1" --out "$RUNNER_TEMP/key.csv" '
+    "|| code=$?; test $code = 1",
+    'code=0; clgmd generate "$RUNNER_TEMP/way" --direction "$(printf \'%05000d\' 0)" '
+    "|| code=$?; test $code = 1",
     'mkdir "$RUNNER_TEMP/stray" && touch "$RUNNER_TEMP/stray/frame_1.pgm"',
     'code=0; clgmd generate "$RUNNER_TEMP/stray" --frames 2 || code=$?; test $code = 3',
 ]

@@ -212,10 +212,17 @@ class TestGenerate:
         assert sorted(path.name for path in Path("d").iterdir()) == [stray]
 
     def test_bad_direction_exits_1(self, tmp_path, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             ["generate", str(tmp_path / "x"), "--direction", "diagonal"], capsys
         )
         assert code == 1
+        # The one rule for a bad choice, the one --set placement= takes.
+        assert err == "error: unknown --direction 'diagonal'; choose from up/down/left/right/head_on\n"
+
+    def test_direction_help_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        assert "[--direction {up,down,left,right,head_on}]" in capsys.readouterr().out
 
 
     def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, capsys):
@@ -495,8 +502,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "source, message",
         [
-            (["--config", "run.cfg"], "run.cfg:3: t_s is set again (run.cfg:1)"),
-            (["--set", "t_s=100", "--set", "t_s=200"], "--set #2: t_s is set again (--set #1)"),
+            (["--config", "run.cfg"], "run.cfg:3: 't_s' is set again (run.cfg:1)"),
+            (["--set", "t_s=100", "--set", "t_s=200"], "--set #2: 't_s' is set again (--set #1)"),
         ],
         ids=["config-file", "set-flag"],
     )
@@ -724,7 +731,7 @@ class TestConfigValues:
             ["simulate", "--set", "seed=1", "--out", str(tmp_path / "t.csv")], capsys
         )
         assert code == 1
-        assert "unknown config key: seed" in err
+        assert "unknown config key: 'seed'" in err
 
     def test_step_count_above_cap_exits_1(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

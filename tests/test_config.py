@@ -36,11 +36,11 @@ class TestParsing:
             parse_config_text("a=1\nbogus line\n", source="cfg")
 
     def test_repeated_key_reports_both_lines(self):
-        with pytest.raises(ConfigError, match=r"^cfg:4: t_s is set again \(cfg:1\)$"):
+        with pytest.raises(ConfigError, match=r"^cfg:4: 't_s' is set again \(cfg:1\)$"):
             parse_config_text("t_s=100\nc1=0.01\n\nt_s = 200\n", source="cfg")
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="unknown config key: t_x"):
+        with pytest.raises(ConfigError, match="unknown config key: 't_x'"):
             config_from_mappings({"t_x": "10"})
 
     def test_invalid_value_named(self):
@@ -103,7 +103,7 @@ class TestParsing:
             config_from_mappings({"width": "1" + "0" * 400})
 
     def test_seed_is_not_a_key(self):
-        with pytest.raises(ConfigError, match="unknown config key: seed"):
+        with pytest.raises(ConfigError, match="unknown config key: 'seed'"):
             config_from_mappings({"seed": "1"})
 
     def test_file_roundtrip(self, tmp_path):

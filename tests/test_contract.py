@@ -23,16 +23,16 @@ from clgmd import (
     NormParams,
     Placement,
     ScenarioSpec,
-    Scene,
     Sphere,
     SteeringParams,
     TrialConfig,
     VehicleState,
+    render_frame,
 )
-from clgmd.errors import _contract
+from clgmd.errors import Amplitude, Luminance, _contract, _kind
 
 LUMINANCE = np.zeros((5, 5), dtype=np.uint8)
-# A sphere wholly behind the camera: a scene's obstacle that covers no pixel.
+# A sphere wholly behind the camera: an obstacle that covers no pixel.
 BEHIND = Sphere((-2.0, 0.0, 0.0), 0.3, 200.0)
 
 # Valid keyword arguments for each checked class, and the error it raises.
@@ -41,7 +41,6 @@ CHECKED = {
     NormParams: ({}, ConfigError),
     SteeringParams: ({}, ConfigError),
     Sphere: ({"center": (4.0, 0.0, 0.0), "radius": 0.3, "luminance": 200.0}, ConfigError),
-    Scene: ({"obstacle": BEHIND}, ConfigError),
     CameraModel: ({}, ConfigError),
     ScenarioSpec: ({}, ConfigError),
     TrialConfig: ({}, ConfigError),
@@ -247,7 +246,7 @@ nan, inf = math.nan, math.inf
         (lambda: TrialConfig(noise_seed=0.5), ConfigError),
         (lambda: TrialConfig(cruise_speed=True), ConfigError),
         (lambda: CameraModel(width=100.5), ConfigError),
-        (lambda: Scene(BEHIND, noise_amplitude=inf), ConfigError),
+        (lambda: ScenarioSpec(noise_amplitude=inf), ConfigError),
         (lambda: Frame(index=1.5, luminance=LUMINANCE), InputError),
         (lambda: TrialConfig(dt="0.1"), ConfigError),
         (lambda: CameraModel(width="100"), ConfigError),
@@ -257,13 +256,53 @@ nan, inf = math.nan, math.inf
         (lambda: TrialConfig(norm=5), ConfigError),
         (lambda: TrialConfig(steering=3), ConfigError),
         (lambda: TrialConfig(camera=None), ConfigError),
-        (lambda: Scene(obstacle=5), ConfigError),
+        (lambda: TrialConfig(noise_amplitude=inf), ConfigError),
     ],
 )
 def test_values_once_let_through_are_rejected(make, error):
     with pytest.raises(error) as info:
         make()
     assert type(info.value) is error
+
+
+# render_frame's checked keyword arguments, each of the kind a scenario's
+# or a trial's field of that name declares, on a camera of the least size.
+RENDER = {"obstacle": Sphere, "background": Luminance, "noise_amplitude": Amplitude}
+SMALL = CameraModel(width=5, height=5)
+
+
+def _render(name, value):
+    return render_frame(**{"obstacle": BEHIND, "camera": SMALL, name: value})
+
+
+def _raises_input_error(name, value):
+    with pytest.raises(InputError) as info:
+        _render(name, value)
+    assert type(info.value) is InputError
+    assert str(info.value).startswith(f"{name} must "), info.value
+
+
+def test_invalid_render_arguments_raise_input_error():
+    for name, hint in RENDER.items():
+        for value in _bad_values(None, name, _kind(hint), False):
+            _raises_input_error(name, value)
+    _raises_input_error("obstacle", 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(RENDER)).flatmap(
+    lambda name: st.tuples(st.just(name), _invalid(_kind(RENDER[name])))))
+def test_generated_invalid_render_arguments_raise_input_error(case):
+    _raises_input_error(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(RENDER)).flatmap(
+    lambda name: st.tuples(st.just(name), _valid(_kind(RENDER[name])))))
+def test_valid_render_arguments_and_numpy_twins_render_equal_frames(case):
+    name, value = case
+    twin = _twin(_kind(RENDER[name]), value)
+    assert _render(name, value).luminance.tobytes() == _render(name, twin).luminance.tobytes()
 
 
 @pytest.mark.parametrize(

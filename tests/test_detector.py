@@ -1,9 +1,12 @@
 """CollisionDetector: reused layer buffers and per-frame allocations."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clgmd import detector as detector_module
 from clgmd.competition import NormParams, accumulate_quadrants, build_quadrant_mask, normalize
@@ -246,3 +249,45 @@ def test_spikes_fall_on_frames_whose_outline_moved(direction, spikes_at_100):
     changed, spikes, confirmed = changes_and_spikes(100, direction)
     assert len(changed) == 96 and len(spikes) == spikes_at_100 and spikes <= changed
     assert confirmed[0] == 64
+
+
+def _outputs(frames, core):
+    """k_f0, kappa, u, d, l, r as float64 bytes, then spike and confirmed,
+    for each processed frame."""
+    detector = CollisionDetector(core=core)
+    results = [detector.process(frame) for frame in frames][1:]
+    return [
+        (np.array(dataclasses.astuple(r.potentials)).tobytes(), r.spike, r.confirmed)
+        for r in results
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    height=st.integers(5, 64),
+    width=st.integers(5, 64),
+    delay=st.sampled_from([0, 1]),
+    t_de=st.floats(0.0, 30.0),
+    noise=st.booleans(),
+    rendered=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverted_luminance_leaves_every_output_bit_identical(
+    height, width, delay, t_de, noise, rendered, seed
+):
+    # Noise applies to the rendered approach; random frames span 0-255.
+    # P is the signed frame difference, so 255 - frame negates P, I and S
+    # exactly; Ce flips sign with S, and the grouping scale takes the
+    # larger of max(Ce) and -min(Ce), so G = S * Ce / scale is unchanged.
+    if rendered:
+        spec = ScenarioSpec(
+            direction=Direction.LEFT, distance=1.5, frames=8, seed=seed % 1000,
+            noise_amplitude=5.0 if noise else 0.0,
+        )
+        frames = list(generate_sequence(spec, CameraModel(width=width, height=height)))
+    else:
+        rng = np.random.default_rng(seed)
+        frames = [Frame(i, rng.integers(0, 256, (height, width), dtype=np.uint8)) for i in range(8)]
+    inverted = [Frame(f.index, 255 - f.luminance) for f in frames]
+    core = CoreParams(inhibition_delay=delay, t_de=t_de)
+    assert _outputs(inverted, core) == _outputs(frames, core)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clgmd import flightsim
 from clgmd.competition import NormParams
 from clgmd.errors import ConfigError, InputError
 from clgmd.flightsim import (
@@ -20,7 +21,7 @@ from clgmd.flightsim import (
     step_vehicle,
     write_trace_csv,
 )
-from clgmd.stimulus import Scene, Sphere
+from clgmd.stimulus import Sphere
 
 from oracles import first_order_response
 
@@ -80,10 +81,10 @@ class TestStepVehicle:
                 VehicleState(position=vector)
 
 
-def seen_from(x: float) -> Scene:
-    """The scene around a sphere of radius 0.3 at (4, 0, 0), as seen from a
-    vehicle at (x, 0, 0)."""
-    return Scene(obstacle=Sphere((4.0 - x, 0.0, 0.0), 0.3, 200.0))
+def seen_from(x: float) -> Sphere:
+    """A sphere of radius 0.3 at (4, 0, 0), as seen from a vehicle at
+    (x, 0, 0)."""
+    return Sphere((4.0 - x, 0.0, 0.0), 0.3, 200.0)
 
 
 class TestCheckCollision:
@@ -98,16 +99,16 @@ class TestCheckCollision:
         assert not check_collision(seen_from(4.0 - 0.41), margin=0.1)
 
     def test_sphere_behind_the_camera_false(self):
-        assert not check_collision(Scene(Sphere((-2.0, 0.0, 0.0), 0.3, 200.0)), margin=0.1)
+        assert not check_collision(Sphere((-2.0, 0.0, 0.0), 0.3, 200.0), margin=0.1)
 
-    def test_scene_at_is_seen_from_the_vehicle(self):
-        # The trial's scene at a point within margin of the surface, and at
-        # one just outside it, both relative to the vehicle.
+    def test_obstacle_at_is_seen_from_the_vehicle(self):
+        # The trial's obstacle at a point within margin of the surface, and
+        # at one just outside it, both relative to the vehicle.
         cfg = TrialConfig(placement="centered")
-        assert check_collision(cfg.scene_at(0.0, (4.0 - 0.4, 0.0, 0.0)), cfg.margin)
-        assert not check_collision(cfg.scene_at(0.0, (4.0 - 0.41, 0.0, 0.0)), cfg.margin)
+        assert check_collision(cfg.obstacle_at(0.0, (4.0 - 0.4, 0.0, 0.0)), cfg.margin)
+        assert not check_collision(cfg.obstacle_at(0.0, (4.0 - 0.41, 0.0, 0.0)), cfg.margin)
         moving = TrialConfig(placement="centered", obstacle_velocity=(-1.0, 0.5, 0.0))
-        assert moving.scene_at(2.0, (1.0, 1.0, -0.5)).obstacle.center == (1.0, 0.0, 0.5)
+        assert moving.obstacle_at(2.0, (1.0, 1.0, -0.5)).center == (1.0, 0.0, 0.5)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(InputError):
@@ -207,6 +208,30 @@ def _quiet_norm():
 
 
 class TestRunTrial:
+    def test_each_step_renders_the_sphere_it_then_checks(self, monkeypatch):
+        # The obstacle that ends step i, which decides the collision, is the
+        # one step i + 1 draws, over the trial's background and noise.
+        render, collide = flightsim.render_frame, flightsim.check_collision
+        rendered, checked = [], []
+
+        def rendering(obstacle, camera, **kwargs):
+            frame = render(obstacle, camera, **kwargs)
+            rendered.append((obstacle, frame))
+            return frame
+
+        def checking(obstacle, margin):
+            checked.append(obstacle)
+            return collide(obstacle, margin)
+
+        monkeypatch.setattr(flightsim, "render_frame", rendering)
+        monkeypatch.setattr(flightsim, "check_collision", checking)
+        run_trial(TrialConfig(background=100.0, noise_amplitude=3.0, max_duration=0.2))
+        assert len(rendered) == len(checked) == 10
+        assert all(seen is ended for (seen, _), ended in zip(rendered[1:], checked))
+        for _, frame in rendered:  # the top row is background and noise
+            assert np.abs(frame.luminance[0].astype(int) - 100).max() <= 3
+        assert len(np.unique(rendered[0][1].luminance[0])) > 1
+
     def test_determinism(self):
         cfg = TrialConfig(placement="left", max_duration=6.0)
         a, b = run_trial(cfg), run_trial(cfg)

@@ -43,8 +43,8 @@ def test_placement_escape_and_bearing_agree_with_side_unit(side):
     assert cmd.quadrant is side
     assert np.array_equal(command_to_setpoint(cmd, 0.0), 0.6 * unit)
 
-    (scene,) = make_scenario(ScenarioSpec(direction=side.name.lower(), frames=1))
-    _, y, z = scene.obstacle.center
+    (sphere,) = make_scenario(ScenarioSpec(direction=side.name.lower(), frames=1))
+    _, y, z = sphere.center
     along, across = np.dot((y, z), unit[1:]), np.dot((z, y), unit[1:])
     assert along > abs(across)
 

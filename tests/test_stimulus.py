@@ -1,5 +1,6 @@
 """Renderer geometry, scenario trajectories, determinism and mirrors."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -20,7 +21,6 @@ from clgmd.stimulus import (
     CameraModel,
     Direction,
     ScenarioSpec,
-    Scene,
     Sphere,
     generate_sequence,
     _window,
@@ -31,8 +31,8 @@ from clgmd.stimulus import (
 from oracles import general_intersect, naive_render, ray_directions, sphere_projected_radius
 
 CAM = CameraModel()  # 100x100, 90 degree horizontal field of view
-# A sphere wholly behind the camera covers no pixel: the scene of a frame
-# that is background and noise alone.
+# A sphere wholly behind the camera covers no pixel: the obstacle of a
+# frame that is background and noise alone.
 BEHIND = Sphere((-2.0, 0.0, 0.0), 0.3, 224.0)
 
 
@@ -42,7 +42,7 @@ def object_pixels(frame, background):
 
 class TestRenderFrame:
     def test_sphere_behind_the_camera_leaves_a_uniform_background(self):
-        frame = render_frame(Scene(BEHIND, background=77.0), CAM)
+        frame = render_frame(BEHIND, CAM, background=77.0)
         assert np.all(frame.luminance == 77)
 
     @pytest.mark.parametrize("noise", [0.0, 5.0])
@@ -51,7 +51,7 @@ class TestRenderFrame:
         # pixels: the background plus the noise of (seed, index).
         other = Sphere((-0.6, 3.0, -1.0), 0.5, 17.0)
         a, b = (
-            render_frame(Scene(obj, noise_amplitude=noise), CAM, index=3, seed=11).luminance
+            render_frame(obj, CAM, index=3, seed=11, noise_amplitude=noise).luminance
             for obj in (BEHIND, other)
         )
         assert a.tobytes() == b.tobytes()
@@ -59,8 +59,7 @@ class TestRenderFrame:
 
     def test_halving_distance_doubles_diameter(self):
         def extent(d):
-            scene = Scene(obstacle=Sphere((d, 0.0, 0.0), 0.3, 224.0))
-            frame = render_frame(scene, CAM)
+            frame = render_frame(Sphere((d, 0.0, 0.0), 0.3, 224.0), CAM)
             cols = np.nonzero(np.any(object_pixels(frame, 32.0), axis=0))[0]
             return int(cols[-1] - cols[0] + 1)
 
@@ -68,15 +67,13 @@ class TestRenderFrame:
         assert abs(near - 2 * far) <= 1
 
     def test_rendered_radius_tracks_analytic_projection(self):
-        scene = Scene(obstacle=Sphere((3.0, 0.0, 0.0), 0.4, 224.0))
-        frame = render_frame(scene, CAM)
+        frame = render_frame(Sphere((3.0, 0.0, 0.0), 0.4, 224.0), CAM)
         area = int(np.count_nonzero(object_pixels(frame, 32.0)))
         radius = sphere_projected_radius(CAM.focal_px, 0.4, 3.0)
         assert area == pytest.approx(math.pi * radius * radius, rel=0.15)
 
     def test_offset_sphere_lands_in_left_region(self):
-        scene = Scene(obstacle=Sphere((3.0, 1.8, 0.0), 0.3, 224.0))
-        frame = render_frame(scene, CAM)
+        frame = render_frame(Sphere((3.0, 1.8, 0.0), 0.3, 224.0), CAM)
         mask = build_quadrant_mask(CAM.width, CAM.height)
         obj = object_pixels(frame, 32.0)
         assert obj.any()
@@ -90,26 +87,24 @@ class TestRenderFrame:
         assert row == pytest.approx(row_pred, abs=1.0)
 
     def test_camera_inside_object_rejected(self):
-        scene = Scene(obstacle=Sphere((0.0, 0.0, 0.0), 1.0, 200.0))
         with pytest.raises(InputError):
-            render_frame(scene, CAM)
+            render_frame(Sphere((0.0, 0.0, 0.0), 1.0, 200.0), CAM)
 
     def test_deterministic_with_noise(self):
-        scene = Scene(obstacle=Sphere((3.0, 0.0, 0.0), 0.3, 200.0), noise_amplitude=5.0)
-        a = render_frame(scene, CAM, index=4, seed=9)
-        b = render_frame(scene, CAM, index=4, seed=9)
+        obstacle = Sphere((3.0, 0.0, 0.0), 0.3, 200.0)
+        a = render_frame(obstacle, CAM, index=4, seed=9, noise_amplitude=5.0)
+        b = render_frame(obstacle, CAM, index=4, seed=9, noise_amplitude=5.0)
         assert np.array_equal(a.luminance, b.luminance)
 
     def test_noise_varies_with_frame_index(self):
-        scene = Scene(BEHIND, noise_amplitude=5.0, background=128.0)
-        a = render_frame(scene, CAM, index=0, seed=9)
-        b = render_frame(scene, CAM, index=1, seed=9)
+        paint = {"noise_amplitude": 5.0, "background": 128.0}
+        a = render_frame(BEHIND, CAM, index=0, seed=9, **paint)
+        b = render_frame(BEHIND, CAM, index=1, seed=9, **paint)
         assert not np.array_equal(a.luminance, b.luminance)
 
     def test_sphere_too_far_to_ray_cast_rejected(self):
-        scene = Scene(obstacle=Sphere((1e200, 0.0, 0.0), 0.3, 200.0))
         with pytest.raises(InputError, match="too large to ray-cast"):
-            render_frame(scene, CAM)
+            render_frame(Sphere((1e200, 0.0, 0.0), 0.3, 200.0), CAM)
 
     @pytest.mark.parametrize("noise", [0.0, 5.0])
     @pytest.mark.parametrize(
@@ -119,14 +114,13 @@ class TestRenderFrame:
     def test_index_and_seed_must_be_counts(self, noise, name, value):
         # With noise these raised numpy's bare ValueError or TypeError;
         # without it they passed unchecked.
-        scene = Scene(obstacle=Sphere((3.0, 0.0, 0.0), 0.3, 200.0), noise_amplitude=noise)
+        obstacle = Sphere((3.0, 0.0, 0.0), 0.3, 200.0)
         with pytest.raises(InputError, match=f"{name} must be"):
-            render_frame(scene, CAM, **{name: value})
+            render_frame(obstacle, CAM, noise_amplitude=noise, **{name: value})
 
     def test_numpy_index_and_seed_render_the_same_frame(self):
-        scene = Scene(BEHIND, noise_amplitude=5.0)
-        a = render_frame(scene, CAM, index=np.int64(4), seed=np.uint32(9))
-        b = render_frame(scene, CAM, index=4, seed=9)
+        a = render_frame(BEHIND, CAM, index=np.int64(4), seed=np.uint32(9), noise_amplitude=5.0)
+        b = render_frame(BEHIND, CAM, index=4, seed=9, noise_amplitude=5.0)
         assert a.index == 4 and type(a.index) is int
         assert np.array_equal(a.luminance, b.luminance)
 
@@ -152,20 +146,33 @@ class TestRenderFrame:
         # float64, or the obstacle's level and the rounding would fail.
         def frame(kind):
             sphere = Sphere((3.0, 0.4, 0.0), 0.5, kind(224))
-            scene = Scene(obstacle=sphere, background=kind(32), noise_amplitude=kind(noise))
-            return render_frame(scene, CAM, index=2, seed=7).luminance
+            paint = {"background": kind(32), "noise_amplitude": kind(noise)}
+            return render_frame(sphere, CAM, index=2, seed=7, **paint).luminance
 
         ints = frame(int)
         assert np.count_nonzero(ints == 224) > 100 or noise
         assert ints.tobytes() == frame(float).tobytes()
 
     def test_noise_stays_in_range(self):
-        scene = Scene(BEHIND, noise_amplitude=30.0, background=250.0)
-        frame = render_frame(scene, CAM, index=0, seed=1)
+        frame = render_frame(BEHIND, CAM, index=0, seed=1, noise_amplitude=30.0, background=250.0)
         assert frame.luminance.max() <= 255 and frame.luminance.min() >= 0
 
 
 class TestValidation:
+    def test_camera_geometry_is_computed_once_per_camera(self, monkeypatch):
+        # math.tan is called while the camera is built, never by a render.
+        camera = CameraModel(width=64, height=48)
+        calls = []
+        tan = math.tan
+        monkeypatch.setattr(math, "tan", lambda x: calls.append(x) or tan(x))
+        for index in range(2):
+            render_frame(Sphere((3.0, 0.4, 0.0), 0.5, 224.0), camera, index, noise_amplitude=5.0)
+        assert calls == []
+        assert dataclasses.asdict(camera) == {"width": 64, "height": 48, "hfov_deg": 90.0}
+        assert camera == CameraModel(width=64, height=48)
+        assert hash(camera) == hash(CameraModel(width=64, height=48))
+        assert repr(camera) == "CameraModel(width=64, height=48, hfov_deg=90.0)"
+
     def test_camera_model(self):
         with pytest.raises(ConfigError):
             CameraModel(hfov_deg=0.0)
@@ -184,35 +191,40 @@ class TestValidation:
         for center in (("x", 0, 0), 5, (10**400, 0, 0), (np.True_, "2", 0), (b"1", 0, 0)):
             with pytest.raises(ConfigError, match="center must be a finite 3-vector"):
                 Sphere(center, 0.1, 100.0)
-        with pytest.raises(ConfigError):
-            Scene(BEHIND, background=-5.0)
-        with pytest.raises(ConfigError):
-            Scene(BEHIND, noise_amplitude=-1.0)
+
+    def test_render_levels(self):
+        # The levels a direct caller passes are checked as the spec's and
+        # the trial's fields are, and raise InputError.
+        largest = sys.float_info.max / 2
+        with pytest.raises(InputError, match="^background must lie in"):
+            render_frame(BEHIND, CAM, background=-5.0)
+        for amplitude in (-1.0, 1e308, math.nextafter(largest, math.inf), math.inf):
+            with pytest.raises(InputError, match="^noise_amplitude must be "):
+                render_frame(BEHIND, CAM, noise_amplitude=amplitude)
 
     def test_noise_too_large_to_draw_is_a_config_error(self):
         # Noise of amplitude a spans 2·a, which must stay a finite float.
         largest = sys.float_info.max / 2
-        scene = functools.partial(Scene, BEHIND)
-        for make in (scene, ScenarioSpec, TrialConfig):
+        for make in (ScenarioSpec, TrialConfig):
             for amplitude in (1e308, math.nextafter(largest, math.inf), math.inf):
                 with pytest.raises(ConfigError, match="^noise_amplitude must be "):
                     make(noise_amplitude=amplitude)
             assert make(noise_amplitude=largest).noise_amplitude == largest
-        frame = render_frame(scene(noise_amplitude=largest), CAM)
+        frame = render_frame(BEHIND, CAM, noise_amplitude=largest)
         assert set(np.unique(frame.luminance).tolist()) <= {0, 255}
 
-    def test_scene_rejects_non_primitive(self):
+    def test_render_rejects_non_primitive(self):
         lookalike = types.SimpleNamespace(center=(2.0, 0.0, 0.0), radius=0.3, luminance=200.0)
         sphere = Sphere((4.0, 0.0, 0.0), 0.3, 200.0)
         for obstacle in (lookalike, (sphere,), [sphere]):
-            with pytest.raises(ConfigError, match="obstacle must be a Sphere"):
-                Scene(obstacle=obstacle)
+            with pytest.raises(InputError, match="obstacle must be a Sphere"):
+                render_frame(obstacle, CAM)
 
-    def test_scene_holds_a_sphere(self):
+    def test_render_draws_a_sphere(self):
         with pytest.raises(TypeError, match="obstacle"):
-            Scene()
-        with pytest.raises(ConfigError, match="^obstacle must be a Sphere, got None$"):
-            Scene(obstacle=None)
+            render_frame(camera=CAM)
+        with pytest.raises(InputError, match="^obstacle must be a Sphere, got None$"):
+            render_frame(None, CAM)
 
     def test_scenario_spec(self):
         with pytest.raises(ConfigError):
@@ -249,8 +261,8 @@ class TestValidation:
             make_scenario(ScenarioSpec(speed=speed, fps=fps, frames=frames))
 
     def test_approach_that_overflows_parks_at_the_standoff(self):
-        scenes = list(make_scenario(ScenarioSpec(speed=1e308, frames=3)))
-        assert scenes[1].obstacle.center == scenes[2].obstacle.center
+        spheres = list(make_scenario(ScenarioSpec(speed=1e308, frames=3)))
+        assert spheres[1].center == spheres[2].center
 
     def test_start_inside_standoff_rejected(self):
         with pytest.raises(ConfigError):
@@ -280,9 +292,9 @@ class TestScenarios:
 
     def test_scenario_is_built_on_demand(self):
         # A bad spec raises at the call: see TestValidation.
-        scenes = make_scenario(ScenarioSpec(frames=3), CAM)
-        assert iter(scenes) is scenes
-        assert len(list(scenes)) == 3
+        spheres = make_scenario(ScenarioSpec(frames=3), CAM)
+        assert iter(spheres) is spheres
+        assert len(list(spheres)) == 3
 
     def test_sequence_length(self):
         assert len(list(generate_sequence(ScenarioSpec(frames=17)))) == 17
@@ -355,13 +367,8 @@ class TestScenarios:
         # plateau when per-frame growth is sub-pixel, so the strict check
         # runs on the analytic silhouette radius
         spec = ScenarioSpec(direction=Direction.HEAD_ON, seed=4)
-        scenes = make_scenario(spec, CAM)
-        radii = [
-            sphere_projected_radius(
-                CAM.focal_px, s.obstacle.radius, s.obstacle.center[0]
-            )
-            for s in scenes
-        ]
+        spheres = make_scenario(spec, CAM)
+        radii = [sphere_projected_radius(CAM.focal_px, s.radius, s.center[0]) for s in spheres]
         subtended = [i for i, r in enumerate(radii) if 2 * r >= 2.0]
         start = subtended[0]
         assert all(b > a for a, b in zip(radii[start:-1], radii[start + 1 :]))
@@ -377,8 +384,8 @@ class TestScenarios:
 
     def test_approach_stops_at_standoff(self):
         spec = ScenarioSpec(direction=Direction.HEAD_ON, frames=400, seed=0)
-        scenes = make_scenario(spec, CAM)
-        closest = min(np.linalg.norm(s.obstacle.center) for s in scenes)
+        spheres = make_scenario(spec, CAM)
+        closest = min(np.linalg.norm(s.center) for s in spheres)
         assert closest >= spec.object_radius * 1.05 - 1e-9
 
 
@@ -402,7 +409,7 @@ class TestClearance:
     @given(obj=_SPHERE, point=_VEC3)
     @settings(max_examples=500, deadline=None)
     def test_matches_reference_formulas(self, obj, point):
-        # obj as a camera at point sees it, the way TrialConfig.scene_at
+        # obj as a camera at point sees it, the way TrialConfig.obstacle_at
         # places an obstacle relative to the vehicle
         seen = Sphere(tuple(c - p for c, p in zip(obj.center, point)), obj.radius, 200.0)
         inside, gap = reference_inside_and_gap(obj, np.asarray(point))
@@ -582,9 +589,8 @@ class TestWindowedRender:
         """The frame matches a general full-grid cast, and the window holds
         every hit."""
         assume(obstacle.clearance() >= 0)
-        scene = Scene(obstacle=obstacle, noise_amplitude=noise)
-        frame = render_frame(scene, camera, index=index, seed=seed)
-        expected = naive_render(scene, camera, index, seed=seed)
+        frame = render_frame(obstacle, camera, index=index, seed=seed, noise_amplitude=noise)
+        expected = naive_render(obstacle, camera, index, seed=seed, noise_amplitude=noise)
         assert np.array_equal(frame.luminance, expected)
         rows, cols = _window(obstacle.center, obstacle.radius, camera)
         t = obstacle.intersect(*camera._ray_slopes(slice(0, camera.height), slice(0, camera.width)))
@@ -620,13 +626,11 @@ class TestWindowedRender:
         assert _window(center, radius, CAM) == (rows, cols)
 
     def test_noise_clips_at_both_ends_and_frames_are_fresh(self):
-        scene = Scene(
-            obstacle=Sphere((2.0, 0.0, 0.0), 0.5, 250.0),
-            background=5.0,
-            noise_amplitude=40.0,
+        sphere = Sphere((2.0, 0.0, 0.0), 0.5, 250.0)
+        first, again = (
+            render_frame(sphere, CAM, index=4, seed=9, background=5.0, noise_amplitude=40.0)
+            for _ in range(2)
         )
-        first = render_frame(scene, CAM, index=4, seed=9)
-        again = render_frame(scene, CAM, index=4, seed=9)
         assert first.luminance.dtype == np.uint8
         assert {0, 255} <= set(np.unique(first.luminance).tolist())
         assert np.array_equal(first.luminance, again.luminance)
@@ -634,12 +638,12 @@ class TestWindowedRender:
 
     def test_noisy_render_allocates_under_three_and_a_half_grids(self):
         # The closed-loop start: one sphere 4 m ahead, sensor noise 5.
-        scene = Scene(obstacle=Sphere((4.0, 0.25, 0.0), 0.3, 224.0), noise_amplitude=5.0)
-        render_frame(scene, CAM, index=0)
+        sphere = Sphere((4.0, 0.25, 0.0), 0.3, 224.0)
+        render_frame(sphere, CAM, index=0, noise_amplitude=5.0)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            frame = render_frame(scene, CAM, index=1)
+            frame = render_frame(sphere, CAM, index=1, noise_amplitude=5.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,12 +655,12 @@ class TestWindowedRender:
         # pixels are set aside: at 320x240 the one float64 image dwarfs the
         # uint8 frame and the ray-cast window.
         camera = CameraModel(width=320, height=240)
-        scene = Scene(obstacle=Sphere((4.0, 0.25, 0.0), 0.3, 224.0), noise_amplitude=5.0)
-        render_frame(scene, camera, index=0)
+        sphere = Sphere((4.0, 0.25, 0.0), 0.3, 224.0)
+        render_frame(sphere, camera, index=0, noise_amplitude=5.0)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            frame = render_frame(scene, camera, index=1)
+            frame = render_frame(sphere, camera, index=1, noise_amplitude=5.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
