@@ -67,6 +67,7 @@ def step_vehicle(
 def check_collision(obstacle: Sphere, margin: float) -> bool:
     """True iff the vehicle, at the origin of the camera frame ``obstacle``
     is given in, is within margin of its surface."""
+    obstacle = check_value("obstacle", Sphere, obstacle, InputError)
     check_value("margin", NonNegative, margin, InputError)
     return obstacle.clearance() <= margin
 

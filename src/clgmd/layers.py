@@ -17,13 +17,15 @@ the border so output dimensions match the input:
 
 - the 5x5 inhibition kernel is symmetric, so it has five distinct weights
   (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8), read once at import.  It
-  spreads the one grid it is given, through shifted slices of one
-  zero-bordered copy of it.  The taps of each weight group are summed
-  from shared horizontal pair sums at x+-1 and x+-2, and each group sum
-  is multiplied by its weight once.  One tap table lists those slices;
-  for the detector's int16 buffers it is built once, with the scratch, so a
-  frame slices nothing.  An int16 source whose values lie in [-4095, 4095]
-  is summed in int16: a group has at most eight taps, so every sum stays
+  spreads the one grid it is given, through one zero-bordered copy of it
+  read flat, at its row pitch, as G's row sums read S.  The pair sums at
+  x+-1 and x+-2 are one 1-D add each; the taps of each weight group are
+  runs of whole padded rows summed into one buffer, and each group sum is
+  widened to float64 from that buffer's interior, pad columns dropped, and
+  multiplied by its weight once.  One tap table lists those runs; for the
+  detector's int16 buffers it is built once, with the scratch, so a frame
+  slices nothing.  An int16 source whose values lie in [-4095, 4095] is
+  summed in int16: a group has at most eight taps, so every sum stays
   within 8 * 4095 = 32,760 and equals the float64 sum exactly.  Any other
   source, an int16 one outside that range included, is summed in float64,
   so no sum can wrap;
@@ -44,8 +46,8 @@ Omitted, each is allocated fresh.  S may be written over I
 grid.  Each scratch buffer has one role: the int16 ones belong to
 inhibition, the row sums, then |box * S|, and the candidate mask to G, and
 ``tmp`` holds one stage's float work at a time.  A float64 inhibition
-source, which the detector never hands over, gets its padded copy, pair
-sums and tap table built per call.  The functions keep no state between
+source, which the detector never hands over, gets its padded copy and a
+tap table over it built per call.  The functions keep no state between
 calls; streaming state (previous frame, previous P grid), the choice of
 inhibition source that ``inhibition_delay`` makes, and the reused buffers
 belong to :class:`clgmd.detector.CollisionDetector`.
@@ -181,28 +183,24 @@ class StencilScratch:
     """Work buffers for the detector's two stencils on grids of one shape,
     and the views of them each call reads, built once.
 
-    Inhibition of an int16 source within ``INT16_SOURCE_LIMIT`` owns the
-    ``*16`` buffers: ``padded16`` holds the source inside a two-cell zero
-    border (nothing writes the border, so one allocation serves every
-    call), ``near16`` and ``far16`` its pair sums at x+-1 and x+-2, and
-    ``acc16`` one group sum.  ``interior16`` is the view of ``padded16``
-    the source is copied into, and ``taps16`` the inhibition tap table
-    over these buffers (see ``_inhibition_taps``).  The G layer owns
-    ``rows``, its box row sums between a zero row above and below (again a
-    border nothing writes), with ``row_sums`` the flat run the row adds
-    write and ``above``, ``centre`` and ``below`` the three row views the
-    column sum adds, after which ``centre`` takes |box * S|; and ``keep``,
-    its candidate mask.  ``tmp`` holds a weighted inhibition group, then
-    G's box sum; neither stage reads it on entry.
+    Inhibition of an int16 source within ``INT16_SOURCE_LIMIT`` owns
+    ``padded16``, which holds the source inside a two-cell zero border
+    (nothing writes the border, so one allocation serves every call), its
+    view ``interior16`` that the source is copied into, and ``taps16``, the
+    flat inhibition tap table over it with its int16 pair sums and group
+    sum (see ``_inhibition_taps``).  The G layer owns ``rows``, its box row
+    sums between a zero row above and below (again a border nothing
+    writes), with ``row_sums`` the flat run the row adds write and
+    ``above``, ``centre`` and ``below`` the three row views the column sum
+    adds, after which ``centre`` takes |box * S|; and ``keep``, its
+    candidate mask.  ``tmp`` holds a weighted inhibition group, then G's
+    box sum; neither stage reads it on entry.
     """
 
     def __init__(self, height: int, width: int) -> None:
         self.padded16 = np.zeros((height + 4, width + 4), dtype=np.int16)
-        self.near16 = np.empty((height + 4, width), dtype=np.int16)
-        self.far16 = np.empty((height + 4, width), dtype=np.int16)
-        self.acc16 = np.empty((height, width), dtype=np.int16)
         self.interior16 = self.padded16[2:-2, 2:-2]
-        self.taps16 = _inhibition_taps(self.padded16, self.near16, self.far16)
+        self.taps16 = _inhibition_taps(self.padded16)
         self.tmp = np.empty((height, width))
         self.rows = np.zeros((height + 2, width))
         self.above, self.centre, self.below = self.rows[:-2], self.rows[1:-1], self.rows[2:]
@@ -211,30 +209,34 @@ class StencilScratch:
         self.keep = np.empty((height, width), dtype=bool)
 
 
-def _inhibition_taps(q: Grid, near: Grid, far: Grid):
-    """The inhibition tap table over the zero-bordered source ``q``.
+def _inhibition_taps(q: Grid):
+    """The inhibition tap table over the zero-bordered source ``q``, read
+    flat at its row pitch ``p``: every view is a 1-D run.
 
-    Returns ``(pairs, groups)``.  Each pair ``(left, right, into)`` is
-    summed into ``near`` (x+-1) or ``far`` (x+-2); each group lists, in
-    kernel order, the (h, w) views whose sum is the group sum of the
-    matching entry of ``_GROUP_WEIGHTS``, the x-shifts folded into the pair
-    sums and ``centre``.
+    Returns ``(pairs, groups, acc, interior)``.  Each pair ``(left, right,
+    into)`` adds the cells at x+-1 into ``near`` or at x+-2 into ``far``,
+    whose one or two end cells stay zero.  Each group lists, in kernel
+    order, the runs of h * p cells, rows y+dy, whose sum into ``acc`` is
+    the group sum of the matching entry of ``_GROUP_WEIGHTS``;
+    ``interior`` is the (h, w) view of ``acc`` without the pad columns.
     """
-    h, w = q.shape[0] - 4, q.shape[1] - 4
-    centre = q[:, 2 : w + 2]
-    pairs = ((q[:, 1 : w + 1], q[:, 3 : w + 3], near), (q[:, 0:w], q[:, 4 : w + 4], far))
+    h, p = q.shape[0] - 4, q.shape[1]
+    flat = q.ravel()
+    near, far = np.zeros(q.size, q.dtype), np.zeros(q.size, q.dtype)
+    acc = np.empty(h * p, q.dtype)
+    pairs = ((flat[:-2], flat[2:], near[1:-1]), (flat[:-4], flat[4:], far[2:-2]))
 
-    def tap(rows: Grid, dy: int) -> Grid:
-        return rows[2 + dy : 2 + dy + h]
+    def tap(cells: Grid, dy: int) -> Grid:
+        return cells[(2 + dy) * p : (2 + dy + h) * p]
 
     groups = (
-        (tap(near, 0), tap(centre, -1), tap(centre, 1)),
+        (tap(near, 0), tap(flat, -1), tap(flat, 1)),
         (tap(near, -1), tap(near, 1)),
-        (tap(far, 0), tap(centre, -2), tap(centre, 2)),
+        (tap(far, 0), tap(flat, -2), tap(flat, 2)),
         (tap(far, -1), tap(far, 1), tap(near, -2), tap(near, 2)),
         (tap(far, -2), tap(far, 2)),
     )
-    return pairs, groups
+    return pairs, groups, acc, acc.reshape(h, p)[:, 2:-2]
 
 
 def _sums_fit_int16(grid: Grid) -> bool:
@@ -283,25 +285,22 @@ def compute_inhibition(
     h, w = source.shape
     if scratch is None:
         scratch = StencilScratch(h, w)
-    in_int16 = _sums_fit_int16(source)
-    if in_int16:
+    if _sums_fit_int16(source):
         np.copyto(scratch.interior16, source)
-        pairs, groups = scratch.taps16
+        pairs, groups, acc, interior = scratch.taps16
     else:
         q = np.pad(np.asarray(source, dtype=np.float64), 2)
-        pairs, groups = _inhibition_taps(q, np.empty((h + 4, w)), np.empty((h + 4, w)))
+        pairs, groups, acc, interior = _inhibition_taps(q)
     out = np.empty((h, w)) if out is None else out
     for left, right, into in pairs:
         np.add(left, right, out=into)
     for n, (weight, (first, second, *rest)) in enumerate(zip(_GROUP_WEIGHTS, groups)):
-        weighted = out if n == 0 else scratch.tmp
-        acc = scratch.acc16 if in_int16 else weighted
         np.add(first, second, out=acc)
         for tap in rest:
             acc += tap
-        if in_int16:
-            # Widen, then scale in float64: faster than one mixed-dtype multiply.
-            np.copyto(weighted, acc)
+        weighted = out if n == 0 else scratch.tmp
+        # Copy out, then scale in float64: faster than one mixed-dtype multiply.
+        np.copyto(weighted, interior)
         weighted *= weight
         if n:
             out += weighted

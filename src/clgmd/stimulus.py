@@ -225,6 +225,7 @@ def render_frame(
     as the detector keeps the previous frame.
     """
     obj = check_value("obstacle", Sphere, obstacle, InputError)
+    camera = check_value("camera", CameraModel, camera, InputError)
     background = check_value("background", Luminance, background, InputError)
     amplitude = check_value("noise_amplitude", Amplitude, noise_amplitude, InputError)
     index = check_value("index", Count, index, InputError)
@@ -313,13 +314,16 @@ def _start_position(
 
 def make_scenario(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -> Iterator[Sphere]:
     """Per-frame spheres for a straight constant-bearing approach, each
-    built when it is asked for; the spec is checked at the call.
+    built when it is asked for; the spec and camera are checked at the
+    call, and a bad one raises ``ConfigError``.
 
     The sphere travels from its start point directly toward the camera and
     parks at a small standoff just outside its own radius, so the
     silhouette expands without the camera ever entering the object.  Wrap
     the iterator in ``list()`` to index it.
     """
+    spec = check_value("spec", ScenarioSpec, spec)
+    camera = check_value("camera", CameraModel, camera)
     rng = np.random.default_rng(spec.seed)
     start = _start_position(spec, camera, rng)
     speed = spec.speed * rng.uniform(0.9, 1.1)
@@ -354,9 +358,9 @@ def generate_sequence(spec: ScenarioSpec, camera: CameraModel = CameraModel()) -
     """The frames of :func:`make_scenario`'s spheres over the spec's
     background and noise, each rendered when it is asked for.
 
-    The spec is checked at the call.  Neither a sphere nor a frame is kept
-    once returned, so memory does not grow with ``spec.frames``.  Wrap the
-    iterator in ``list()`` to index it.
+    The spec and camera are checked at the call.  Neither a sphere nor a
+    frame is kept once returned, so memory does not grow with
+    ``spec.frames``.  Wrap the iterator in ``list()`` to index it.
     """
     return (
         render_frame(

@@ -34,6 +34,43 @@ def naive_convolve(src: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def grouped_convolve(src: np.ndarray) -> np.ndarray:
+    """The grouped 5x5 inhibition, written with 2-D slices of ``np.pad``.
+
+    The kernel's five distinct weights, at squared distances 1, 2, 4, 5
+    and 8, each multiply one group sum.  The pair sums at x+-1 (``near``)
+    and x+-2 (``far``) come first; each group adds its taps left to right
+    in the documented order, the sum is multiplied by its weight, and the
+    five products are added in group order.  Every rounding of
+    ``compute_inhibition`` happens here in the same order, so the two
+    agree byte for byte.
+    """
+    h, w = src.shape
+    q = np.pad(np.asarray(src, dtype=np.float64), 2)
+    near = q[:, 1 : w + 1] + q[:, 3 : w + 3]
+    far = q[:, 0:w] + q[:, 4 : w + 4]
+    centre = q[:, 2 : w + 2]
+
+    def at(rows, dy):
+        return rows[2 + dy : 2 + dy + h]
+
+    groups = [
+        (1, [at(near, 0), at(centre, -1), at(centre, 1)]),
+        (2, [at(near, -1), at(near, 1)]),
+        (4, [at(far, 0), at(centre, -2), at(centre, 2)]),
+        (5, [at(far, -1), at(far, 1), at(near, -2), at(near, 2)]),
+        (8, [at(far, -2), at(far, 2)]),
+    ]
+    out = None
+    for r2, taps in groups:
+        total = taps[0] + taps[1]
+        for tap in taps[2:]:
+            total = total + tap
+        weighted = total * (0.25 / math.sqrt(r2))
+        out = weighted if out is None else out + weighted
+    return out
+
+
 def kernel_weights_by_formula(scale: float = 0.25) -> np.ndarray:
     """5x5 reciprocal-distance weights built entry by entry."""
     out = np.zeros((5, 5))

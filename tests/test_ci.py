@@ -105,7 +105,9 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert [argv[:2] for argv in lines] == [
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
+        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"],
+        ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "generate"], ["clgmd", "detect"],
+        ["clgmd", "simulate"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -128,9 +130,20 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     # raise no warning on any numpy the matrix installs.
     assert lines[8][2:] == [lines[9][2], "--frames", "3", "--distance", "0.5", "--noise", "5"]
     assert lines[9][3:] == ["--out", f"{tmp_path}/close.csv"]
+    # A noisy sequence at the smallest legal frame, read back through the
+    # delayed-inhibition path: the inhibition's flat runs start and end at
+    # the first and last cells of its padded buffers.
+    assert lines[10][2:] == [lines[11][2], "--frames", "3", "--width", "5", "--height", "5",
+                             "--noise", "5"]
+    assert lines[11][3:] == ["--set", "inhibition_delay=1", "--out", f"{tmp_path}/tiny.csv"]
+    # A noisy 37x23 sequence from the left, read back with delay 0: an odd
+    # size whose quadrant mask splits unevenly.
+    assert lines[12][2:] == [lines[13][2], "--frames", "3", "--width", "37", "--height", "23",
+                             "--noise", "5", "--direction", "left"]
+    assert lines[13][3:] == ["--set", "inhibition_delay=0", "--out", f"{tmp_path}/odd.csv"]
     # A centred trial with spiking disabled flies straight on until
     # check_collision ends it, as the benchmark's fifth closed-loop job does.
-    assert lines[10][2:] == ["--set", "placement=centered", "--set", "t_s=256",
+    assert lines[14][2:] == ["--set", "placement=centered", "--set", "t_s=256",
                              "--out", f"{tmp_path}/collide.csv"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}

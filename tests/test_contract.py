@@ -27,6 +27,9 @@ from clgmd import (
     SteeringParams,
     TrialConfig,
     VehicleState,
+    check_collision,
+    generate_sequence,
+    make_scenario,
     render_frame,
 )
 from clgmd.errors import Amplitude, Luminance, _contract, _kind
@@ -267,7 +270,10 @@ def test_values_once_let_through_are_rejected(make, error):
 
 # render_frame's checked keyword arguments, each of the kind a scenario's
 # or a trial's field of that name declares, on a camera of the least size.
-RENDER = {"obstacle": Sphere, "background": Luminance, "noise_amplitude": Amplitude}
+RENDER = {
+    "obstacle": Sphere, "camera": CameraModel, "background": Luminance,
+    "noise_amplitude": Amplitude,
+}
 SMALL = CameraModel(width=5, height=5)
 
 
@@ -287,6 +293,26 @@ def test_invalid_render_arguments_raise_input_error():
         for value in _bad_values(None, name, _kind(hint), False):
             _raises_input_error(name, value)
     _raises_input_error("obstacle", 5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: render_frame(Sphere((4, 0, 0), 0.3, 200), "cam"), InputError,
+         "camera must be a CameraModel, got 'cam'"),
+        (lambda: check_collision(None, 0.1), InputError, "obstacle must be a Sphere, got None"),
+        (lambda: make_scenario(ScenarioSpec(), camera="x"), ConfigError,
+         "camera must be a CameraModel, got 'x'"),
+        (lambda: generate_sequence(ScenarioSpec(), camera="x"), ConfigError,
+         "camera must be a CameraModel, got 'x'"),
+        (lambda: make_scenario(None), ConfigError, "spec must be a ScenarioSpec, got None"),
+    ],
+)
+def test_camera_and_obstacle_arguments_raise_the_package_error(call, error, message):
+    # Each raised a bare AttributeError from the first attribute it read.
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,7 +27,9 @@ from clgmd.layers import (
     compute_s_layer,
 )
 
-from oracles import dense_group, kernel_weights_by_formula, naive_convolve, naive_group
+from oracles import (
+    dense_group, grouped_convolve, kernel_weights_by_formula, naive_convolve, naive_group,
+)
 
 KERNEL_SUM = 3.4550873627797367  # hand-summed from the 24 reciprocal distances
 
@@ -212,6 +214,20 @@ class TestInhibition:
         then_mirrored = compute_inhibition(src)[:, ::-1]
         assert np.allclose(mirrored_then, then_mirrored, atol=1e-12)
 
+    @given(st.integers(5, 40), st.integers(5, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_the_grouped_oracle(self, h, w, seed):
+        # Non-integer values spanning seven decades make every float sum
+        # round, so a tap added out of the documented order shows.
+        rng = np.random.default_rng(seed)
+        real = rng.uniform(-1.0, 1.0, (h, w)) * 10.0 ** rng.integers(-3, 4, (h, w))
+        assert compute_inhibition(real).tobytes() == grouped_convolve(real).tobytes()
+        ints = rng.integers(-INT16_SOURCE_LIMIT, INT16_SOURCE_LIMIT + 1, (h, w)).astype(np.int16)
+        scratch = StencilScratch(h, w)
+        for _ in range(2):
+            got = compute_inhibition(ints, scratch=scratch)
+            assert got.tobytes() == grouped_convolve(ints).tobytes()
+
 
 class TestInt16Inhibition:
     """An int16 source within the limit is summed in int16; I is unchanged."""
@@ -232,6 +248,17 @@ class TestInt16Inhibition:
         for grid in (src, src.astype(np.float64), src):
             got = compute_inhibition(grid, scratch=scratch)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [*EDGE_SHAPES, (37, 23)])
+    def test_int16_table_reads_and_writes_contiguous_runs(self, shape):
+        # Every pair and group view is one flat run at the padded row
+        # pitch, so no add loops row by row.
+        pairs, groups, acc, interior = StencilScratch(*shape).taps16
+        runs = [view for pair in pairs for view in pair] + [tap for g in groups for tap in g]
+        for view in [*runs, acc]:
+            assert view.ndim == 1 and view.flags.c_contiguous and view.dtype == np.int16
+        assert {tap.size for g in groups for tap in g} == {acc.size}
+        assert interior.shape == shape and np.shares_memory(interior, acc)
 
     @pytest.mark.parametrize(
         "dtype,value",
