@@ -66,17 +66,21 @@ def build_quadrant_mask(width: int, height: int) -> np.ndarray:
 
 
 def accumulate_quadrants(
-    g: Grid, labels: np.ndarray
+    g: Grid, labels: np.ndarray, cells: np.ndarray | None = None
 ) -> tuple[float, float, float, float, float]:
     """Sum |G| per field of ``labels`` and return (u0, d0, l0, r0, k_f0).
 
     Only the non-zero cells are binned: the G layer decays all but a few
-    per cent of them to zero.  Each field sum starts at +0.0 and adds
-    non-negative terms in row-major order, so a skipped cell would only
-    have added +0.0, which leaves any such sum unchanged; the kept cells
-    are added in the same order, so every sum is bit-identical to binning
-    the whole grid.  The whole-field sum k_f0 is formed as the sum of the
-    four field sums, so the decomposition identity holds exactly.
+    per cent of them to zero.  ``cells``, the ascending flat indices of
+    any cells that include every non-zero one (the G layer's
+    ``g_cells``), saves the scan for them.  Each field sum starts at +0.0
+    and adds non-negative terms in row-major order, so a skipped cell, or
+    a zero one binned, would only have added +0.0, which leaves any such
+    sum unchanged; the kept cells are added in the same order, so every
+    sum is bit-identical to binning the whole grid.  The whole-field sum
+    k_f0 is formed as the sum of the four field sums, so the
+    decomposition identity holds exactly.  A binned label outside 0-3,
+    and a listed cell outside ``g``, raise ``InputError``.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != labels.shape:
@@ -84,12 +88,23 @@ def accumulate_quadrants(
             f"grid shape {g.shape} does not match mask shape {labels.shape}"
         )
     flat = g.ravel()
-    # Integer indices from a bool compare: flatnonzero on the float grid,
-    # or boolean-mask indexing, is several times slower.
-    hit = np.flatnonzero(flat != 0.0)
-    sums = np.bincount(labels.ravel()[hit], weights=np.abs(flat[hit]), minlength=4)
+    if cells is None:
+        # Integer indices from a bool compare: flatnonzero on the float grid,
+        # or boolean-mask indexing, is several times slower.
+        hit = np.flatnonzero(flat != 0.0)
+    else:
+        hit = cells
+        # Ascending, so its ends bound it.
+        if len(hit) and not (0 <= hit[0] and hit[-1] < flat.size):
+            raise InputError(f"cells must lie in [0, {flat.size}), got {hit[0]}..{hit[-1]}")
+    try:
+        sums = np.bincount(labels.ravel()[hit], weights=np.abs(flat[hit]), minlength=4)
+    except ValueError:  # a negative label
+        sums = None
+    if sums is None or sums.size > 4:
+        raise InputError("labels must lie in 0-3")
     # With no cell to bin, bincount returns int64 zeros.
-    u0, d0, l0, r0 = sums[:4].astype(np.float64).tolist()  # in Quadrant order
+    u0, d0, l0, r0 = sums.astype(np.float64).tolist()  # in Quadrant order
     return u0, d0, l0, r0, u0 + d0 + l0 + r0
 
 

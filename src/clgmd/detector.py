@@ -8,9 +8,10 @@ once, at that frame's size, and reused for each later frame, which must
 have the same size, as ``compute_p_layer`` checks; the normalization's
 n_cell is its pixel count.  P is kept in two int16 grids, the current and
 the previous frame's, so inhibition sums it in int16 and, with
-``inhibition_delay`` 1, spreads the previous one.  I, S and G are float64
-and share one grid: S is written over I and G over S, as each stage is
-the last reader of the one before.
+``inhibition_delay`` 1, spreads the previous one.  I and S are float64
+and share one grid, S written over I, its last reader.  G lives in the
+stencil scratch, which also lists the cells where it may be non-zero, so
+the quadrant sums read only those.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class CollisionDetector:
         source = self._prev_p if self.core.inhibition_delay and self._prev_p is not None else p
         i = compute_inhibition(source, out=self._grid, scratch=self._scratch)
         s = compute_s_layer(p, i, out=i)
-        g = compute_g_layer(s, self.core, out=s, scratch=self._scratch)
-        u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self._mask)
+        g = compute_g_layer(s, self.core, scratch=self._scratch)
+        u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self._mask, self._scratch.g_cells)
         potentials = normalize(u0, d0, l0, r0, k_f0, self.norm, n_cell=self._n_cell)
         self.state = update_spike_state(potentials.kappa, self.norm, self.state)
         spike = self.state.spike_run > 0

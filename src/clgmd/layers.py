@@ -37,20 +37,24 @@ the border so output dimensions match the input:
   give the adaptive scale, a bound on |box * S| picks the few cells that
   can survive the decay rule, and only those get their mean and the rule.
 
-``compute_p_layer``, ``compute_inhibition``, ``compute_s_layer`` and
-``compute_g_layer`` take a keyword-only ``out=`` grid to write into, and
-the two stencils a ``scratch=`` :class:`StencilScratch` of work buffers.
-Omitted, each is allocated fresh.  S may be written over I
-(``compute_s_layer(p, i, out=i)``) and G over S
-(``compute_g_layer(s, core, out=s)``), so the float64 stages share one
-grid.  Each scratch buffer has one role: the int16 ones belong to
-inhibition, the row sums, then |box * S|, and the candidate mask to G, and
-``tmp`` holds one stage's float work at a time.  A float64 inhibition
-source, which the detector never hands over, gets its padded copy and a
-tap table over it built per call.  The functions keep no state between
-calls; streaming state (previous frame, previous P grid), the choice of
-inhibition source that ``inhibition_delay`` makes, and the reused buffers
-belong to :class:`clgmd.detector.CollisionDetector`.
+``compute_p_layer``, ``compute_inhibition`` and ``compute_s_layer`` take
+a keyword-only ``out=`` grid to write into, and the two stencils a
+``scratch=`` :class:`StencilScratch` of work buffers.  Omitted, each is
+allocated fresh; one of the wrong shape raises ``InputError`` before
+anything is written.  S may be written over I
+(``compute_s_layer(p, i, out=i)``), so I and S share one grid.  G is
+written only into the scratch's own grid ``g``, which stays zero outside
+the last call's candidates, ``g_cells``: each call re-zeroes those cells
+and writes its own, so the grid is never cleared whole, and the quadrant
+sums bin only those cells.  Each scratch buffer has one role: the int16
+ones belong to inhibition, the row sums, then |box * S|, the candidate
+mask and ``g`` to G, and ``tmp`` holds one stage's float work at a time.
+A float64 inhibition source, which the detector never hands over, gets
+its padded copy and a tap table over it built per call.  Apart from G's
+grid, the functions keep no state between calls; streaming state
+(previous frame, previous P grid), the choice of inhibition source that
+``inhibition_delay`` makes, and the reused buffers belong to
+:class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
@@ -192,9 +196,11 @@ class StencilScratch:
     sums between a zero row above and below (again a border nothing
     writes), with ``row_sums`` the flat run the row adds write and
     ``above``, ``centre`` and ``below`` the three row views the column sum
-    adds, after which ``centre`` takes |box * S|; and ``keep``, its
-    candidate mask.  ``tmp`` holds a weighted inhibition group, then G's
-    box sum; neither stage reads it on entry.
+    adds, after which ``centre`` takes |box * S|; ``keep``, its candidate
+    mask; and ``g``, the G grid it returns, zero but at ``g_cells``, the
+    ascending flat indices of the last call's candidates (none for a fresh
+    scratch).  ``tmp`` holds a weighted inhibition group, then G's box
+    sum; neither stage reads it on entry.
     """
 
     def __init__(self, height: int, width: int) -> None:
@@ -207,6 +213,18 @@ class StencilScratch:
         # Whole rows of a C-contiguous array, so the ravel is a view.
         self.row_sums = self.centre.ravel()[1:-1]
         self.keep = np.empty((height, width), dtype=bool)
+        self.g = np.zeros((height, width))
+        self.g_cells = np.empty(0, dtype=np.intp)
+
+
+def _fitting(scratch: StencilScratch | None, shape: tuple[int, ...]) -> StencilScratch:
+    """``scratch``, or a fresh one when it is None; one for grids of
+    another shape raises ``InputError``."""
+    if scratch is None:
+        return StencilScratch(*shape)
+    if scratch.g.shape != shape:
+        raise InputError(f"scratch shape {scratch.g.shape} does not match grid shape {shape}")
+    return scratch
 
 
 def _inhibition_taps(q: Grid):
@@ -282,16 +300,16 @@ def compute_inhibition(
     in the same order, so an integer source gives bit-identical I in either
     dtype.
     """
-    h, w = source.shape
-    if scratch is None:
-        scratch = StencilScratch(h, w)
+    scratch = _fitting(scratch, source.shape)
+    if out is not None and out.shape != source.shape:
+        raise InputError(f"out shape {out.shape} does not match grid shape {source.shape}")
     if _sums_fit_int16(source):
         np.copyto(scratch.interior16, source)
         pairs, groups, acc, interior = scratch.taps16
     else:
         q = np.pad(np.asarray(source, dtype=np.float64), 2)
         pairs, groups, acc, interior = _inhibition_taps(q)
-    out = np.empty((h, w)) if out is None else out
+    out = np.empty(source.shape) if out is None else out
     for left, right, into in pairs:
         np.add(left, right, out=into)
     for n, (weight, (first, second, *rest)) in enumerate(zip(_GROUP_WEIGHTS, groups)):
@@ -346,11 +364,7 @@ def _grouping_bound(omega: float, c_de: float, t_de: float) -> float:
 
 
 def compute_g_layer(
-    s: Grid,
-    params: CoreParams,
-    *,
-    out: Grid | None = None,
-    scratch: StencilScratch | None = None,
+    s: Grid, params: CoreParams, *, scratch: StencilScratch | None = None
 ) -> Grid:
     """Boost clustered excitation and decay sporadic change to zero.
 
@@ -367,16 +381,15 @@ def compute_g_layer(
     the candidates are the cells whose |box * S| reaches a provable lower
     bound of every survivor's (see ``_grouping_bound``).  Only there is
     Ce = box / 9.0 formed and the decay rule run, with the same roundings
-    as on the whole grid; the rest of ``out`` is zero.  The cost follows
-    the number of candidates: with ``t_de=0`` every cell is one.  |box * S|
-    goes into the scratch's dead row sums, so S is read whole before
-    ``out`` is written, and ``out`` may be ``s``.
+    as on the whole grid.  G is the scratch's grid ``g``: the last call's
+    candidates there are re-zeroed and this call's written, so the rest of
+    ``g`` stays zero and the cost follows the number of candidates (with
+    ``t_de=0`` every cell is one).  A call that raises leaves ``g`` as it
+    was.
     """
-    h, w = s.shape
-    if scratch is None:
-        scratch = StencilScratch(h, w)
+    scratch = _fitting(scratch, s.shape)
+    w = s.shape[1]
     s = np.ascontiguousarray(s, dtype=np.float64)
-    out = np.empty((h, w)) if out is None else out
     inner, box, flat = scratch.centre, scratch.tmp, s.ravel()
     np.add(flat[:-2], flat[2:], out=scratch.row_sums)
     scratch.row_sums += flat[1:-1]
@@ -407,6 +420,8 @@ def compute_g_layer(
     # decays the cell as exact arithmetic would, so the warning is muted.
     with np.errstate(over="ignore") if abs(params.c_de) > 1 else nullcontext():
         g[~(np.abs(g) * params.c_de >= params.t_de)] = 0.0
-    out.fill(0.0)
-    np.put(out, candidates, g)
-    return out
+    grid = scratch.g.ravel()
+    grid[scratch.g_cells] = 0.0
+    grid[candidates] = g
+    scratch.g_cells = candidates
+    return scratch.g

@@ -107,7 +107,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"],
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "simulate"],
+        ["clgmd", "detect"], ["clgmd", "simulate"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -141,9 +141,12 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert lines[12][2:] == [lines[13][2], "--frames", "3", "--width", "37", "--height", "23",
                              "--noise", "5", "--direction", "left"]
     assert lines[13][3:] == ["--set", "inhibition_delay=0", "--out", f"{tmp_path}/odd.csv"]
+    # The same sequence with t_de=0: no cell of G decays, so every cell is
+    # a candidate and each frame re-zeroes and rewrites the whole G grid.
+    assert lines[14][2:] == [lines[12][2], "--set", "t_de=0", "--out", f"{tmp_path}/dense.csv"]
     # A centred trial with spiking disabled flies straight on until
     # check_collision ends it, as the benchmark's fifth closed-loop job does.
-    assert lines[14][2:] == ["--set", "placement=centered", "--set", "t_s=256",
+    assert lines[15][2:] == ["--set", "placement=centered", "--set", "t_s=256",
                              "--out", f"{tmp_path}/collide.csv"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}

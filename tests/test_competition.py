@@ -153,6 +153,53 @@ class TestAccumulate:
         want = dense_quadrant_sums(g, mask)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    @given(
+        st.integers(5, 40),
+        st.integers(5, 40),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_listed_cells_give_the_bytes_of_the_scan(self, width, height, density, extra, seed):
+        # Any ascending list that holds every non-zero cell, with zeros of
+        # either sign listed too (or no cell at all), sums as the scan does.
+        rng = np.random.default_rng(seed)
+        g = rng.choice([-1.0, 1.0], (height, width)) * 10.0 ** rng.uniform(
+            -6, 6, (height, width)
+        )
+        zero = rng.random((height, width)) >= density
+        g[zero] = rng.choice([0.0, -0.0], (height, width))[zero]
+        listed = (g != 0.0) | (rng.random((height, width)) < extra)
+        cells = np.flatnonzero(listed)
+        mask = build_quadrant_mask(width, height)
+        got = accumulate_quadrants(g, mask, cells)
+        want = accumulate_quadrants(g, mask)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert [x.hex() for x in got] == [x.hex() for x in dense_quadrant_sums(g, mask)]
+
+    def test_an_empty_cell_list_sums_to_zero(self):
+        mask = build_quadrant_mask(8, 8)
+        for g in (np.zeros((8, 8)), np.full((8, 8), -0.0)):
+            got = accumulate_quadrants(g, mask, np.empty(0, dtype=np.intp))
+            assert [x.hex() for x in got] == [0.0.hex()] * 5
+
+    @pytest.mark.parametrize("label", [4, 7, 255, -1])
+    def test_a_label_outside_the_four_fields_raises(self, label):
+        labels = build_quadrant_mask(8, 8).astype(np.int64)
+        labels[3, 5] = label
+        for cells in (None, np.arange(64)):
+            with pytest.raises(InputError, match="labels must lie in 0-3"):
+                accumulate_quadrants(np.ones((8, 8)), labels, cells)
+        with pytest.raises(InputError, match="labels must lie in 0-3"):
+            accumulate_quadrants(np.ones((8, 8)), np.full((8, 8), label))
+
+    @pytest.mark.parametrize("cells", [[-1, 3], [0, 64], [63, 100], [-64]])
+    def test_a_cell_outside_the_grid_raises(self, cells):
+        mask = build_quadrant_mask(8, 8)
+        with pytest.raises(InputError, match=r"^cells must lie in \[0, 64\)"):
+            accumulate_quadrants(np.ones((8, 8)), mask, np.array(cells))
+
     def test_monotonicity_within_region(self):
         mask = build_quadrant_mask(10, 10)
         g = np.zeros((10, 10))

@@ -64,20 +64,24 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
 
 @pytest.mark.parametrize("core", [CoreParams(), CoreParams(t_de=0.0)], ids=["default", "t_de=0"])
 @pytest.mark.parametrize("height,width", [(100, 100), (23, 37)])
-def test_s_over_i_and_g_over_s_match_fresh_layers(height, width, core):
-    # The detector keeps I, S and G in one grid, each written over the last.
+def test_s_over_i_and_g_in_the_scratch_match_fresh_layers(height, width, core):
+    # The detector keeps I and S in one grid, S written over I, and G in the
+    # reused scratch, whose listed cells the quadrant sums bin.
     scratch = StencilScratch(height, width)
+    mask = build_quadrant_mask(width, height)
     frames = stress_frames(height, width)
     for prev, curr in zip(frames, frames[1:]):
         p = compute_p_layer(prev, curr)
         i = compute_inhibition(p)
         s = compute_s_layer(p, i)
-        g = compute_g_layer(s, core)
+        g = compute_g_layer(s, core).copy()
         grid = i.copy()
         assert compute_s_layer(p, grid, out=grid) is grid
         assert grid.tobytes() == s.tobytes(), f"S, frame {curr.index}"
-        assert compute_g_layer(grid, core, out=grid, scratch=scratch) is grid
-        assert grid.tobytes() == g.tobytes(), f"G, frame {curr.index}"
+        assert compute_g_layer(grid, core, scratch=scratch) is scratch.g
+        assert scratch.g.tobytes() == g.tobytes(), f"G, frame {curr.index}"
+        sums = accumulate_quadrants(scratch.g, mask, scratch.g_cells)
+        assert [x.hex() for x in sums] == [x.hex() for x in accumulate_quadrants(g, mask)]
 
 
 def test_first_frame_sizes_the_detector():

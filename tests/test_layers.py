@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -336,15 +336,28 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def assert_same_bytes_as_dense(s, params):
-    """G from ``compute_g_layer`` into a NaN-filled ``out`` has the bytes of
-    ``dense_group``; returns it."""
-    out = np.full(s.shape, np.nan)
+    """G from ``compute_g_layer`` has the bytes of ``dense_group``, and its
+    scratch lists every non-zero cell of it; returns it."""
+    scratch = StencilScratch(*s.shape)
     with np.errstate(all="ignore"):  # overflow to inf is part of the input range
-        got = compute_g_layer(s, params, out=out, scratch=StencilScratch(*s.shape))
+        got = compute_g_layer(s, params, scratch=scratch)
         want = dense_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
-    assert got is out
+    assert got is scratch.g
     assert got.tobytes() == want.tobytes()
+    assert np.isin(np.flatnonzero(got), scratch.g_cells).all()
     return got
+
+
+# Reused-scratch steps: (t_de, share of S zeroed, delta_c).  Dense keeps
+# every cell a candidate, empty keeps none, and the raising step's delta_c
+# makes omega negative.
+G_STEPS = {
+    "dense": (0.0, 0.0, 0.5),
+    "sparse": (15.0, 0.3, 0.5),
+    "sparser": (60.0, 0.7, 0.5),
+    "empty": (15.0, 1.0, 0.5),
+    "raise": (15.0, 0.3, -1e9),
+}
 
 
 class TestGLayer:
@@ -478,44 +491,96 @@ class TestGLayer:
         s[0, 0] = 1e-300
         assert_same_bytes_as_dense(s, CoreParams(t_de=0.0))
 
-    def test_one_scratch_serves_calls_of_every_survivor_count(self):
-        # Dense, then sparse, then into a strided out: a candidate value or
-        # mask cell left over from one call would show in the next.  The
-        # row sums' zero border must stay +0.0, since every call reads it.
-        rng = np.random.default_rng(23)
-        scratch = StencilScratch(17, 23)
-        strided = np.full((34, 46), np.nan)[::2, ::2]
-        counts = []
-        for t_de, zeros, out in (
-            (0.0, 0.0, np.full((17, 23), np.nan)),
-            (60.0, 0.6, np.full((17, 23), np.nan)),
-            (5.0, 0.4, strided),
-        ):
-            s = rng.uniform(-120.0, 120.0, (17, 23))
+    @given(
+        st.integers(5, 40),
+        st.integers(5, 40),
+        st.lists(st.sampled_from(sorted(G_STEPS)), min_size=2, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(17, 23, ["sparse", "dense", "raise", "sparser", "empty", "dense", "sparse"], 0)
+    @settings(max_examples=60, deadline=None)
+    def test_one_scratch_serves_calls_of_every_survivor_count(self, h, w, steps, seed):
+        # Candidate sets that grow, shrink, empty and fill a reused scratch:
+        # a cell the last call wrote and this one did not re-zero would
+        # show against a fresh scratch.  A raising call writes nothing.
+        # The row sums' zero border must stay +0.0, since every call reads it.
+        rng = np.random.default_rng(seed)
+        scratch = StencilScratch(h, w)
+        for step in steps:
+            t_de, zeros, delta_c = G_STEPS[step]
+            s = rng.uniform(-120.0, 120.0, (h, w))
             s[rng.random(s.shape) < zeros] = 0.0
-            params = CoreParams(t_de=t_de)
-            want = dense_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
-            assert compute_g_layer(s, params, out=out, scratch=scratch) is out
-            assert out.tobytes() == want.tobytes()
+            params = CoreParams(t_de=t_de, delta_c=delta_c)
+            if step == "raise":
+                grid, cells = scratch.g.tobytes(), scratch.g_cells
+                with pytest.raises(ConfigError):
+                    compute_g_layer(s, params, scratch=scratch)
+                assert scratch.g.tobytes() == grid and scratch.g_cells is cells
+                continue
+            want = compute_g_layer(s, params)
+            assert compute_g_layer(s, params, scratch=scratch) is scratch.g
+            assert scratch.g.tobytes() == want.tobytes()
+            cells = scratch.g_cells
+            assert np.all(np.diff(cells) > 0)
+            assert np.isin(np.flatnonzero(want), cells).all()
+            if step == "dense":
+                assert cells.size == h * w
             border = scratch.rows[[0, -1]]
-            assert border.tobytes() == np.zeros((2, 23)).tobytes()
-            counts.append(np.count_nonzero(out))
-        assert counts[0] == 17 * 23 and 0 < counts[1] < counts[2] < counts[0]
+            assert border.tobytes() == np.zeros((2, w)).tobytes()
 
-    def test_non_contiguous_input_and_output(self):
+    def test_a_fresh_scratch_lists_no_cell(self):
+        scratch = StencilScratch(6, 7)
+        assert scratch.g.tobytes() == np.zeros((6, 7)).tobytes()
+        assert scratch.g_cells.size == 0 and scratch.g_cells.dtype == np.intp
+
+    def test_non_contiguous_input(self):
         rng = np.random.default_rng(22)
         s = rng.uniform(-120.0, 120.0, (17, 23))
         s[rng.random(s.shape) < 0.4] = 0.0
         params = CoreParams(t_de=5.0)
-        want = compute_g_layer(s, params)
+        want = compute_g_layer(s, params).copy()
         assert np.count_nonzero(want) > 0
         transposed = np.ascontiguousarray(s.T).T
-        big = np.full((34, 46), np.nan)
-        out = big[::2, ::2]
-        assert not transposed.flags.c_contiguous and not out.flags.c_contiguous
-        assert compute_g_layer(transposed, params, out=out) is out
-        assert out.tobytes() == want.tobytes()
-        assert np.all(np.isnan(big[1::2])) and np.all(np.isnan(big[:, 1::2]))
+        strided = np.full((34, 46), np.nan)
+        strided[::2, ::2] = s
+        for grid in (transposed, strided[::2, ::2]):
+            assert not grid.flags.c_contiguous
+            assert compute_g_layer(grid, params).tobytes() == want.tobytes()
+
+    def test_g_has_the_shape_of_s_and_no_out(self):
+        g = compute_g_layer(np.ones((6, 6)), CoreParams())
+        assert g.shape == (6, 6) and g.flags.c_contiguous
+        with pytest.raises(TypeError):
+            compute_g_layer(np.ones((6, 6)), CoreParams(), out=np.empty((5, 5)))
+
+
+class TestScratchShape:
+    """A scratch or ``out=`` sized for another grid raises InputError
+    naming both shapes, and nothing is written."""
+
+    def test_inhibition_scratch_of_another_shape(self):
+        scratch = StencilScratch(7, 7)
+        before = scratch.padded16.tobytes(), scratch.tmp.tobytes()
+        for source in (np.ones((6, 6), np.int16), np.ones((6, 6))):
+            with pytest.raises(InputError, match=r"^scratch shape \(7, 7\) .* \(6, 6\)$"):
+                compute_inhibition(source, scratch=scratch)
+        assert (scratch.padded16.tobytes(), scratch.tmp.tobytes()) == before
+
+    def test_inhibition_out_of_another_shape(self):
+        for shape in ((5, 5), (6, 7), (36,)):
+            out = np.full(shape, np.nan)
+            with pytest.raises(InputError, match=rf"^out shape \({shape[0]},.* \(6, 6\)$"):
+                compute_inhibition(np.ones((6, 6), np.int16), out=out)
+            assert np.all(np.isnan(out))
+
+    def test_g_scratch_of_another_shape(self):
+        scratch = StencilScratch(7, 7)
+        compute_g_layer(np.full((7, 7), 50.0), CoreParams(), scratch=scratch)
+        grid, rows, cells = scratch.g.tobytes(), scratch.rows.tobytes(), scratch.g_cells
+        with pytest.raises(InputError, match=r"^scratch shape \(7, 7\) .* \(6, 6\)$"):
+            compute_g_layer(np.ones((6, 6)), CoreParams(), scratch=scratch)
+        assert scratch.g.tobytes() == grid and scratch.rows.tobytes() == rows
+        assert scratch.g_cells is cells and cells.size == 49
 
 
 class TestCoreParams:
