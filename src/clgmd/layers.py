@@ -40,21 +40,21 @@ the border so output dimensions match the input:
 ``compute_p_layer``, ``compute_inhibition`` and ``compute_s_layer`` take
 a keyword-only ``out=`` grid to write into, and the two stencils a
 ``scratch=`` :class:`StencilScratch` of work buffers.  Omitted, each is
-allocated fresh; one of the wrong shape raises ``InputError`` before
-anything is written.  S may be written over I
-(``compute_s_layer(p, i, out=i)``), so I and S share one grid.  G is
-written only into the scratch's own grid ``g``, which stays zero outside
-the last call's candidates, ``g_cells``: each call re-zeroes those cells
-and writes its own, so the grid is never cleared whole, and the quadrant
-sums bin only those cells.  Each scratch buffer has one role: the int16
-ones belong to inhibition, the row sums, then |box * S|, the candidate
-mask and ``g`` to G, and ``tmp`` holds one stage's float work at a time.
-A float64 inhibition source, which the detector never hands over, gets
-its padded copy and a tap table over it built per call.  Apart from G's
-grid, the functions keep no state between calls; streaming state
-(previous frame, previous P grid), the choice of inhibition source that
-``inhibition_delay`` makes, and the reused buffers belong to
-:class:`clgmd.detector.CollisionDetector`.
+allocated fresh.  A scratch, or an inhibition ``out=``, sized for another
+grid raises ``InputError`` before anything is written.  S may be written
+over I (``compute_s_layer(p, i, out=i)``), so I and S share one grid.  G
+is written only into the scratch's own grid ``g``, which stays zero
+outside the last call's candidates, ``g_cells``: each call re-zeroes
+those cells and writes its own, so the grid is never cleared whole, and
+the quadrant sums bin only those cells.  Each scratch buffer has one
+role: the int16 ones belong to inhibition, the row sums, then |box * S|,
+the candidate mask and ``g`` to G, and ``tmp`` holds one stage's float
+work at a time.  A float64 inhibition source, which the detector never
+hands over, gets its padded copy and a tap table over it built per call.
+Apart from G's grid, the functions keep no state between calls;
+streaming state (previous frame, previous P grid), the choice of
+inhibition source that ``inhibition_delay`` makes, and the reused
+buffers belong to :class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
