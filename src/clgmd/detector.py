@@ -3,22 +3,21 @@
 Wires the layer stack, the four-field competition and the spike logic
 into a single object that consumes frames one at a time.  The first
 frame only primes the differencing buffer and yields no result; it also
-sizes the detector.  Every layer grid and stencil buffer is allocated
-once, at that frame's size, and reused for each later frame, which must
-have the same size, as ``compute_p_layer`` checks; the normalization's
-n_cell is its pixel count.  P is kept in two int16 grids, the current and
-the previous frame's, so inhibition sums it in int16 and, with
-``inhibition_delay`` 1, spreads the previous one.  I and S are float64
-and share one grid, S written over I, its last reader.  G lives in the
-stencil scratch, which also lists the cells where it may be non-zero, so
-the quadrant sums read only those.
+sizes the detector.  Every grid the layer stack writes after P lives in
+one stencil scratch, allocated at that frame's size and reused for each
+later frame, which must have the same size, as ``compute_p_layer``
+checks; the normalization's n_cell is its pixel count.  P is a fresh
+int16 grid per frame, so inhibition sums it in int16; with
+``inhibition_delay`` 1 it spreads the previous frame's P, which the
+detector keeps.  I and S share the scratch's float64 grid, S written
+over I, its last reader.  G lives in the scratch's own grid, and the
+scratch lists the cells where it may be non-zero, so the quadrant sums
+read only those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .competition import (
     CLgmdPotentials,
@@ -73,11 +72,6 @@ class CollisionDetector:
     def _allocate(self, width: int, height: int) -> None:
         self._n_cell = width * height
         self._mask = build_quadrant_mask(width, height)
-        # P is double-buffered in int16: each frame writes P into the first
-        # grid and then swaps them, so the previous P, which inhibition reads
-        # when inhibition_delay is 1, survives in the other.
-        self._p_grids = [np.empty((height, width), dtype=np.int16) for _ in range(2)]
-        self._grid: Grid = np.empty((height, width))
         self._scratch = StencilScratch(height, width)
 
     def process(self, frame: Frame) -> DetectionResult | None:
@@ -87,19 +81,18 @@ class CollisionDetector:
             self._allocate(frame.width, frame.height)
             self._prev_frame = frame
             return None
-        p = compute_p_layer(prev, frame, out=self._p_grids[0])
+        p = compute_p_layer(prev, frame)
         # inhibition_delay 1 spreads the previous frame's P; the first
         # processed frame has none and spreads its own.
         source = self._prev_p if self.core.inhibition_delay and self._prev_p is not None else p
-        i = compute_inhibition(source, out=self._grid, scratch=self._scratch)
-        s = compute_s_layer(p, i, out=i)
+        i = compute_inhibition(source, scratch=self._scratch)
+        s = compute_s_layer(p, i, scratch=self._scratch)
         g = compute_g_layer(s, self.core, scratch=self._scratch)
         u0, d0, l0, r0, k_f0 = accumulate_quadrants(g, self._mask, self._scratch.g_cells)
         potentials = normalize(u0, d0, l0, r0, k_f0, self.norm, n_cell=self._n_cell)
         self.state = update_spike_state(potentials.kappa, self.norm, self.state)
         spike = self.state.spike_run > 0
         self._prev_frame = frame
-        self._p_grids.reverse()
         self._prev_p = p
         return DetectionResult(
             frame_index=frame.index,

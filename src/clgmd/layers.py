@@ -10,10 +10,9 @@ excitation grid:
     G  clustered excitation boosted, sporadic isolated change decayed to zero
 
 Grids are numpy arrays shaped (height, width) with row 0 at the top of the
-image.  I, S and G are float64.  P is float64 unless the caller hands
-``compute_p_layer`` an int16 ``out=`` grid, as the detector does: P is an
-integer in [-255, 255], so int16 holds it exactly.  Both stencils zero-pad
-the border so output dimensions match the input:
+image.  P is int16: it is an integer in [-255, 255], which int16 holds
+exactly.  I, S and G are float64.  Both stencils zero-pad the border so
+output dimensions match the input:
 
 - the 5x5 inhibition kernel is symmetric, so it has five distinct weights
   (at r = 1, sqrt 2, 2, sqrt 5 and sqrt 8), read once at import.  It
@@ -37,24 +36,25 @@ the border so output dimensions match the input:
   give the adaptive scale, a bound on |box * S| picks the few cells that
   can survive the decay rule, and only those get their mean and the rule.
 
-``compute_p_layer``, ``compute_inhibition`` and ``compute_s_layer`` take
-a keyword-only ``out=`` grid to write into, and the two stencils a
-``scratch=`` :class:`StencilScratch` of work buffers.  Omitted, each is
-allocated fresh.  A scratch, or an inhibition ``out=``, sized for another
-grid raises ``InputError`` before anything is written.  S may be written
-over I (``compute_s_layer(p, i, out=i)``), so I and S share one grid.  G
-is written only into the scratch's own grid ``g``, which stays zero
-outside the last call's candidates, ``g_cells``: each call re-zeroes
-those cells and writes its own, so the grid is never cleared whole, and
-the quadrant sums bin only those cells.  Each scratch buffer has one
-role: the int16 ones belong to inhibition, the row sums, then |box * S|,
-the candidate mask and ``g`` to G, and ``tmp`` holds one stage's float
-work at a time.  A float64 inhibition source, which the detector never
-hands over, gets its padded copy and a tap table over it built per call.
-Apart from G's grid, the functions keep no state between calls;
-streaming state (previous frame, previous P grid), the choice of
-inhibition source that ``inhibition_delay`` makes, and the reused
-buffers belong to :class:`clgmd.detector.CollisionDetector`.
+``compute_p_layer`` returns a fresh grid.  ``compute_inhibition``,
+``compute_s_layer`` and ``compute_g_layer`` take a keyword-only
+``scratch=`` :class:`StencilScratch`, the one place their grids live;
+omitted, a fresh one is used.  A scratch sized for another grid, or a
+grid that is not 2-D, raises ``InputError`` before anything is written.
+I and S are written into the scratch's ``grid``, S over I when it is
+handed that I.  G is written only into the scratch's own grid ``g``,
+which stays zero outside the last call's candidates, ``g_cells``: each
+call re-zeroes those cells and writes its own, so the grid is never
+cleared whole, and the quadrant sums bin only those cells.  Each scratch
+buffer has one role: the int16 ones belong to inhibition, ``grid`` to I
+and then S, the row sums, then |box * S|, the candidate mask and ``g``
+to G, and ``tmp`` holds one stage's float work at a time.  A float64
+inhibition source, which the detector never hands over, gets its padded
+copy and a tap table over it built per call.  Apart from the scratch,
+the functions keep no state between calls; streaming state (previous
+frame, previous P grid), the choice of inhibition source that
+``inhibition_delay`` makes, and the reused scratch belong to
+:class:`clgmd.detector.CollisionDetector`.
 """
 
 from __future__ import annotations
@@ -184,17 +184,19 @@ class CoreParams:
 
 
 class StencilScratch:
-    """Work buffers for the detector's two stencils on grids of one shape,
-    and the views of them each call reads, built once.
+    """Every grid the layer stack writes after P, and the work buffers of
+    its two stencils, for grids of one shape, with the views of them each
+    call reads, built once.
 
     Inhibition of an int16 source within ``INT16_SOURCE_LIMIT`` owns
     ``padded16``, which holds the source inside a two-cell zero border
     (nothing writes the border, so one allocation serves every call), its
     view ``interior16`` that the source is copied into, and ``taps16``, the
     flat inhibition tap table over it with its int16 pair sums and group
-    sum (see ``_inhibition_taps``).  The G layer owns ``rows``, its box row
-    sums between a zero row above and below (again a border nothing
-    writes), with ``row_sums`` the flat run the row adds write and
+    sum (see ``_inhibition_taps``).  ``grid`` is the float64 grid that
+    inhibition returns I in and the S layer S.  The G layer owns ``rows``,
+    its box row sums between a zero row above and below (again a border
+    nothing writes), with ``row_sums`` the flat run the row adds write and
     ``above``, ``centre`` and ``below`` the three row views the column sum
     adds, after which ``centre`` takes |box * S|; ``keep``, its candidate
     mask; and ``g``, the G grid it returns, zero but at ``g_cells``, the
@@ -207,6 +209,7 @@ class StencilScratch:
         self.padded16 = np.zeros((height + 4, width + 4), dtype=np.int16)
         self.interior16 = self.padded16[2:-2, 2:-2]
         self.taps16 = _inhibition_taps(self.padded16)
+        self.grid = np.empty((height, width))
         self.tmp = np.empty((height, width))
         self.rows = np.zeros((height + 2, width))
         self.above, self.centre, self.below = self.rows[:-2], self.rows[1:-1], self.rows[2:]
@@ -218,8 +221,10 @@ class StencilScratch:
 
 
 def _fitting(scratch: StencilScratch | None, shape: tuple[int, ...]) -> StencilScratch:
-    """``scratch``, or a fresh one when it is None; one for grids of
-    another shape raises ``InputError``."""
+    """``scratch``, or a fresh one when it is None; a grid that is not 2-D,
+    or a scratch for grids of another shape, raises ``InputError``."""
+    if len(shape) != 2:
+        raise InputError(f"layer grid must be 2-D, got shape {shape}")
     if scratch is None:
         return StencilScratch(*shape)
     if scratch.g.shape != shape:
@@ -266,14 +271,12 @@ def _sums_fit_int16(grid: Grid) -> bool:
     )
 
 
-def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Grid:
+def compute_p_layer(prev: Frame, curr: Frame) -> Grid:
     """Luminance change per pixel between two consecutive frames of one
-    size; other frames raise ``InputError`` and leave ``out`` untouched.
+    size, as a fresh int16 grid; other frames raise ``InputError``.
 
     The uint8 frames are subtracted in int16, where every difference in
-    [-255, 255] is exact, and written into ``out`` in its own dtype: a
-    float64 grid, allocated when ``out`` is omitted, or an int16 grid, which
-    keeps P integer for the int16 inhibition path.
+    [-255, 255] is exact, so P feeds the int16 inhibition path.
     """
     if prev.luminance.shape != curr.luminance.shape:
         raise InputError(
@@ -284,14 +287,12 @@ def compute_p_layer(prev: Frame, curr: Frame, *, out: Grid | None = None) -> Gri
         raise InputError(
             f"frames must be consecutive, got indices {prev.index} -> {curr.index}"
         )
-    out = np.empty(curr.luminance.shape) if out is None else out
-    return np.subtract(curr.luminance, prev.luminance, out=out, dtype=np.int16)
+    return np.subtract(curr.luminance, prev.luminance, dtype=np.int16)
 
 
-def compute_inhibition(
-    source: Grid, *, out: Grid | None = None, scratch: StencilScratch | None = None
-) -> Grid:
-    """Spread ``source`` into inhibition by convolving it with the 5x5 kernel.
+def compute_inhibition(source: Grid, *, scratch: StencilScratch | None = None) -> Grid:
+    """Spread ``source`` into inhibition by convolving it with the 5x5 kernel,
+    written into the scratch's ``grid``.
 
     Borders are zero-padded.  An int16 source with every |value| <=
     ``INT16_SOURCE_LIMIT`` has its group sums taken in int16; any other
@@ -301,15 +302,13 @@ def compute_inhibition(
     dtype.
     """
     scratch = _fitting(scratch, source.shape)
-    if out is not None and out.shape != source.shape:
-        raise InputError(f"out shape {out.shape} does not match grid shape {source.shape}")
     if _sums_fit_int16(source):
         np.copyto(scratch.interior16, source)
         pairs, groups, acc, interior = scratch.taps16
     else:
         q = np.pad(np.asarray(source, dtype=np.float64), 2)
         pairs, groups, acc, interior = _inhibition_taps(q)
-    out = np.empty(source.shape) if out is None else out
+    out = scratch.grid
     for left, right, into in pairs:
         np.add(left, right, out=into)
     for n, (weight, (first, second, *rest)) in enumerate(zip(_GROUP_WEIGHTS, groups)):
@@ -325,16 +324,17 @@ def compute_inhibition(
     return out
 
 
-def compute_s_layer(e: Grid, i: Grid, *, out: Grid | None = None) -> Grid:
-    """Combine excitation and inhibition by linear subtraction, sign kept.
+def compute_s_layer(e: Grid, i: Grid, *, scratch: StencilScratch | None = None) -> Grid:
+    """Combine excitation and inhibition by linear subtraction, sign kept,
+    in float64, written into the scratch's ``grid``.
 
-    ``e`` may be the int16 P grid: it is widened to float64 exactly, then
-    the float64 ``i`` is subtracted, so S equals the float64 subtraction.
-    ``out`` may be ``i``: each cell is read before it is written.
+    ``e`` may be the int16 P grid: it is widened to float64 exactly, so S
+    equals the float64 subtraction.  ``i`` may be the scratch's ``grid``,
+    as I is: each cell is read before it is written.
     """
     if e.shape != i.shape:
         raise InputError(f"summing input: shapes differ, {e.shape} vs {i.shape}")
-    return np.subtract(e, i, out=out)
+    return np.subtract(e, i, out=_fitting(scratch, e.shape).grid, dtype=np.float64)
 
 
 def _grouping_bound(omega: float, c_de: float, t_de: float) -> float:

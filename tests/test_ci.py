@@ -107,7 +107,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
         ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"],
         ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "detect"], ["clgmd", "simulate"],
+        ["clgmd", "detect"], ["clgmd", "detect"], ["clgmd", "simulate"],
     ]
     assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
     assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
@@ -118,7 +118,7 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     assert "--frames" in lines[4] and "--speed=-1.2" in lines[4]
     # A noisy 320x240 sequence, whose float64 render image is past glibc's
     # 128 KiB mmap threshold, read back through the delayed-inhibition path,
-    # which spreads the previous P while I, S and G share one grid.
+    # which spreads the previous P while I and S share the scratch grid.
     assert lines[5][2:] == [lines[6][2], "--frames", "4", "--width", "320", "--height", "240",
                             "--noise", "5"]
     assert lines[6][3:5] == ["--set", "inhibition_delay=1"]
@@ -144,9 +144,14 @@ def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypa
     # The same sequence with t_de=0: no cell of G decays, so every cell is
     # a candidate and each frame re-zeroes and rewrites the whole G grid.
     assert lines[14][2:] == [lines[12][2], "--set", "t_de=0", "--out", f"{tmp_path}/dense.csv"]
+    # The same sequence again, delayed: each frame's P is spread by the next
+    # call at an odd size, and the scratch grid that holds I and then S is
+    # written on every cell, none of which G decays.
+    assert lines[15][2:] == [lines[12][2], "--set", "inhibition_delay=1", "--set", "t_de=0",
+                             "--out", f"{tmp_path}/odd-delayed.csv"]
     # A centred trial with spiking disabled flies straight on until
     # check_collision ends it, as the benchmark's fifth closed-loop job does.
-    assert lines[15][2:] == ["--set", "placement=centered", "--set", "t_s=256",
+    assert lines[16][2:] == ["--set", "placement=centered", "--set", "t_s=256",
                              "--out", f"{tmp_path}/collide.csv"]
     # PYTHONWARNINGS=error makes any warning from the run fail the step.
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}

@@ -4,6 +4,7 @@ it with its own error type."""
 
 import dataclasses
 import enum
+import inspect
 import math
 import sys
 
@@ -88,6 +89,14 @@ def test_every_field_is_declared_or_exempt():
         kinds = {name for name, _, _ in _contract(cls)}
         for f in dataclasses.fields(cls):
             assert f.name in kinds or f"{cls.__name__}.{f.name}" in EXEMPT, (cls, f.name)
+
+
+def test_no_public_callable_takes_out():
+    # Each layer writes its grid to one place: a fresh grid or the scratch.
+    for name in clgmd.__all__:
+        obj = getattr(clgmd, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException)):
+            assert "out" not in inspect.signature(obj).parameters, name
 
 
 def _bad_values(cls, name, kind, optional):

@@ -26,7 +26,7 @@ from clgmd.stimulus import CameraModel, Direction, ScenarioSpec, generate_sequen
 
 def stress_frames(height, width, count=40):
     """Noise frames of varying contrast, with all-0 and all-255 frames among
-    them, so a stale pad border or a wrongly swapped P buffer changes the
+    them, so a stale pad border or a stale previous P changes the
     potentials."""
     rng = np.random.default_rng(height * 1000 + width)
     frames = []
@@ -52,7 +52,9 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
     mask = build_quadrant_mask(width, height)
     prev_p = None
     for prev, curr in zip(frames, frames[1:]):
-        p = compute_p_layer(prev, curr)
+        # The float64 P takes the float64 inhibition path, the oracle of
+        # the detector's int16 one.
+        p = compute_p_layer(prev, curr).astype(np.float64)
         # Delay 1 spreads the previous frame's P, once there is one.
         i = compute_inhibition(prev_p if delay and prev_p is not None else p)
         g = compute_g_layer(compute_s_layer(p, i), core)
@@ -65,8 +67,9 @@ def test_reused_buffers_match_fresh_layers(height, width, delay):
 @pytest.mark.parametrize("core", [CoreParams(), CoreParams(t_de=0.0)], ids=["default", "t_de=0"])
 @pytest.mark.parametrize("height,width", [(100, 100), (23, 37)])
 def test_s_over_i_and_g_in_the_scratch_match_fresh_layers(height, width, core):
-    # The detector keeps I and S in one grid, S written over I, and G in the
-    # reused scratch, whose listed cells the quadrant sums bin.
+    # The detector keeps I and S in the scratch's one grid, S written over
+    # I, and G in the scratch's own grid, whose listed cells the quadrant
+    # sums bin.
     scratch = StencilScratch(height, width)
     mask = build_quadrant_mask(width, height)
     frames = stress_frames(height, width)
@@ -75,8 +78,9 @@ def test_s_over_i_and_g_in_the_scratch_match_fresh_layers(height, width, core):
         i = compute_inhibition(p)
         s = compute_s_layer(p, i)
         g = compute_g_layer(s, core).copy()
-        grid = i.copy()
-        assert compute_s_layer(p, grid, out=grid) is grid
+        grid = compute_inhibition(p, scratch=scratch)
+        assert grid is scratch.grid and grid.tobytes() == i.tobytes(), f"I, frame {curr.index}"
+        assert compute_s_layer(p, grid, scratch=scratch) is grid
         assert grid.tobytes() == s.tobytes(), f"S, frame {curr.index}"
         assert compute_g_layer(grid, core, scratch=scratch) is scratch.g
         assert scratch.g.tobytes() == g.tobytes(), f"G, frame {curr.index}"

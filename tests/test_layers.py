@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -153,19 +154,14 @@ class TestPLayer:
         prev = Frame(index=0, luminance=np.repeat(levels[:, None], 256, axis=1))
         curr = Frame(index=1, luminance=np.repeat(levels[None, :], 256, axis=0))
         want = curr.luminance.astype(np.float64) - prev.luminance.astype(np.float64)
-        fresh = compute_p_layer(prev, curr)
-        assert fresh.dtype == np.float64 and np.array_equal(fresh, want)
-        out = np.full((256, 256), np.nan)
-        assert compute_p_layer(prev, curr, out=out) is out
-        assert np.array_equal(out, want)
+        p = compute_p_layer(prev, curr)
+        assert p.dtype == np.int16 and np.array_equal(p, want)
 
     def test_dimension_mismatch(self):
         a = Frame(index=0, luminance=np.zeros((8, 8)))
         b = Frame(index=1, luminance=np.zeros((8, 9)))
-        out = np.full((8, 9), 7.0)
         with pytest.raises(InputError, match="^frame is 9x8, previous frame is 8x8$"):
-            compute_p_layer(a, b, out=out)
-        assert np.all(out == 7.0)
+            compute_p_layer(a, b)
 
     def test_non_consecutive_indices(self):
         a = Frame(index=0, luminance=np.zeros((8, 8)))
@@ -309,18 +305,22 @@ class TestSLayer:
     def test_int16_p_minus_float_i_equals_float_subtraction(self):
         rng = np.random.default_rng(17)
         prev, curr = frame_pair(rng, 30, 40)
-        p16 = compute_p_layer(prev, curr, out=np.empty((30, 40), dtype=np.int16))
-        p = compute_p_layer(prev, curr)
+        p16 = compute_p_layer(prev, curr)
+        p = p16.astype(np.float64)
         i = compute_inhibition(p)
         s = compute_s_layer(p16, i)
-        assert s.dtype == np.float64 and np.array_equal(s, p - i)
-        out = np.full((30, 40), np.nan)
-        assert compute_s_layer(p16, i, out=out) is out
-        assert np.array_equal(out, p - i)
-        # out may be the I grid itself.
-        inplace = i.copy()
-        assert compute_s_layer(p16, inplace, out=inplace) is inplace
-        assert np.array_equal(inplace, p - i)
+        assert s.dtype == np.float64 and s.tobytes() == (p - i).tobytes()
+        # S may be written over the scratch grid that holds I.
+        scratch = StencilScratch(30, 40)
+        np.copyto(scratch.grid, i)
+        assert compute_s_layer(p16, scratch.grid, scratch=scratch) is scratch.grid
+        assert scratch.grid.tobytes() == s.tobytes()
+
+    def test_s_is_float64_for_a_float32_i(self):
+        e, i = np.ones((6, 6), np.int16), np.full((6, 6), 0.1, np.float32)
+        s = compute_s_layer(e, i)
+        assert s.dtype == np.float64
+        assert s.tobytes() == (1.0 - i.astype(np.float64)).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -555,23 +555,37 @@ class TestGLayer:
 
 
 class TestScratchShape:
-    """A scratch or ``out=`` sized for another grid raises InputError
-    naming both shapes, and nothing is written."""
+    """A scratch sized for another grid raises InputError naming both
+    shapes, and nothing is written; so does a grid that is not 2-D."""
 
     def test_inhibition_scratch_of_another_shape(self):
         scratch = StencilScratch(7, 7)
+        scratch.grid.fill(np.nan)
         before = scratch.padded16.tobytes(), scratch.tmp.tobytes()
         for source in (np.ones((6, 6), np.int16), np.ones((6, 6))):
             with pytest.raises(InputError, match=r"^scratch shape \(7, 7\) .* \(6, 6\)$"):
                 compute_inhibition(source, scratch=scratch)
         assert (scratch.padded16.tobytes(), scratch.tmp.tobytes()) == before
+        assert np.all(np.isnan(scratch.grid))
 
-    def test_inhibition_out_of_another_shape(self):
-        for shape in ((5, 5), (6, 7), (36,)):
-            out = np.full(shape, np.nan)
-            with pytest.raises(InputError, match=rf"^out shape \({shape[0]},.* \(6, 6\)$"):
-                compute_inhibition(np.ones((6, 6), np.int16), out=out)
-            assert np.all(np.isnan(out))
+    def test_s_scratch_of_another_shape(self):
+        scratch = StencilScratch(7, 7)
+        scratch.grid.fill(np.nan)
+        with pytest.raises(InputError, match=r"^scratch shape \(7, 7\) .* \(6, 6\)$"):
+            compute_s_layer(np.ones((6, 6), np.int16), np.ones((6, 6)), scratch=scratch)
+        assert np.all(np.isnan(scratch.grid))
+
+    @pytest.mark.parametrize("shape", [(36,), (6, 6, 2)])
+    def test_a_grid_that_is_not_2d(self, shape):
+        message = rf"^layer grid must be 2-D, got shape {re.escape(str(shape))}$"
+        grid = np.ones(shape)
+        for call in (
+            lambda: compute_inhibition(grid),
+            lambda: compute_s_layer(grid, grid),
+            lambda: compute_g_layer(grid, CoreParams()),
+        ):
+            with pytest.raises(InputError, match=message):
+                call()
 
     def test_g_scratch_of_another_shape(self):
         scratch = StencilScratch(7, 7)

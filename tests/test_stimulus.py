@@ -36,6 +36,15 @@ CAM = CameraModel()  # 100x100, 90 degree horizontal field of view
 BEHIND = Sphere((-2.0, 0.0, 0.0), 0.3, 224.0)
 
 
+# Even and odd sizes, from the smallest frame up, across the field-of-view
+# range: a noise-free render mirrors exactly at each.
+MIRROR_CAMERAS = [
+    pytest.param(CameraModel(width=w, height=h, hfov_deg=hfov), id=f"{w}x{h}-{hfov:g}deg")
+    for w, h in ((5, 5), (6, 5), (37, 23), (64, 48), (101, 99))
+    for hfov in (20.0, 60.0, 90.0, 120.0, 170.0)
+]
+
+
 def object_pixels(frame, background):
     return frame.luminance != background
 
@@ -305,17 +314,23 @@ class TestScenarios:
         b = generate_sequence(spec, CAM)
         assert all(np.array_equal(x.luminance, y.luminance) for x, y in zip(a, b))
 
-    def test_left_right_sequences_mirror_exactly(self):
-        left = generate_sequence(ScenarioSpec(direction=Direction.LEFT, seed=3), CAM)
-        right = generate_sequence(ScenarioSpec(direction=Direction.RIGHT, seed=3), CAM)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("camera", MIRROR_CAMERAS)
+    def test_left_right_sequences_mirror_exactly(self, camera, seed):
+        spec = ScenarioSpec(direction=Direction.LEFT, seed=seed, frames=60)
+        left = generate_sequence(spec, camera)
+        right = generate_sequence(dataclasses.replace(spec, direction=Direction.RIGHT), camera)
         assert all(
             np.array_equal(l.luminance, r.luminance[:, ::-1])
             for l, r in zip(left, right)
         )
 
-    def test_up_down_sequences_mirror_exactly(self):
-        up = generate_sequence(ScenarioSpec(direction=Direction.UP, seed=3), CAM)
-        down = generate_sequence(ScenarioSpec(direction=Direction.DOWN, seed=3), CAM)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("camera", MIRROR_CAMERAS)
+    def test_up_down_sequences_mirror_exactly(self, camera, seed):
+        spec = ScenarioSpec(direction=Direction.UP, seed=seed, frames=60)
+        up = generate_sequence(spec, camera)
+        down = generate_sequence(dataclasses.replace(spec, direction=Direction.DOWN), camera)
         assert all(
             np.array_equal(u.luminance, d.luminance[::-1, :]) for u, d in zip(up, down)
         )
