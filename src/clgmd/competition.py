@@ -80,7 +80,8 @@ def accumulate_quadrants(
     sum is bit-identical to binning the whole grid.  The whole-field sum
     k_f0 is formed as the sum of the four field sums, so the
     decomposition identity holds exactly.  A binned label outside 0-3,
-    and a listed cell outside ``g``, raise ``InputError``.
+    and ``cells`` that are not strictly ascending integers within ``g``,
+    raise ``InputError``.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.shape != labels.shape:
@@ -93,10 +94,12 @@ def accumulate_quadrants(
         # or boolean-mask indexing, is several times slower.
         hit = np.flatnonzero(flat != 0.0)
     else:
-        hit = cells
-        # Ascending, so its ends bound it.
-        if len(hit) and not (0 <= hit[0] and hit[-1] < flat.size):
-            raise InputError(f"cells must lie in [0, {flat.size}), got {hit[0]}..{hit[-1]}")
+        hit = np.asarray(cells)
+        # Strictly ascending, so no cell is binned twice and its ends bound it.
+        if hit.dtype.kind not in "iu" or hit.ndim != 1 or len(hit) and not (
+            0 <= hit[0] and hit[-1] < flat.size and (hit[1:] > hit[:-1]).all()
+        ):
+            raise InputError(f"cells must lie in [0, {flat.size}) as strictly ascending integers")
     try:
         sums = np.bincount(labels.ravel()[hit], weights=np.abs(flat[hit]), minlength=4)
     except ValueError:  # a negative label

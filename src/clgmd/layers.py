@@ -39,8 +39,9 @@ output dimensions match the input:
 ``compute_p_layer`` returns a fresh grid.  ``compute_inhibition``,
 ``compute_s_layer`` and ``compute_g_layer`` take a keyword-only
 ``scratch=`` :class:`StencilScratch`, the one place their grids live;
-omitted, a fresh one is used.  A scratch sized for another grid, or a
-grid that is not 2-D, raises ``InputError`` before anything is written.
+omitted, a fresh one is used, except that S is then a fresh grid
+alone.  A scratch sized for another grid, or a grid that is not 2-D,
+raises ``InputError`` before anything is written.
 I and S are written into the scratch's ``grid``, S over I when it is
 handed that I.  G is written only into the scratch's own grid ``g``,
 which stays zero outside the last call's candidates, ``g_cells``: each
@@ -220,11 +221,16 @@ class StencilScratch:
         self.g_cells = np.empty(0, dtype=np.intp)
 
 
+def _check_2d(shape: tuple[int, ...]) -> None:
+    """A layer grid that is not 2-D raises ``InputError``."""
+    if len(shape) != 2:
+        raise InputError(f"layer grid must be 2-D, got shape {shape}")
+
+
 def _fitting(scratch: StencilScratch | None, shape: tuple[int, ...]) -> StencilScratch:
     """``scratch``, or a fresh one when it is None; a grid that is not 2-D,
     or a scratch for grids of another shape, raises ``InputError``."""
-    if len(shape) != 2:
-        raise InputError(f"layer grid must be 2-D, got shape {shape}")
+    _check_2d(shape)
     if scratch is None:
         return StencilScratch(*shape)
     if scratch.g.shape != shape:
@@ -326,7 +332,8 @@ def compute_inhibition(source: Grid, *, scratch: StencilScratch | None = None) -
 
 def compute_s_layer(e: Grid, i: Grid, *, scratch: StencilScratch | None = None) -> Grid:
     """Combine excitation and inhibition by linear subtraction, sign kept,
-    in float64, written into the scratch's ``grid``.
+    in float64, written into the scratch's ``grid``, or a fresh grid
+    without a scratch.
 
     ``e`` may be the int16 P grid: it is widened to float64 exactly, so S
     equals the float64 subtraction.  ``i`` may be the scratch's ``grid``,
@@ -334,6 +341,9 @@ def compute_s_layer(e: Grid, i: Grid, *, scratch: StencilScratch | None = None) 
     """
     if e.shape != i.shape:
         raise InputError(f"summing input: shapes differ, {e.shape} vs {i.shape}")
+    if scratch is None:
+        _check_2d(e.shape)
+        return np.subtract(e, i, dtype=np.float64)
     return np.subtract(e, i, out=_fitting(scratch, e.shape).grid, dtype=np.float64)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy
 import pytest
 
+import pinned
 from clgmd.cli import main
 
 yaml = pytest.importorskip("yaml")
@@ -90,78 +91,26 @@ def test_a_hung_run_times_out(workflow):
     assert workflow["jobs"]["tests"]["timeout-minutes"] == 20
 
 
-def test_installed_console_script_runs_each_command(workflow, tmp_path, monkeypatch, capsys):
-    # The step runs the `clgmd` script that pip installs from
-    # [project.scripts]; here each line runs in-process through the same
-    # entry point, with $RUNNER_TEMP a temporary directory.
+def test_installed_console_script_runs_each_command(workflow):
+    # The step runs the `clgmd` script from [project.scripts] under
+    # PYTHONWARNINGS=error; the cases below run its lines through pinned.py.
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^clgmd = "clgmd\.cli:entrypoint"$', pyproject, re.M)
     runs = _runs(workflow)
     install = next(i for i, run in enumerate(runs) if re.search(r"pip install .*\.\[test\]", run))
     [script] = [i for i, run in enumerate(runs) if run.startswith("clgmd ")]
     assert install < script < runs.index(TIER1)
-    monkeypatch.setenv("RUNNER_TEMP", str(tmp_path))
-    lines = [shlex.split(os.path.expandvars(line)) for line in runs[script].splitlines()]
-    assert [argv[:2] for argv in lines] == [
-        ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "simulate"],
-        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "simulate"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "generate"], ["clgmd", "detect"], ["clgmd", "generate"], ["clgmd", "detect"],
-        ["clgmd", "detect"], ["clgmd", "detect"], ["clgmd", "simulate"],
-    ]
-    assert "--frames" in lines[0] and "max_duration=0.5" in lines[2]
-    assert lines[1][2] == lines[0][2]  # detect reads the generated sequence
-    # A full default trial whose obstacle passes beside and then behind the
-    # camera, so the render takes windows astride and behind its plane.
-    assert "placement=up" in lines[3] and not any("max_duration" in a for a in lines[3])
-    # A receding sequence: the sphere is farthest at its last frame.
-    assert "--frames" in lines[4] and "--speed=-1.2" in lines[4]
-    # A noisy 320x240 sequence, whose float64 render image is past glibc's
-    # 128 KiB mmap threshold, read back through the delayed-inhibition path,
-    # which spreads the previous P while I and S share the scratch grid.
-    assert lines[5][2:] == [lines[6][2], "--frames", "4", "--width", "320", "--height", "240",
-                            "--noise", "5"]
-    assert lines[6][3:5] == ["--set", "inhibition_delay=1"]
-    # A noisy closed loop, the only kind of trial the benchmark runs.
-    assert lines[7][2:8] == ["--set", "noise_amplitude=5", "--set", "noise_seed=1",
-                             "--set", "max_duration=0.5"]
-    # A noisy sequence of a sphere 0.5 m ahead: every window is the full
-    # grid, and its rays past the silhouette take a NaN root, which must
-    # raise no warning on any numpy the matrix installs.
-    assert lines[8][2:] == [lines[9][2], "--frames", "3", "--distance", "0.5", "--noise", "5"]
-    assert lines[9][3:] == ["--out", f"{tmp_path}/close.csv"]
-    # A noisy sequence at the smallest legal frame, read back through the
-    # delayed-inhibition path: the inhibition's flat runs start and end at
-    # the first and last cells of its padded buffers.
-    assert lines[10][2:] == [lines[11][2], "--frames", "3", "--width", "5", "--height", "5",
-                             "--noise", "5"]
-    assert lines[11][3:] == ["--set", "inhibition_delay=1", "--out", f"{tmp_path}/tiny.csv"]
-    # A noisy 37x23 sequence from the left, read back with delay 0: an odd
-    # size whose quadrant mask splits unevenly.
-    assert lines[12][2:] == [lines[13][2], "--frames", "3", "--width", "37", "--height", "23",
-                             "--noise", "5", "--direction", "left"]
-    assert lines[13][3:] == ["--set", "inhibition_delay=0", "--out", f"{tmp_path}/odd.csv"]
-    # The same sequence with t_de=0: no cell of G decays, so every cell is
-    # a candidate and each frame re-zeroes and rewrites the whole G grid.
-    assert lines[14][2:] == [lines[12][2], "--set", "t_de=0", "--out", f"{tmp_path}/dense.csv"]
-    # The same sequence again, delayed: each frame's P is spread by the next
-    # call at an odd size, and the scratch grid that holds I and then S is
-    # written on every cell, none of which G decays.
-    assert lines[15][2:] == [lines[12][2], "--set", "inhibition_delay=1", "--set", "t_de=0",
-                             "--out", f"{tmp_path}/odd-delayed.csv"]
-    # A centred trial with spiking disabled flies straight on until
-    # check_collision ends it, as the benchmark's fifth closed-loop job does.
-    assert lines[16][2:] == ["--set", "placement=centered", "--set", "t_s=256",
-                             "--out", f"{tmp_path}/collide.csv"]
-    # PYTHONWARNINGS=error makes any warning from the run fail the step.
+    assert runs[script].splitlines() == pinned.ci_lines()
     assert workflow["jobs"]["tests"]["steps"][script]["env"] == {"PYTHONWARNINGS": "error"}
-    for argv in lines:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(argv[1:]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "OUTCOME=COLLIDED"
-    with open(tmp_path / "collide.csv") as trace:
-        assert sum(1 for _ in trace) == 1 + 180
+
+
+# Every output the step writes, and any pin that no line writes any more.
+OUTPUTS = sorted(pinned.CI.keys() | pinned.PINS.keys() - pinned.GOLDEN.keys())
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_console_script_output_is_pinned(name, tmp_path):
+    pinned.check(name, tmp_path)
 
 
 HOSTILE = [

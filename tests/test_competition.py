@@ -200,6 +200,20 @@ class TestAccumulate:
         with pytest.raises(InputError, match=r"^cells must lie in \[0, 64\)"):
             accumulate_quadrants(np.ones((8, 8)), mask, np.array(cells))
 
+    @pytest.mark.parametrize(
+        "cells",
+        [[3, 3, 63], [3, -1, 63], [3, 10**6, 63], [3.0, 63.0], [63, 3]],
+        ids=["repeated", "negative", "past-the-end", "float", "descending"],
+    )
+    def test_cells_that_are_not_strictly_ascending_integers_raise(self, cells):
+        # G is non-zero at cells 3 and 63 only: a repeated cell, or -1 read
+        # as the last one, would be binned twice.
+        g, mask = np.zeros((8, 8)), build_quadrant_mask(8, 8)
+        g.flat[[3, 63]] = 1.0, 5.0
+        assert accumulate_quadrants(g, mask, np.array([3, 63])) == (1.0, 0.0, 0.0, 5.0, 6.0)
+        with pytest.raises(InputError, match=r"^cells must lie in \[0, 64\) as strictly ascending"):
+            accumulate_quadrants(g, mask, np.array(cells))
+
     def test_monotonicity_within_region(self):
         mask = build_quadrant_mask(10, 10)
         g = np.zeros((10, 10))

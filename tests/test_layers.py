@@ -316,6 +316,21 @@ class TestSLayer:
         assert compute_s_layer(p16, scratch.grid, scratch=scratch) is scratch.grid
         assert scratch.grid.tobytes() == s.tobytes()
 
+    def test_without_a_scratch_s_is_a_fresh_float64_grid(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        p16 = compute_p_layer(*frame_pair(rng, 30, 40))
+        i = compute_inhibition(p16)
+        scratch = StencilScratch(30, 40)
+        np.copyto(scratch.grid, i)
+        over_i = compute_s_layer(p16, scratch.grid, scratch=scratch)
+
+        def build(*shape):
+            raise AssertionError(f"built a StencilScratch{shape}")
+
+        monkeypatch.setattr(clgmd.layers, "StencilScratch", build)
+        s = compute_s_layer(p16, i)
+        assert s.dtype == np.float64 and s.tobytes() == over_i.tobytes()
+
     def test_s_is_float64_for_a_float32_i(self):
         e, i = np.ones((6, 6), np.int16), np.full((6, 6), 0.1, np.float32)
         s = compute_s_layer(e, i)
