@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, Positive, PositiveCount, Real, check_fields, check_value
+from .errors import InputError, PositiveCount, Real, check_fields, check_value
 from .layers import MIN_SIDE, Grid
 
 
@@ -115,18 +115,15 @@ def accumulate_quadrants(
 class NormParams:
     """Normalization and spiking constants.
 
-    ``c1`` and ``c2`` shape the tanh squashing of the whole-field sum over
-    the frame's n_cell pixels.  ``c2`` None, the default, stays None here
-    and is resolved at use, by :func:`normalize`, as ``1 / n_cell``, one
-    over the frame's pixel count, so a strong full-field stimulus maps
-    near 255 at any frame size.  A spike fires when the squashed
-    potential reaches ``t_s``; ``n_sp`` consecutive spikes confirm a
-    collision.  Setting ``t_s`` above 255 disables spiking entirely
-    (useful as a baseline).
+    ``c1`` offsets the tanh squashing of the whole-field sum by the
+    frame's n_cell pixels, so a strong full-field stimulus maps near 255.
+    A spike fires when the squashed potential reaches ``t_s``, the one
+    threshold for firing; ``n_sp`` consecutive spikes confirm a collision.
+    Setting ``t_s`` above 255 disables spiking entirely (useful as a
+    baseline).
     """
 
     c1: Real = 0.005
-    c2: Positive | None = None
     t_s: Real = 150.0
     n_sp: PositiveCount = 4
 
@@ -158,10 +155,10 @@ def normalize(
 ) -> CLgmdPotentials:
     """Squash the whole-field sum into [0, 255] and split it by proportion.
 
-    kappa = clamp(tanh(sqrt(k_f0) - n_cell*c1) / (n_cell*c2) * 255, 0, 255),
-    where ``n_cell`` is the frame's pixel count, with ``c2`` None taken as
-    ``1.0 / n_cell`` (computed as written, so n_cell*c2 need not be exactly
-    1); each directional potential is its share of the raw sum times kappa.
+    kappa = max(tanh(sqrt(k_f0) - n_cell*c1), 0) * 255, where ``n_cell``
+    is the frame's pixel count; tanh never exceeds 1, so kappa never
+    exceeds 255.  Each directional potential is its share of the raw sum
+    times kappa.
     A zero-activity frame maps to all zeros.  ``k_f0`` must be finite and
     equal ``((u0 + d0) + l0) + r0``, as :func:`accumulate_quadrants` forms
     it, so the four shares split kappa.
@@ -174,10 +171,7 @@ def normalize(
         raise InputError(f"k_f0 must be the finite sum u0 + d0 + l0 + r0, got {k_f0}")
     if k_f0 <= 0.0:
         return CLgmdPotentials(k_f0=0.0, kappa=0.0, u=0.0, d=0.0, l=0.0, r=0.0)
-    raw = math.tanh(math.sqrt(k_f0) - n_cell * params.c1)
-    c2 = params.c2 if params.c2 is not None else 1.0 / n_cell
-    kappa = raw / (n_cell * c2) * 255.0
-    kappa = min(max(kappa, 0.0), 255.0)
+    kappa = max(math.tanh(math.sqrt(k_f0) - n_cell * params.c1), 0.0) * 255.0
     share = kappa / k_f0
     return CLgmdPotentials(
         k_f0=k_f0, kappa=kappa, u=u0 * share, d=d0 * share, l=l0 * share, r=r0 * share

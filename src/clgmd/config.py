@@ -12,8 +12,7 @@ parameters nested in it.  Building it checks every field and every
 cross-field rule of the trial, so ``clgmd detect`` and ``clgmd simulate``
 accept and reject the same configurations.  ``detect`` then reads only
 ``core``, ``norm`` and ``steering``.  No key sets the normalization's
-n_cell: the detector takes it from its first frame, so an unset ``c2``
-means one over the frame's pixel count.
+n_cell: the detector takes it from its first frame.
 
 A knob is one annotated field of the parameter dataclass that uses it,
 its kind included (``c_w: Positive = 4.0``; see :mod:`clgmd.errors`).  The
@@ -51,7 +50,7 @@ def _flat_keys() -> list[tuple[str, object, object]]:
     """(key, value type, default) for every knob, in declaration order."""
     keys = []
     for cls in (CoreParams, NormParams, SteeringParams, CameraModel, TrialConfig):
-        hints = typing.get_type_hints(cls)  # kinds stripped: float, int, float | None
+        hints = typing.get_type_hints(cls)  # kinds stripped: float or int
         for f in fields(cls):
             if f.name in _VECTOR_KEYS:
                 keys.extend((k, float, v) for k, v in zip(_VECTOR_KEYS[f.name], f.default))
@@ -89,10 +88,6 @@ def _convert(key: str, text: str):
     kind = _TYPES[key]
     if kind is str:
         return text
-    if typing.get_args(kind):  # `float | None`: an empty value means None
-        if text == "":
-            return None
-        kind = typing.get_args(kind)[0]
     value = parse_number(key, kind, text)
     return check_value(key, Real, value) if kind is float else value
 

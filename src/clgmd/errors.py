@@ -140,15 +140,13 @@ def _kind(hint):
 
 
 @functools.cache
-def _contract(cls) -> tuple[tuple[str, object, bool], ...]:
-    """(name, kind, None allowed) for every field of ``cls`` with a kind."""
+def _contract(cls) -> tuple[tuple[str, object], ...]:
+    """(name, kind) for every field of ``cls`` with a kind."""
     table = []
     for name, hint in typing.get_type_hints(cls, include_extras=True).items():
-        args = typing.get_args(hint)
-        optional = type(None) in args
-        kind = _kind(args[0] if optional else hint)
+        kind = _kind(hint)
         if kind is not None:
-            table.append((name, kind, optional))
+            table.append((name, kind))
     return tuple(table)
 
 
@@ -162,10 +160,8 @@ def check_value(name: str, hint, value, error=ConfigError):
 def check_fields(obj, error=ConfigError) -> None:
     """Raise ``error`` unless every declared field of the dataclass ``obj``
     holds its kind; store each value as ``check_value`` returns it."""
-    for name, kind, optional in _contract(type(obj)):
+    for name, kind in _contract(type(obj)):
         value = getattr(obj, name)
-        if value is None and optional:
-            continue
         checked = _check(name, kind, value, error)
         if checked is not value:
             object.__setattr__(obj, name, checked)

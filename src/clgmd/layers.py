@@ -394,8 +394,9 @@ def compute_g_layer(
     as on the whole grid.  G is the scratch's grid ``g``: the last call's
     candidates there are re-zeroed and this call's written, so the rest of
     ``g`` stays zero and the cost follows the number of candidates (with
-    ``t_de=0`` every cell is one).  A call that raises leaves ``g`` as it
-    was.
+    ``t_de=0`` every cell is one).  An S whose box sums are not all
+    finite raises ``InputError``; a call that raises leaves ``g`` and
+    ``g_cells`` as they were.
     """
     scratch = _fitting(scratch, s.shape)
     w = s.shape[1]
@@ -412,6 +413,8 @@ def compute_g_layer(
     box += scratch.below
     # Division by 9 rounds monotonically: these are max(Ce) and min(Ce).
     top, bottom = float(box.max()) / 9.0, float(box.min()) / 9.0
+    if not (math.isfinite(top) and math.isfinite(bottom)):  # a NaN or +-inf in S
+        raise InputError("S must be finite: a 3x3 sum of it is NaN or infinite")
     omega = params.delta_c + max(top, -bottom) / params.c_w
     if omega <= 0:
         raise ConfigError(

@@ -74,7 +74,7 @@ def frame_path(directory, index: int) -> Path:
     return Path(directory) / FRAME_PATTERN.format(index)
 
 
-def write_sequence(directory, images, manifest: dict[str, object] | None = None) -> int:
+def write_sequence(directory, images, manifest: dict[str, object]) -> int:
     """Write numbered frames plus a key=value manifest; returns the count
     of frames.
 
@@ -92,9 +92,8 @@ def write_sequence(directory, images, manifest: dict[str, object] | None = None)
         write_pgm(frame_path(directory, count), img)
         count += 1
     os.makedirs(directory, exist_ok=True)
-    if manifest is not None:
-        lines = [f"{key}={value}" for key, value in manifest.items()]
-        (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+    lines = [f"{key}={value}" for key, value in manifest.items()]
+    (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
     return count
 
 

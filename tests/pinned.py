@@ -121,8 +121,9 @@ PINS = {
     "recede": "17a8e8d01f190048e6159c79734cebcdae4a12bb653cef7c57d4448f96406ac0",
     # Noisy 320x240: the float64 render image is past glibc's 128 KiB mmap threshold.
     "qvga": "0eefbc27640253b64223cd4561e67780e087f75bbab91c07276e0dbd5eb3e19d",
-    # Delayed inhibition spreads the previous P; all-zero rows, no detector numerics.
-    "qvga.csv": "e4514b05e858396538e4d59a701aa1b87d08343ce226d9c80c3785cb3fabb488",
+    # Delayed inhibition spreads the previous P; c1=0.0005 lifts kappa to 255, so
+    # u, d, l and r pin the quadrant sums of the delayed path.
+    "qvga.csv": "fdd157dff66b1a07f6daa5d96e749a61859a5f075e2c5b294fb80733f4585786",
     # A noisy closed loop, the only kind of trial the benchmark runs.
     "noisy.csv": "1fa11516d437bb96b627f3fdbd37ad014ba7d1af5ba16cade306e7c52e7c762d" + _TIMEOUT,
     # A sphere 0.5 m ahead: full-grid windows, NaN roots past the silhouette, no warning.
@@ -131,8 +132,9 @@ PINS = {
     "close.csv": "7d7619094f34fdd39cf3165defb5b493b067b35df411b4e4f40849b8a60273ae",
     # The smallest legal frame, noisy.
     "tiny": "5dfeb836c65ed123525bed241dfe526370fc4b24fa2c7e66a1de6130a0364f4b",
-    # Delayed, inhibition runs start and end at the padded buffers' ends; all-zero rows.
-    "tiny.csv": _ALL_ZERO,
+    # Delayed, inhibition runs start and end at the padded buffers' ends; t_de=5
+    # leaves a sparse G and non-zero potentials.
+    "tiny.csv": "d188f3ba1e1f42977a5f25df7b053afde29ecee1783a40e4ebcd663dd418daa3",
     # A noisy odd size from the left, whose quadrant mask splits unevenly.
     "odd": "f178f20d52d30f4d02d65775d3f74aa98591424056926191df17751c9897e90f",
     # Read back with delay 0.

@@ -392,15 +392,14 @@ class TestDetect:
         )
         assert code == 1
         assert "t_sx" in err
-
-    def test_empty_c2_is_the_default(self, tmp_path, capsys):
-        seq = tmp_path / "seq"
-        run(["generate", str(seq), "--frames", "20", "--direction", "left"], capsys)
-        default, empty = tmp_path / "default.csv", tmp_path / "empty.csv"
-        assert run(["detect", str(seq), "--out", str(default)], capsys)[0] == 0
-        code, _, _ = run(["detect", str(seq), "--set", "c2=", "--out", str(empty)], capsys)
-        assert code == 0
-        assert empty.read_bytes() == default.read_bytes()
+        # t_s is the one threshold for firing: no key rescales kappa.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c2=0.01\n")
+        for given in (["--set", "c2=0.01"], ["--config", str(cfg)]):
+            out = tmp_path / "c2.csv"
+            code, _, err = run(["detect", str(seq), *given, "--out", str(out)], capsys)
+            assert (code, err) == (1, "error: unknown config key: 'c2'\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("key", KEYS_DETECT_DOES_NOT_READ)
     def test_unread_key_leaves_csv_unchanged(self, tmp_path, capsys, looming, key):

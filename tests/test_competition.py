@@ -235,17 +235,17 @@ class TestNormalize:
         assert p.u == p.d == p.l == p.r == pytest.approx(p.kappa / 4.0, rel=1e-12)
 
     def test_proportional_split_worked_example(self):
-        # c2 tuned so kappa lands at 200 for k_f0=100 on a 5x5 field
-        params = NormParams(c2=255.0 / (25.0 * 200.0))
+        # c1 tuned so kappa lands at 200 for k_f0=100 on a 5x5 field
+        params = NormParams(c1=(10.0 - math.atanh(200.0 / 255.0)) / 25.0)
         p = normalize(60, 20, 15, 5, 100, params, n_cell=25)
         assert p.kappa == pytest.approx(200.0, abs=1e-5)
         assert (p.u, p.d, p.l, p.r) == pytest.approx((120, 40, 30, 10), abs=1e-4)
 
     def test_formula_matches_direct_evaluation(self):
-        params = NormParams(c1=0.004, c2=0.005, t_s=120.0)
+        params = NormParams(c1=0.004, t_s=120.0)
         k = 9.0
         p = normalize(3, 3, 2, 1, k, params, n_cell=400)
-        kappa = math.tanh(math.sqrt(k) - 400 * 0.004) / (400 * 0.005) * 255.0
+        kappa = math.tanh(math.sqrt(k) - 400 * 0.004) * 255.0
         assert 0.0 < kappa < 255.0  # exercises the unclamped branch
         assert p.kappa == pytest.approx(kappa, rel=1e-12)
         assert p.u == pytest.approx(3 / k * kappa, rel=1e-12)
@@ -300,27 +300,29 @@ class TestNormalize:
         for v in p.as_tuple():
             assert 0.0 <= v <= 255.0 + 1e-9
 
+    @pytest.mark.parametrize("n_cell", [25, 49, 10_000, 76_800])
+    def test_kappa_is_the_closed_form_bit_for_bit(self, n_cell):
+        # No factor rescales kappa: at 49, where n_cell * (1.0 / n_cell) is
+        # not 1, such a factor moves the last bit.  Past sqrt(k_f0) - n_cell*c1
+        # of about 19, tanh returns exactly 1.0 and kappa exactly 255.0.
+        assert 49 * (1.0 / 49) != 1.0
+        params = NormParams()
+        kappas = []
+        for above in (0.05, 0.3, 1.0, 2.5, 20.0):
+            k = (n_cell * params.c1 + above) ** 2
+            u0, d0, l0, r0 = 0.4 * k, 0.3 * k, 0.2 * k, 0.1 * k
+            k_f0 = u0 + d0 + l0 + r0
+            got = normalize(u0, d0, l0, r0, k_f0, params, n_cell=n_cell)
+            kappa = max(math.tanh(math.sqrt(k_f0) - n_cell * params.c1), 0.0) * 255.0
+            share = kappa / k_f0
+            want = (k_f0, kappa, u0 * share, d0 * share, l0 * share, r0 * share)
+            assert [v.hex() for v in astuple(got)] == [v.hex() for v in want]
+            kappas.append(got.kappa)
+        assert 0.0 < kappas[0] < kappas[-2] < 255.0 == kappas[-1]
+
 
 class TestNormParams:
-    def test_unset_c2_is_reciprocal_n_cell_at_use(self):
-        # c2 stays None on the object, and normalize divides by
-        # n_cell * (1.0 / n_cell) as written: for 49 that product is not 1.
-        assert 49 * (1.0 / 49) != 1.0
-        for n_cell in (25, 49, 10_000, 76_800):
-            unset = NormParams()
-            reciprocal = NormParams(c2=1.0 / n_cell)
-            assert unset.c2 is None
-            for above in (0.05, 0.3, 1.0, 2.5):
-                k = (n_cell * unset.c1 + above) ** 2
-                u0, d0, l0, r0 = 0.4 * k, 0.3 * k, 0.2 * k, 0.1 * k
-                sums = (u0, d0, l0, r0, u0 + d0 + l0 + r0)  # k_f0 is their sum
-                got = normalize(*sums, unset, n_cell=n_cell)
-                want = normalize(*sums, reciprocal, n_cell=n_cell)
-                assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
-
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            NormParams(c2=-1.0)
         with pytest.raises(ConfigError):
             NormParams(n_sp=0)
 

@@ -1,7 +1,6 @@
 """Flat key=value configuration parsing into one TrialConfig."""
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +58,7 @@ class TestParsing:
         assert cfg.camera.width == 64 and isinstance(cfg.camera.width, int)
         assert cfg.norm.n_sp == 3
 
-    def test_empty_optional_value_is_none(self):
-        cfg = config_from_mappings({"c2": ""})
-        assert cfg.norm.c2 is None
-        assert cfg == config_from_mappings({})
-
-    @pytest.mark.parametrize("key", ["dt", "max_duration", "t_s", "obstacle_vx", "c2"])
+    @pytest.mark.parametrize("key", ["dt", "max_duration", "t_s", "obstacle_vx"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_floats_rejected(self, key, text):
         with pytest.raises(ConfigError, match=f"^{key} must be a finite number, got "):
@@ -81,7 +75,6 @@ class TestParsing:
             ("t_s", "1_5_0"),
             ("dt", "0.0_1"),
             ("obstacle_vx", "-1_0"),
-            ("c2", "1e-0_3"),
             ("tau", "\u00a00.1"),  # a no-break space, which float() strips
         ],
     )
@@ -136,17 +129,6 @@ class TestBuilders:
         assert normalize(*sums, cfg.norm, n_cell=64 * 32).kappa == got.kappa > 254.0
         assert normalize(*sums, cfg.norm, n_cell=100 * 100).kappa == 0.0
 
-    def test_c2_defaults_to_reciprocal_cell_count(self):
-        # An unset c2 stays None and normalize reads it as 1 / n_cell.
-        norm = config_from_mappings({"width": "64", "height": "48"}).norm
-        assert norm.c2 is None
-        n_cell = 64 * 48
-        k = (n_cell * norm.c1 + 1.0) ** 2
-        explicit = replace(norm, c2=1.0 / n_cell)
-        got = normalize(k, 0, 0, 0, k, norm, n_cell=n_cell)
-        assert got == normalize(k, 0, 0, 0, k, explicit, n_cell=n_cell)
-        assert config_from_mappings({"c2": "0.01"}).norm.c2 == 0.01
-
     def test_disable_threshold_roundtrip(self):
         cfg = config_from_mappings({"t_s": "256"})
         assert cfg.norm.t_s == 256.0
@@ -184,16 +166,16 @@ class TestSingleSource:
 
     def test_key_types(self):
         kinds = {key: kind for key, kind, _ in _flat_keys()}
-        assert len(kinds) == 36
+        assert len(kinds) == 35
         ints = {"inhibition_delay", "n_sp", "width", "height", "noise_seed"}
         assert {k for k, t in kinds.items() if t is int} == ints
         assert {k for k, t in kinds.items() if t is str} == {"placement"}
-        assert all(kinds[k] is float for k in kinds.keys() - ints - {"placement", "c2"})
+        assert all(kinds[k] is float for k in kinds.keys() - ints - {"placement"})
         assert {key: d for key, _, d in _flat_keys()}["placement"] == "left"
 
     def test_readme_table_lists_every_key_with_its_default(self):
         section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
         rows = [line for line in section.splitlines() if line.startswith("|")]
         documented = dict(re.findall(r"`([a-z0-9_]+)=([^`]*)`", "\n".join(rows)))
-        expected = {key: "" if d is None else str(d) for key, _, d in _flat_keys()}
+        expected = {key: str(d) for key, _, d in _flat_keys()}
         assert documented == expected

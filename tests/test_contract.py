@@ -7,6 +7,7 @@ import enum
 import inspect
 import math
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ RECORDS = {"CLgmdPotentials", "DetectionResult", "DetectorState", "EscapeCommand
 EXEMPT = {"Frame.luminance"}
 
 
-# (class, field, Kind or enum class, None allowed) for every declared field.
+# (class, field, Kind or enum class) for every declared field.
 FIELDS = [(cls, *field) for cls in CHECKED for field in _contract(cls)]
 
 
@@ -86,9 +87,17 @@ def test_every_field_is_declared_or_exempt():
         f.init for f in dataclasses.fields(c))]
     assert set(params) == set(CHECKED)
     for cls in params:
-        kinds = {name for name, _, _ in _contract(cls)}
+        kinds = {name for name, _ in _contract(cls)}
         for f in dataclasses.fields(cls):
             assert f.name in kinds or f"{cls.__name__}.{f.name}" in EXEMPT, (cls, f.name)
+
+
+def test_no_parameter_field_is_optional():
+    # Every declared field holds its kind: None is never a value or a default.
+    for cls in CHECKED:
+        for name, hint in typing.get_type_hints(cls).items():
+            assert type(None) not in typing.get_args(hint), (cls, name)
+        assert all(f.default is not None for f in dataclasses.fields(cls)), cls
 
 
 def test_no_public_callable_takes_out():
@@ -99,10 +108,8 @@ def test_no_public_callable_takes_out():
             assert "out" not in inspect.signature(obj).parameters, name
 
 
-def _bad_values(cls, name, kind, optional):
-    bad = [math.nan, math.inf, -math.inf, True, np.True_, "1", b"1", 10**400]
-    if not optional:
-        bad.append(None)
+def _bad_values(cls, name, kind):
+    bad = [math.nan, math.inf, -math.inf, True, np.True_, "1", b"1", 10**400, None]
     if is_enum(kind):
         return bad + ["bogus", 1.5]
     if is_nested(kind):
@@ -120,8 +127,8 @@ def _bad_values(cls, name, kind, optional):
     return bad
 
 
-BAD = [(cls, name, kind, value) for cls, name, kind, optional in FIELDS
-       for value in _bad_values(cls, name, kind, optional)]
+BAD = [(cls, name, kind, value) for cls, name, kind in FIELDS
+       for value in _bad_values(cls, name, kind)]
 
 
 def _raises_class_error(cls, name, value):
@@ -154,7 +161,7 @@ def _invalid(kind):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(st.just(f), _invalid(f[2]))))
 def test_generated_invalid_values_raise_the_class_error(case):
-    (cls, name, _, _), value = case
+    (cls, name, _), value = case
     _raises_class_error(cls, name, value)
 
 
@@ -197,7 +204,7 @@ def _kind_messages(name, kind):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(st.just(f), _valid(f[2]))))
 def test_valid_values_pass_their_kind_and_numpy_twins_build_equal_objects(case):
-    (cls, name, kind, _), value = case
+    (cls, name, kind), value = case
     error = CHECKED[cls][1]
     outcomes = []
     for given_value in (value, _twin(kind, value)):
@@ -299,7 +306,7 @@ def _raises_input_error(name, value):
 
 def test_invalid_render_arguments_raise_input_error():
     for name, hint in RENDER.items():
-        for value in _bad_values(None, name, _kind(hint), False):
+        for value in _bad_values(None, name, _kind(hint)):
             _raises_input_error(name, value)
     _raises_input_error("obstacle", 5)
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -542,6 +543,23 @@ class TestGLayer:
                 assert cells.size == h * w
             border = scratch.rows[[0, -1]]
             assert border.tobytes() == np.zeros((2, w)).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_raises_and_writes_nothing(self, bad):
+        # Unchecked, a NaN gave an all-zero G and an infinity a warning or
+        # a coerced G; now either raises before G or its cell list changes.
+        s = np.zeros((8, 8))
+        s[2:5, 3:6] = 40.0
+        scratch = StencilScratch(8, 8)
+        compute_g_layer(s, CoreParams(), scratch=scratch)
+        assert scratch.g_cells.size == 9
+        grid, cells = scratch.g.tobytes(), scratch.g_cells
+        s[6, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^S must be finite"):
+                compute_g_layer(s, CoreParams(), scratch=scratch)
+        assert scratch.g.tobytes() == grid and scratch.g_cells is cells
 
     def test_a_fresh_scratch_lists_no_cell(self):
         scratch = StencilScratch(6, 7)
