@@ -35,6 +35,7 @@ output dimensions match the input:
   division by 9 is made only where needed: the extremes of the box sum
   give the adaptive scale, a bound on |box * S| picks the few cells that
   can survive the decay rule, and only those get their mean and the rule.
+  The decay coefficient is the paper's fixed ``C_DE``: ``t_de`` sets the cut.
 
 ``compute_p_layer`` returns a fresh grid.  ``compute_inhibition``,
 ``compute_s_layer`` and ``compute_g_layer`` take a keyword-only
@@ -62,15 +63,12 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
 
-from .errors import (
-    ConfigError, Count, InputError, Kind, NonNegative, Positive, Real, check_fields,
-)
+from .errors import Count, InputError, Kind, NonNegative, Positive, check_fields
 
 # A layer grid is a plain 2-D array, float64 or, for P, int16; the alias
 # only documents intent.
@@ -82,6 +80,9 @@ INT16_SOURCE_LIMIT = 4095
 
 # The smallest frame side: the 5x5 inhibition radius must fit.
 MIN_SIDE = 5
+
+# G keeps a cell when |G| * C_DE >= t_de; a power of two, so t_de / C_DE is exact.
+C_DE = 0.5
 
 
 def to_uint8(values: np.ndarray, name: str, rule: str, error) -> np.ndarray:
@@ -170,14 +171,14 @@ class CoreParams:
     grid (0) or the previous frame's P grid (1).  The layers never read it:
     :class:`clgmd.detector.CollisionDetector` picks the grid it hands
     ``compute_inhibition``.  The grouping constants control the G stage:
-    ``delta_c`` and ``c_w`` shape the adaptive scale, while cells with
-    ``|G| * c_de < t_de`` are decayed to zero.
+    ``delta_c`` and ``c_w`` shape the adaptive scale ``delta_c + max|Ce| /
+    c_w``, which is at least ``delta_c`` and so positive, while cells with
+    ``|G| * C_DE < t_de`` are decayed to zero.
     """
 
     inhibition_delay: _Delay = 0
-    delta_c: Real = 0.5
+    delta_c: Positive = 0.5
     c_w: Positive = 4.0
-    c_de: Real = 0.5
     t_de: NonNegative = 15.0
 
     def __post_init__(self) -> None:
@@ -347,29 +348,26 @@ def compute_s_layer(e: Grid, i: Grid, *, scratch: StencilScratch | None = None) 
     return np.subtract(e, i, out=_fitting(scratch, e.shape).grid, dtype=np.float64)
 
 
-def _grouping_bound(omega: float, c_de: float, t_de: float) -> float:
+def _grouping_bound(omega: float, t_de: float) -> float:
     """A lower bound of |box * S| on every cell the decay rule keeps, or 0.0.
 
     ``box`` is the 3x3 box sum and Ce = box / 9.0, so a cell survives when
-    ``abs(Ce * S / omega) * c_de >= t_de``.  The bound is 9 * t_de / c_de *
-    omega less a slack.  With ``t_de`` and ``t_de / c_de`` normal and the
-    bound in [2**-20, inf), each of the four roundings here, the three in
-    the rule, the division that forms Ce and the product box * S that the
-    candidate test forms is within a factor 1 +- 2**-53, and
-    (1 + 2**-53)**9 < 1 / (1 - 2**-20), so no survivor has |box * S| below
-    the bound.  The one exception, a Ce rounded into the subnormal range,
-    is off by at most 2**-1075 absolutely, which a finite |S| < 2**1024
-    turns into at most 2**-51 in Ce * S: at a bound of 2**-20 or more the
-    slack covers that too.  Anywhere else, zero keeps every cell a
-    candidate.  Python floats keep an overflow quiet, and ``c_de`` is
-    checked first because their division by zero raises.
+    ``abs(Ce * S / omega) * C_DE >= t_de``.  The bound is 9 * t_de / C_DE *
+    omega less a slack.  With ``t_de`` normal and the bound in [2**-20,
+    inf), t_de / C_DE = 2 * t_de is exact, and each of the other eight
+    roundings, the three here, the three in the rule (a survivor's halving
+    reaches ``t_de``, so is exact or rounds up to the least normal), the
+    division forming Ce and the product box * S of the candidate test, is
+    within a factor 1 +- 2**-53, and (1 + 2**-53)**8 < 1 / (1 - 2**-20), so
+    no survivor has |box * S| below the bound.  The one exception, a Ce
+    rounded into the subnormal range, is off by at most 2**-1075, which a
+    finite |S| < 2**1024 turns into at most 2**-51 in Ce * S: at a bound of
+    2**-20 or more the slack covers that too.  Anywhere else, an overflow
+    to inf included, zero keeps every cell a candidate.
     """
-    omega, c_de, t_de = float(omega), float(c_de), float(t_de)
-    if not c_de > 0:
-        return 0.0
-    ratio = t_de / c_de
-    bound = ratio * omega * 9.0 * (1 - 2**-20)
-    normal = all(sys.float_info.min <= v < math.inf for v in (t_de, ratio))
+    omega, t_de = float(omega), float(t_de)
+    bound = t_de / C_DE * omega * 9.0 * (1 - 2**-20)
+    normal = sys.float_info.min <= t_de
     return bound if normal and 2**-20 <= bound < math.inf else 0.0
 
 
@@ -379,8 +377,9 @@ def compute_g_layer(
     """Boost clustered excitation and decay sporadic change to zero.
 
     Steps: a 3x3 mean of S gives the passing coefficient Ce; the adaptive
-    scale is ``delta_c + max|Ce| / c_w``; each cell becomes
-    ``S * Ce / scale`` and is then zeroed unless ``|G| * c_de >= t_de``.
+    scale is ``delta_c + max|Ce| / c_w``, positive since ``delta_c`` is;
+    each cell becomes ``S * Ce / scale`` and is then zeroed unless
+    ``|G| * C_DE >= t_de``.
 
     The box sum adds whole rows: ``(s[x-1] + s[x+1]) + s[x]`` at flat
     offsets +-1, the first and last column redone with their zero pad
@@ -395,32 +394,31 @@ def compute_g_layer(
     candidates there are re-zeroed and this call's written, so the rest of
     ``g`` stays zero and the cost follows the number of candidates (with
     ``t_de=0`` every cell is one).  An S whose box sums are not all
-    finite raises ``InputError``; a call that raises leaves ``g`` and
-    ``g_cells`` as they were.
+    finite, an overflowing sum or +inf next to -inf included, raises
+    ``InputError`` and no numpy warning; a call that raises leaves ``g``
+    and ``g_cells`` as they were.
     """
     scratch = _fitting(scratch, s.shape)
     w = s.shape[1]
     s = np.ascontiguousarray(s, dtype=np.float64)
     inner, box, flat = scratch.centre, scratch.tmp, s.ravel()
-    np.add(flat[:-2], flat[2:], out=scratch.row_sums)
-    scratch.row_sums += flat[1:-1]
-    for x in {0, w - 1}:
-        left = s[:, x - 1] if x > 0 else 0.0
-        right = s[:, x + 1] if x + 1 < w else 0.0
-        np.add(left, right, out=inner[:, x])
-        inner[:, x] += s[:, x]
-    np.add(scratch.above, inner, out=box)
-    box += scratch.below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(flat[:-2], flat[2:], out=scratch.row_sums)
+        scratch.row_sums += flat[1:-1]
+        for x in {0, w - 1}:
+            left = s[:, x - 1] if x > 0 else 0.0
+            right = s[:, x + 1] if x + 1 < w else 0.0
+            np.add(left, right, out=inner[:, x])
+            inner[:, x] += s[:, x]
+        np.add(scratch.above, inner, out=box)
+        box += scratch.below
     # Division by 9 rounds monotonically: these are max(Ce) and min(Ce).
     top, bottom = float(box.max()) / 9.0, float(box.min()) / 9.0
     if not (math.isfinite(top) and math.isfinite(bottom)):  # a NaN or +-inf in S
         raise InputError("S must be finite: a 3x3 sum of it is NaN or infinite")
+    # max(top, -bottom) >= 0 as bottom <= top, so omega >= delta_c > 0.
     omega = params.delta_c + max(top, -bottom) / params.c_w
-    if omega <= 0:
-        raise ConfigError(
-            f"grouping scale is {omega}; delta_c must keep it positive when Ce is zero"
-        )
-    bound = _grouping_bound(omega, params.c_de, params.t_de)
+    bound = _grouping_bound(omega, params.t_de)
     # The row sums are dead once the box sum exists.
     np.abs(np.multiply(box, s, out=inner), out=inner)
     candidates = np.flatnonzero(np.greater_equal(inner, bound, out=scratch.keep))
@@ -429,10 +427,7 @@ def compute_g_layer(
     g /= 9.0
     g *= flat[candidates]
     g /= omega
-    # Only |c_de| > 1 can overflow |G| * c_de; the +-inf it gives keeps or
-    # decays the cell as exact arithmetic would, so the warning is muted.
-    with np.errstate(over="ignore") if abs(params.c_de) > 1 else nullcontext():
-        g[~(np.abs(g) * params.c_de >= params.t_de)] = 0.0
+    g[~(np.abs(g) * C_DE >= params.t_de)] = 0.0
     grid = scratch.g.ravel()
     grid[scratch.g_cells] = 0.0
     grid[candidates] = g

@@ -83,9 +83,10 @@ def kernel_weights_by_formula(scale: float = 0.25) -> np.ndarray:
 
 
 def naive_group(
-    s: np.ndarray, delta_c: float, c_w: float, c_de: float, t_de: float
+    s: np.ndarray, delta_c: float, c_w: float, t_de: float
 ) -> np.ndarray:
-    """Loop-based grouping: 3x3 mean, adaptive scale, decay threshold."""
+    """Loop-based grouping: 3x3 mean, adaptive scale, decay threshold at the
+    paper's decay coefficient 0.5."""
     h, w = s.shape
     ce = np.zeros((h, w))
     for y in range(h):
@@ -102,18 +103,19 @@ def naive_group(
     for y in range(h):
         for x in range(w):
             g = s[y, x] * ce[y, x] / omega
-            out[y, x] = g if abs(g) * c_de >= t_de else 0.0
+            out[y, x] = g if abs(g) * 0.5 >= t_de else 0.0
     return out
 
 
 def dense_group(
-    s: np.ndarray, delta_c: float, c_w: float, c_de: float, t_de: float
+    s: np.ndarray, delta_c: float, c_w: float, t_de: float
 ) -> np.ndarray:
     """The dense grouping that ``compute_g_layer`` replaced, frozen as it was.
 
     A padded copy of S, a separable box sum over strided slices of it, and
-    the decay rule applied to every cell.  Its bytes, signed zeros
-    included, are what the survivor-only layer must reproduce.
+    the decay rule, at the paper's decay coefficient 0.5, applied to every
+    cell.  Its bytes, signed zeros included, are what the survivor-only
+    layer must reproduce.
     """
     h, w = s.shape
     padded = np.zeros((h + 4, w + 4))
@@ -129,7 +131,7 @@ def dense_group(
     np.multiply(s, ce, out=out)
     out /= omega
     np.abs(out, out=ce)
-    ce *= c_de
+    ce *= 0.5
     drop = np.logical_not(np.greater_equal(ce, t_de))
     np.copyto(out, 0.0, where=drop)
     return out

@@ -115,6 +115,10 @@ def test_console_script_output_is_pinned(name, tmp_path):
 
 HOSTILE = [
     'code=0; clgmd simulate --set c1=1e400 --out "$RUNNER_TEMP/c1.csv" || code=$?; test $code = 1',
+    'code=0; clgmd simulate --set c_de=0.5 --out "$RUNNER_TEMP/c_de.csv" || code=$?; '
+    "test $code = 1",
+    'code=0; clgmd simulate --set delta_c=0 --out "$RUNNER_TEMP/delta_c.csv" || code=$?; '
+    "test $code = 1",
     'code=0; clgmd generate "$RUNNER_TEMP/wide" --width "1$(printf \'%04999d\' 0)" || code=$?; '
     "test $code = 1",
     'code=0; clgmd simulate --set "$(printf \'%05000d\' 0)=1" --out "$RUNNER_TEMP/key.csv" '

@@ -372,14 +372,19 @@ class TestDetect:
         assert stdout == f"processed 1 frames, wrote 0 rows to {out}\n"
         assert out.read_bytes() == (",".join(cli.DETECT_COLUMNS) + "\n").encode()
 
-    def test_error_on_the_first_row_writes_nothing(self, tmp_path, capsys, looming):
-        # The grouping scale is checked against each frame's data, on the
-        # first processed frame here, before any row exists.
+    def test_error_on_the_first_row_writes_nothing(self, tmp_path, capsys):
+        # Frames are read as they are processed: the second frame, whose
+        # row would be the first, fails before any row exists.
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for index in range(3):
+            write_pgm(seq / f"frame_{index:06d}.pgm", np.full((9, 9), index, dtype=np.uint8))
+        second = seq / "frame_000001.pgm"
+        second.write_bytes(second.read_bytes()[:-1])
         out = tmp_path / "o.csv"
-        argv = ["detect", str(looming[0]), "--set", "delta_c=-1e308", "--out", str(out)]
-        code, stdout, err = run(argv, capsys)
-        assert code == 1
-        assert err.startswith("error: grouping scale is -1e+308;") and err.count("\n") == 1
+        code, stdout, err = run(["detect", str(seq), "--out", str(out)], capsys)
+        assert code == 3
+        assert err == f"data error: {second}: pixel data truncated (80 of 81 bytes)\n"
         assert not stdout and not out.exists()
 
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
@@ -400,6 +405,24 @@ class TestDetect:
             code, _, err = run(["detect", str(seq), *given, "--out", str(out)], capsys)
             assert (code, err) == (1, "error: unknown config key: 'c2'\n")
             assert not out.exists()
+        # t_de is the one threshold for G's decay: its coefficient is fixed.
+        cfg.write_text("c_de=0.5\n")
+        for given in (["--set", "c_de=0.5"], ["--config", str(cfg)]):
+            out = tmp_path / "c_de.csv"
+            code, _, err = run(["detect", str(seq), *given, "--out", str(out)], capsys)
+            assert (code, err) == (1, "error: unknown config key: 'c_de'\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1e308"])
+    def test_non_positive_delta_c_exits_1_before_any_csv(self, tmp_path, capsys, looming, value):
+        # delta_c > 0 keeps the grouping scale positive on every frame, so
+        # the value is rejected with the config, not on a static frame.
+        out = tmp_path / "o.csv"
+        argv = ["detect", str(looming[0]), "--set", f"delta_c={value}", "--out", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: delta_c must be positive, got ") and err.count("\n") == 1
+        assert not stdout and not out.exists()
 
     @pytest.mark.parametrize("key", KEYS_DETECT_DOES_NOT_READ)
     def test_unread_key_leaves_csv_unchanged(self, tmp_path, capsys, looming, key):
@@ -698,20 +721,6 @@ class TestConfigValues:
         assert not caught and "Traceback" not in err
         assert "OUTCOME" not in stdout
         assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["detect", "simulate"])
-    @pytest.mark.parametrize("c_de", ["1e308", "-1e308"])
-    def test_huge_decay_coefficient_runs_quietly(self, tmp_path, capsys, looming, command, c_de):
-        # |G| * c_de overflows to +-inf, which keeps or decays the cell as
-        # exact arithmetic would: no warning reaches stderr.
-        argv = [command, "--set", f"c_de={c_de}", "--out", str(tmp_path / "o.csv")]
-        if command == "detect":
-            argv.insert(1, str(looming[0]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run(argv, capsys)
-        assert code == 0
-        assert not caught and err == ""
 
     def test_obstacle_enclosing_the_start_prints_a_short_clearance(self, tmp_path, capsys):
         out = tmp_path / "t.csv"

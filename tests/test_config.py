@@ -166,7 +166,7 @@ class TestSingleSource:
 
     def test_key_types(self):
         kinds = {key: kind for key, kind, _ in _flat_keys()}
-        assert len(kinds) == 35
+        assert len(kinds) == 34
         ints = {"inhibition_delay", "n_sp", "width", "height", "noise_seed"}
         assert {k for k, t in kinds.items() if t is int} == ints
         assert {k for k, t in kinds.items() if t is str} == {"placement"}

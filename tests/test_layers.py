@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import clgmd
 from clgmd.errors import ConfigError, InputError
 from clgmd.layers import (
+    C_DE,
     INT16_SOURCE_LIMIT,
     CoreParams,
     Frame,
@@ -357,22 +358,22 @@ def assert_same_bytes_as_dense(s, params):
     scratch = StencilScratch(*s.shape)
     with np.errstate(all="ignore"):  # overflow to inf is part of the input range
         got = compute_g_layer(s, params, scratch=scratch)
-        want = dense_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
+        want = dense_group(s, params.delta_c, params.c_w, params.t_de)
     assert got is scratch.g
     assert got.tobytes() == want.tobytes()
     assert np.isin(np.flatnonzero(got), scratch.g_cells).all()
     return got
 
 
-# Reused-scratch steps: (t_de, share of S zeroed, delta_c).  Dense keeps
-# every cell a candidate, empty keeps none, and the raising step's delta_c
-# makes omega negative.
+# Reused-scratch steps: (t_de, share of S zeroed).  Dense keeps every cell
+# a candidate, empty keeps none, and the raising step's S holds a
+# non-finite cell.
 G_STEPS = {
-    "dense": (0.0, 0.0, 0.5),
-    "sparse": (15.0, 0.3, 0.5),
-    "sparser": (60.0, 0.7, 0.5),
-    "empty": (15.0, 1.0, 0.5),
-    "raise": (15.0, 0.3, -1e9),
+    "dense": (0.0, 0.0),
+    "sparse": (15.0, 0.3),
+    "sparser": (60.0, 0.7),
+    "empty": (15.0, 1.0),
+    "raise": (15.0, 0.3),
 }
 
 
@@ -403,12 +404,8 @@ class TestGLayer:
         for h, w in stencil_shapes(rng, 8, 16):
             s = rng.uniform(-120.0, 120.0, (h, w))
             got = compute_g_layer(s, params)
-            want = naive_group(s, params.delta_c, params.c_w, params.c_de, params.t_de)
+            want = naive_group(s, params.delta_c, params.c_w, params.t_de)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_omega_must_stay_positive(self):
-        with pytest.raises(ConfigError):
-            compute_g_layer(np.zeros((6, 6)), CoreParams(delta_c=0.0))
 
     @given(
         arrays(
@@ -430,34 +427,20 @@ class TestGLayer:
         ),
         st.sampled_from((0.5, 1e-300, 3.0, 1e300)),
         st.sampled_from((4.0, 1e-300, 0.75, 1e300)),
-        # Every c_de and t_de the constructor accepts, the tuned range and
-        # the edge values drawn more often.
-        st.one_of(st.sampled_from(G_EDGE_VALUES), st.floats(-1e3, 1e3), FINITE),
+        # Every t_de the constructor accepts, the tuned range and the edge
+        # values drawn more often.
         st.one_of(st.sampled_from(G_EDGE_VALUES[::2]), st.floats(0, 1e3), FINITE.map(abs)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_bytes_equal_dense_grouping(self, s, delta_c, c_w, c_de, t_de):
+    def test_bytes_equal_dense_grouping(self, s, delta_c, c_w, t_de):
         # tobytes() tells -0.0 from +0.0, which array_equal does not.
-        params = CoreParams(delta_c=delta_c, c_w=c_w, c_de=c_de, t_de=t_de)
+        params = CoreParams(delta_c=delta_c, c_w=c_w, t_de=t_de)
         assert_same_bytes_as_dense(s, params)
-
-    @pytest.mark.parametrize("c_de", [1e308, -1e308])
-    def test_overflowing_decay_product_is_quiet_and_exact(self, c_de):
-        # |G| * c_de overflows wherever |G| > 1.8: +inf keeps the cell and
-        # -inf decays it, as exact arithmetic would.  Only the oracle runs
-        # under errstate, so a warning from the layer fails the test.
-        s = np.random.default_rng(24).uniform(-120.0, 120.0, (17, 23))
-        params = CoreParams(c_de=c_de)
-        got = compute_g_layer(s, params)
-        with np.errstate(over="ignore"):
-            want = dense_group(s, params.delta_c, params.c_w, c_de, params.t_de)
-        assert got.tobytes() == want.tobytes()
-        assert np.count_nonzero(got) == (s.size if c_de > 0 else 0)
 
     def test_cell_exactly_at_threshold_survives(self):
         rng = np.random.default_rng(21)
         s = rng.uniform(-120.0, 120.0, (9, 13))
-        dense = dense_group(s, 0.5, 4.0, 0.5, 0.0)
+        dense = dense_group(s, 0.5, 4.0, 0.0)
         for y, x in ((4, 6), (0, 0), (8, 12)):
             g = dense[y, x]
             params = CoreParams(t_de=abs(g) * 0.5)
@@ -477,7 +460,7 @@ class TestGLayer:
     @settings(max_examples=250, deadline=None)
     def test_bytes_equal_dense_grouping_at_the_threshold(self, t_de, s, cell, ulps):
         # S is scaled so that one cell's |S * Ce| / omega lands on
-        # t_de / c_de, then that cell is moved a few ulps either way: the
+        # t_de / C_DE, then that cell is moved a few ulps either way: the
         # candidate test on the box sum must keep every survivor there.
         params = CoreParams(t_de=t_de)
         y, x = np.unravel_index(cell % s.size, s.shape)
@@ -488,7 +471,7 @@ class TestGLayer:
             p0, m0 = abs(float(s[y, x] * ce[y, x])), float(np.abs(ce).max())
             assume(p0 > 1e-3)
             # a * a * p0 = ratio * (delta_c + a * m0 / c_w), solved for a.
-            ratio = params.t_de / params.c_de
+            ratio = params.t_de / C_DE
             b = ratio * m0 / params.c_w
             a = (b + math.sqrt(b * b + 4 * p0 * ratio * params.delta_c)) / (2 * p0)
             s = s * a
@@ -518,18 +501,20 @@ class TestGLayer:
     def test_one_scratch_serves_calls_of_every_survivor_count(self, h, w, steps, seed):
         # Candidate sets that grow, shrink, empty and fill a reused scratch:
         # a cell the last call wrote and this one did not re-zero would
-        # show against a fresh scratch.  A raising call writes nothing.
+        # show against a fresh scratch.  A raising call, on an S with a
+        # non-finite cell, writes nothing.
         # The row sums' zero border must stay +0.0, since every call reads it.
         rng = np.random.default_rng(seed)
         scratch = StencilScratch(h, w)
         for step in steps:
-            t_de, zeros, delta_c = G_STEPS[step]
+            t_de, zeros = G_STEPS[step]
             s = rng.uniform(-120.0, 120.0, (h, w))
             s[rng.random(s.shape) < zeros] = 0.0
-            params = CoreParams(t_de=t_de, delta_c=delta_c)
+            params = CoreParams(t_de=t_de)
             if step == "raise":
+                s.flat[rng.integers(s.size)] = rng.choice([math.nan, math.inf, -math.inf])
                 grid, cells = scratch.g.tobytes(), scratch.g_cells
-                with pytest.raises(ConfigError):
+                with pytest.raises(InputError, match="^S must be finite"):
                     compute_g_layer(s, params, scratch=scratch)
                 assert scratch.g.tobytes() == grid and scratch.g_cells is cells
                 continue
@@ -544,22 +529,30 @@ class TestGLayer:
             border = scratch.rows[[0, -1]]
             assert border.tobytes() == np.zeros((2, w)).tobytes()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_s_raises_and_writes_nothing(self, bad):
+    @pytest.mark.parametrize(
+        "cells",
+        [{(6, 1): bad} for bad in (math.nan, math.inf, -math.inf)]
+        + [{(6, 1): math.inf, (6, 2): -math.inf}, {(6, x): 1e308 for x in (1, 2, 3)}],
+        ids=["nan", "inf", "-inf", "inf-beside-minus-inf", "overflowing-sum"],
+    )
+    def test_non_finite_s_raises_and_writes_nothing(self, cells):
         # Unchecked, a NaN gave an all-zero G and an infinity a warning or
-        # a coerced G; now either raises before G or its cell list changes.
+        # a coerced G, and inf + -inf or 1e308 + 1e308 in the box sum's adds
+        # a bare RuntimeWarning under -W error; now each raises, warning
+        # nothing, before G or its cell list changes.
         s = np.zeros((8, 8))
         s[2:5, 3:6] = 40.0
         scratch = StencilScratch(8, 8)
         compute_g_layer(s, CoreParams(), scratch=scratch)
         assert scratch.g_cells.size == 9
-        grid, cells = scratch.g.tobytes(), scratch.g_cells
-        s[6, 1] = bad
+        grid, kept = scratch.g.tobytes(), scratch.g_cells
+        for at, value in cells.items():
+            s[at] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="^S must be finite"):
                 compute_g_layer(s, CoreParams(), scratch=scratch)
-        assert scratch.g.tobytes() == grid and scratch.g_cells is cells
+        assert scratch.g.tobytes() == grid and scratch.g_cells is kept
 
     def test_a_fresh_scratch_lists_no_cell(self):
         scratch = StencilScratch(6, 7)
@@ -639,10 +632,25 @@ class TestCoreParams:
         with pytest.raises(ConfigError):
             CoreParams(inhibition_delay=2)
         # A NaN delta_c would decay every cell of G; nothing is coerced.
-        for name in ("delta_c", "c_w", "c_de", "t_de"):
+        for name in ("delta_c", "c_w", "t_de"):
             for bad in (math.nan, math.inf, -math.inf, True, False, "0.5", None, 10**400):
                 with pytest.raises(ConfigError, match=name):
                     CoreParams(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e308])
+    def test_delta_c_must_be_positive(self, bad):
+        # delta_c > 0 keeps the grouping scale delta_c + max|Ce| / c_w
+        # positive on every frame, a static one included.
+        with pytest.raises(ConfigError, match="^delta_c must be positive"):
+            CoreParams(delta_c=bad)
+
+    def test_fields(self):
+        # The decay coefficient is the constant C_DE, not a knob.
+        names = [f.name for f in fields(CoreParams)]
+        assert names == ["inhibition_delay", "delta_c", "c_w", "t_de"]
+        assert C_DE == 0.5
+        with pytest.raises(TypeError):
+            CoreParams(c_de=0.5)
 
     def test_grouping_kernel_not_a_parameter(self):
         # The G-layer mean is a fixed 3x3 window, checked against naive_group.
