@@ -41,8 +41,9 @@ output dimensions match the input:
 ``compute_s_layer`` and ``compute_g_layer`` take a keyword-only
 ``scratch=`` :class:`StencilScratch`, the one place their grids live;
 omitted, a fresh one is used, except that S is then a fresh grid
-alone.  A scratch sized for another grid, or a grid that is not 2-D,
-raises ``InputError`` before anything is written.
+alone.  A scratch sized for another grid, or a grid that is not 2-D or
+has a side of zero cells, raises ``InputError`` before anything is
+written.
 I and S are written into the scratch's ``grid``, S over I when it is
 handed that I.  G is written only into the scratch's own grid ``g``,
 which stays zero outside the last call's candidates, ``g_cells``: each
@@ -85,25 +86,12 @@ MIN_SIDE = 5
 C_DE = 0.5
 
 
-def to_uint8(values: np.ndarray, name: str, rule: str, error) -> np.ndarray:
-    """``values`` as uint8, rounded half to even.  Only an integer or real
-    array whose values all lie in [0, 255] converts; ``error`` names
-    ``name`` and, for a value outside, ``rule``."""
-    if values.dtype == np.uint8:
-        return values
-    if values.dtype.kind not in "iuf":
-        raise error(f"{name} must be integer or real, got dtype {values.dtype}")
-    if not np.all((values >= 0) & (values <= 255)):
-        raise error(f"{name} values must {rule}")
-    return np.rint(values).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class Frame:
     """One 8-bit grayscale frame and its position in the stream.
 
-    Luminance in [0, 255] of any other integer or real dtype is rounded
-    half to even.
+    ``luminance`` is a 2-D uint8 array of at least ``MIN_SIDE`` cells a
+    side; any other dtype or shape raises ``InputError``.
     """
 
     index: Count
@@ -112,14 +100,15 @@ class Frame:
     def __post_init__(self) -> None:
         check_fields(self, InputError)
         lum = np.asarray(self.luminance)
-        if lum.ndim != 2:
-            raise InputError(f"luminance must be 2-D, got shape {lum.shape}")
+        if lum.dtype != np.uint8 or lum.ndim != 2:
+            raise InputError(
+                f"luminance must be a 2-D uint8 array, got dtype {lum.dtype}, shape {lum.shape}"
+            )
         if lum.shape[0] < MIN_SIDE or lum.shape[1] < MIN_SIDE:
             raise InputError(
                 f"frame must be at least {MIN_SIDE}x{MIN_SIDE} so the inhibition radius fits, "
                 f"got {lum.shape[1]}x{lum.shape[0]}"
             )
-        lum = to_uint8(lum, "luminance", "lie in [0, 255]", InputError)
         object.__setattr__(self, "luminance", lum)
 
     @property
@@ -223,14 +212,18 @@ class StencilScratch:
 
 
 def _check_2d(shape: tuple[int, ...]) -> None:
-    """A layer grid that is not 2-D raises ``InputError``."""
+    """A layer grid that is not 2-D, or has a side of zero cells, raises
+    ``InputError``."""
     if len(shape) != 2:
         raise InputError(f"layer grid must be 2-D, got shape {shape}")
+    if 0 in shape:
+        raise InputError(f"layer grid must not be empty, got shape {shape}")
 
 
 def _fitting(scratch: StencilScratch | None, shape: tuple[int, ...]) -> StencilScratch:
-    """``scratch``, or a fresh one when it is None; a grid that is not 2-D,
-    or a scratch for grids of another shape, raises ``InputError``."""
+    """``scratch``, or a fresh one when it is None; a grid that is not 2-D
+    or is empty, or a scratch for grids of another shape, raises
+    ``InputError``."""
     _check_2d(shape)
     if scratch is None:
         return StencilScratch(*shape)
@@ -273,8 +266,8 @@ def _sums_fit_int16(grid: Grid) -> bool:
     """True when ``grid`` is int16 and no inhibition group sum can overflow."""
     return (
         grid.dtype == np.int16
-        and -INT16_SOURCE_LIMIT <= grid.min(initial=0)  # initial: empty grids fit
-        and grid.max(initial=0) <= INT16_SOURCE_LIMIT
+        and -INT16_SOURCE_LIMIT <= grid.min()
+        and grid.max() <= INT16_SOURCE_LIMIT
     )
 
 
@@ -396,7 +389,8 @@ def compute_g_layer(
     ``t_de=0`` every cell is one).  An S whose box sums are not all
     finite, an overflowing sum or +inf next to -inf included, raises
     ``InputError`` and no numpy warning; a call that raises leaves ``g``
-    and ``g_cells`` as they were.
+    and ``g_cells`` as they were.  Finite box sums whose product with S
+    overflows give +-inf cells in G, again with no warning.
     """
     scratch = _fitting(scratch, s.shape)
     w = s.shape[1]
@@ -412,22 +406,22 @@ def compute_g_layer(
             inner[:, x] += s[:, x]
         np.add(scratch.above, inner, out=box)
         box += scratch.below
-    # Division by 9 rounds monotonically: these are max(Ce) and min(Ce).
-    top, bottom = float(box.max()) / 9.0, float(box.min()) / 9.0
-    if not (math.isfinite(top) and math.isfinite(bottom)):  # a NaN or +-inf in S
-        raise InputError("S must be finite: a 3x3 sum of it is NaN or infinite")
-    # max(top, -bottom) >= 0 as bottom <= top, so omega >= delta_c > 0.
-    omega = params.delta_c + max(top, -bottom) / params.c_w
-    bound = _grouping_bound(omega, params.t_de)
-    # The row sums are dead once the box sum exists.
-    np.abs(np.multiply(box, s, out=inner), out=inner)
-    candidates = np.flatnonzero(np.greater_equal(inner, bound, out=scratch.keep))
-    # Ce, Ce * S and G on the candidates, rounded as on the whole grid.
-    g = box.ravel()[candidates]
-    g /= 9.0
-    g *= flat[candidates]
-    g /= omega
-    g[~(np.abs(g) * C_DE >= params.t_de)] = 0.0
+        # Division by 9 rounds monotonically: these are max(Ce) and min(Ce).
+        top, bottom = float(box.max()) / 9.0, float(box.min()) / 9.0
+        if not (math.isfinite(top) and math.isfinite(bottom)):  # a NaN or +-inf in S
+            raise InputError("S must be finite: a 3x3 sum of it is NaN or infinite")
+        # max(top, -bottom) >= 0 as bottom <= top, so omega >= delta_c > 0.
+        omega = params.delta_c + max(top, -bottom) / params.c_w
+        bound = _grouping_bound(omega, params.t_de)
+        # The row sums are dead once the box sum exists.
+        np.abs(np.multiply(box, s, out=inner), out=inner)
+        candidates = np.flatnonzero(np.greater_equal(inner, bound, out=scratch.keep))
+        # Ce, Ce * S and G on the candidates, rounded as on the whole grid.
+        g = box.ravel()[candidates]
+        g /= 9.0
+        g *= flat[candidates]
+        g /= omega
+        g[~(np.abs(g) * C_DE >= params.t_de)] = 0.0
     grid = scratch.g.ravel()
     grid[scratch.g_cells] = 0.0
     grid[candidates] = g

@@ -1,9 +1,10 @@
 """Binary PGM (P5) sequence I/O, plus the CSV dialect of the output tables.
 
-Frames are 8-bit grayscale, max value 255, written as frame_000000.pgm,
-frame_000001.pgm, ... next to a manifest.txt recording the generating
-parameters.  The reader tolerates comments and arbitrary whitespace in
-the header, as the format allows; the header numbers must be ASCII digits.
+Frames are 8-bit grayscale, max value 255, written from uint8 arrays
+only as frame_000000.pgm, frame_000001.pgm, ... next to a manifest.txt
+recording the generating parameters.  The reader tolerates comments and
+arbitrary whitespace in the header, as the format allows; the header
+numbers must be ASCII digits.  The module depends on ``errors`` alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FLOAT_DIGITS, DataError, shown
-from .layers import to_uint8
 
 FRAME_PATTERN = "frame_{:06d}.pgm"
 # FRAME_PATTERN's names: six digits, or more with no leading zero.
@@ -27,12 +27,13 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write one P5 frame; values of any other integer or real dtype are
-    rounded half to even."""
+    """Write one P5 frame from a 2-D uint8 array; any other dtype or shape
+    raises ``DataError`` before the file is opened."""
     img = np.asarray(image)
-    if img.ndim != 2:
-        raise DataError(f"image must be 2-D, got shape {img.shape}")
-    img = to_uint8(img, "image", "be finite and fit in [0, 255]", DataError)
+    if img.dtype != np.uint8 or img.ndim != 2:
+        raise DataError(
+            f"image must be a 2-D uint8 array, got dtype {img.dtype}, shape {img.shape}"
+        )
     height, width = img.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -222,7 +222,9 @@ def render_frame(
     commutes, so every pixel is its level plus its noise, rounded once.
     The image is clipped to [0, 255] (only if noise can take it out) and
     rounded half to even in place, and ``Frame`` gets a fresh uint8 copy,
-    as the detector keeps the previous frame.
+    as the detector keeps the previous frame.  This is the one place in
+    the package where a float image becomes pixels: ``Frame`` and
+    ``write_pgm`` take uint8 only.
     """
     obj = check_value("obstacle", Sphere, obstacle, InputError)
     camera = check_value("camera", CameraModel, camera, InputError)

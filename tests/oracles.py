@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from clgmd.layers import Frame
-
 
 def naive_convolve(src: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Quadruple-loop 'same' convolution with zero padding."""
@@ -226,11 +224,12 @@ def naive_render(
     background: float = 32.0, noise_amplitude: float = 0.0,
 ) -> np.ndarray:
     """Luminance of a frame with the obstacle ray-cast over the full pixel
-    grid by a general caster, one direction vector per pixel."""
+    grid by a general caster, one direction vector per pixel, clipped to
+    [0, 255] and rounded half to even into uint8."""
     img = np.full((camera.height, camera.width), background, dtype=np.float64)
     t = general_intersect(obstacle, ray_directions(camera))
     img[t < np.inf] = obstacle.luminance
     if noise_amplitude > 0.0:
         rng = np.random.default_rng((seed if seed is not None else 0, index))
         img += rng.uniform(-noise_amplitude, noise_amplitude, size=img.shape)
-    return Frame(index=index, luminance=np.clip(img, 0.0, 255.0)).luminance
+    return np.rint(np.clip(img, 0, 255)).astype(np.uint8)

@@ -127,6 +127,10 @@ HOSTILE = [
     "|| code=$?; test $code = 1",
     'mkdir "$RUNNER_TEMP/stray" && touch "$RUNNER_TEMP/stray/frame_1.pgm"',
     'code=0; clgmd generate "$RUNNER_TEMP/stray" --frames 2 || code=$?; test $code = 3',
+    'mkdir "$RUNNER_TEMP/deep" && '
+    'printf \'P5\\n5 5\\n65535\\n%050d\' 0 > "$RUNNER_TEMP/deep/frame_000000.pgm"',
+    'code=0; clgmd detect "$RUNNER_TEMP/deep" --out "$RUNNER_TEMP/deep.csv" || code=$?; '
+    "test $code = 3",
 ]
 
 
@@ -156,5 +160,6 @@ def test_hostile_input_exits_with_its_code_on_every_leg(workflow, tmp_path, caps
         captured = capsys.readouterr()
         assert not captured.out and captured.err.count("\n") == 1
         assert len(captured.err.replace(str(tmp_path), "$RUNNER_TEMP").encode()) <= 120
-    # Nothing written: no trace, no sequence, and only the stray file.
-    assert sorted(path.name for path in tmp_path.rglob("*")) == ["frame_1.pgm", "stray"]
+    # Nothing written: no trace, no sequence, no CSV, only the set-up files.
+    written = sorted(path.name for path in tmp_path.rglob("*"))
+    assert written == ["deep", "frame_000000.pgm", "frame_1.pgm", "stray"]
