@@ -66,22 +66,32 @@ class TestFrame:
             with pytest.raises(InputError):
                 Frame(index=0, luminance=np.full((5, 5), value))
 
-    @pytest.mark.parametrize(
-        "values",
-        [np.full((5, 5), 7 + 0j), np.full((5, 5), 7 + 1j), np.ones((5, 5), dtype=bool),
-         np.full((5, 5), "7"), np.full((5, 5), 7, dtype=object), np.full((5, 5), 7.0),
-         np.full((5, 5), 7, dtype=np.int64), np.full((5, 5), 7, dtype=np.int16),
-         [[7] * 5] * 5],
-        ids=["complex", "complex-imaginary", "bool", "str", "object", "float64", "int64",
-             "int16", "nested-list"],
-    )
-    def test_rejects_every_dtype_but_uint8(self, values):
+    @staticmethod
+    def assert_rejects_dtype(values):
         # Only the renderer turns an image into pixels; no other dtype is coerced.
         dtype = np.asarray(values).dtype
         message = rf"^luminance must be a 2-D uint8 array, got dtype {dtype}, shape \(5, 5\)$"
         with pytest.raises(InputError, match=message) as info:
             Frame(index=0, luminance=values)
         assert type(info.value) is InputError
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((5, 5), 7 + 0j), np.full((5, 5), 7 + 1j), np.ones((5, 5), dtype=bool),
+         np.full((5, 5), "7"), np.full((5, 5), 7, dtype=object)],
+        ids=["complex", "complex-imaginary", "bool", "str", "object"],
+    )
+    def test_rejects_dtypes_other_than_integer_and_real(self, values):
+        self.assert_rejects_dtype(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((5, 5), 7.0), np.full((5, 5), 7, dtype=np.int64),
+         np.full((5, 5), 7, dtype=np.int16), [[7] * 5] * 5],
+        ids=["float64", "int64", "int16", "nested-list"],
+    )
+    def test_rejects_integer_and_real_dtypes_but_uint8(self, values):
+        self.assert_rejects_dtype(values)
 
     def test_rejects_small_and_non_2d(self):
         with pytest.raises(InputError, match="^frame must be at least 5x5"):

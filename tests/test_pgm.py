@@ -83,25 +83,41 @@ class TestSingleFile:
         path.write_bytes(b"P5 " + pad + b"5 " + pad + b"5 " + pad + b"255\n" + bytes(range(25)))
         assert np.array_equal(read_pgm(path), np.arange(25, dtype=np.uint8).reshape(5, 5))
 
-    @pytest.mark.parametrize(
-        "values",
-        [np.full((5, 5), 7 + 0j), np.full((5, 5), 7 + 1j), np.ones((5, 5), dtype=bool),
-         np.full((5, 5), "7"), np.full((5, 5), 7, dtype=object), np.full((5, 5), 7.0),
-         np.array([[300.0, np.nan, np.inf, -np.inf, -0.5]] + [[255.5] * 5] * 4),
-         np.full((5, 5), 7, dtype=np.int64), np.full((5, 5), 7, dtype=np.int16),
-         [[7] * 5] * 5],
-        ids=["complex", "complex-imaginary", "bool", "str", "object", "float64",
-             "float64-out-of-range", "int64", "int16", "nested-list"],
-    )
-    def test_write_rejects_every_dtype_but_uint8(self, tmp_path, values):
+    @staticmethod
+    def assert_write_rejects_dtype(path, values):
         # Only the renderer turns an image into pixels; no other dtype is coerced.
         dtype = np.asarray(values).dtype
         message = rf"^image must be a 2-D uint8 array, got dtype {dtype}, shape \(5, 5\)$"
-        path = tmp_path / "x.pgm"
         with pytest.raises(DataError, match=message) as info:
             write_pgm(path, values)
         assert type(info.value) is DataError
         assert not path.exists()
+
+    def test_write_rejects_out_of_range(self, tmp_path):
+        # No value outside 0..255 can reach the file: only uint8 is taken.
+        for value in (300.0, np.nan, np.inf, -np.inf, -0.5, 255.5):
+            img = np.full((5, 5), 7.0)
+            img[2, 3] = value
+            self.assert_write_rejects_dtype(tmp_path / "x.pgm", img)
+        self.assert_write_rejects_dtype(tmp_path / "x.pgm", np.full((5, 5), 256))
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((5, 5), 7 + 0j), np.full((5, 5), 7 + 1j), np.ones((5, 5), dtype=bool),
+         np.full((5, 5), "7"), np.full((5, 5), 7, dtype=object)],
+        ids=["complex", "complex-imaginary", "bool", "str", "object"],
+    )
+    def test_write_rejects_dtypes_other_than_integer_and_real(self, tmp_path, values):
+        self.assert_write_rejects_dtype(tmp_path / "x.pgm", values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full((5, 5), 7.0), np.full((5, 5), 7, dtype=np.int64),
+         np.full((5, 5), 7, dtype=np.int16), [[7] * 5] * 5],
+        ids=["float64", "int64", "int16", "nested-list"],
+    )
+    def test_write_rejects_integer_and_real_dtypes_but_uint8(self, tmp_path, values):
+        self.assert_write_rejects_dtype(tmp_path / "x.pgm", values)
 
 
 @pytest.fixture(scope="module")
